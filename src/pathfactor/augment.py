@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .builder import build_pseudo_factor
-from .errors import AlgorithmDefectError, NotSimpleError
+from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, Vertex, Y_SIDE, check_biregular, _decompose
+from .graph import Bigraph, Vertex, Y_SIDE, _decompose
 from .policy import LexicographicPolicy, TieBreakPolicy
 
 TraceFn = Callable[[str], None]
@@ -219,30 +219,26 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
     """
     if policy is None:
         policy = LexicographicPolicy()
-    if not g.simple:
-        raise NotSimpleError("input graph has parallel edges; a simple "
-                             "graph is required")
-    check_biregular(g)
     factor = build_pseudo_factor(g, policy, checked=checked, trace=trace)
-    for _ in range(g.y_count):
-        uncovered = factor.uncovered_ys()
-        if not uncovered:
-            break
+    # Every rewire covers exactly its origin and nothing else (asserted
+    # in _apply_trail), so the ascending pool taken once after the scan
+    # stays exact by popping each origin; from_pseudo re-checks the end.
+    uncovered = factor.uncovered_ys()
+    while uncovered:
         if factor.long_component_count == 0:
             raise AlgorithmDefectError(
                 "factor misses a Y vertex yet has no component of "
                 "length >= 4")
-        y0 = policy.pick(uncovered)
+        y0 = uncovered.pop(policy.pick_index(len(uncovered)))
         trail = find_trail(factor, y0, policy, checked=checked)
         _apply_trail(factor, trail, checked=checked)
         if trace:
             trace(f"augment {y0} trail_len {trail.edge_count} "
                   f"max_path {factor.max_path_length}")
-    else:
-        if factor.uncovered_ys():
-            raise AlgorithmDefectError(
-                "augmentation did not cover Y within |Y| rounds")
-    result = PathFactor.from_pseudo(factor)
+    try:
+        result = PathFactor.from_pseudo(factor)
+    except ValueError as exc:
+        raise AlgorithmDefectError(f"augmentation ended {exc}") from None
     if checked:
         from .verify import validate_path_factor
         report = validate_path_factor(g, result)

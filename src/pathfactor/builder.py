@@ -12,6 +12,7 @@ vertex has F-degree 2, at which point F is a pseudo path factor.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,9 +30,10 @@ TraceFn = Callable[[str], None]
 class FactorState:
     """Mutable scan state.
 
-    pending_x mirrors {j : F-degree of x_j <= 1} exactly; F-degrees only
-    grow, so entries are discarded when a vertex reaches degree 2 and
-    never return.
+    pending_x is the ascending list of j with F-degree of x_j <= 1;
+    F-degrees only grow, so an entry is deleted when its vertex reaches
+    degree 2 and never returns.  Keeping it sorted lets case 1 pick from
+    it by position without rebuilding a pool.
     """
 
     graph: Bigraph
@@ -41,7 +43,7 @@ class FactorState:
     current: Optional[Vertex]
     forest: PathForest
     step_no: int
-    pending_x: set[int]
+    pending_x: list[int]
     _seen_counts: tuple[int, int] = (0, 0)  # (|F|, |U|) at last check
 
     @classmethod
@@ -49,7 +51,7 @@ class FactorState:
         return cls(graph=g, f=EdgeSubgraph(g), u=EdgeSubgraph(g),
                    scanned=[False] * g.y_count, current=None,
                    forest=PathForest(), step_no=0,
-                   pending_x=set(range(g.x_count)))
+                   pending_x=list(range(g.x_count)))
 
     def is_initial(self) -> bool:
         return (self.step_no == 0 and self.current is None
@@ -83,7 +85,7 @@ def _grow_f(state: FactorState, eid: int) -> None:
     except ValueError as exc:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
     if state.f.x_deg[x.index] == 2:
-        state.pending_x.discard(x.index)
+        del state.pending_x[bisect_left(state.pending_x, x.index)]
 
 
 def check_state_invariants(state: FactorState) -> None:
@@ -111,8 +113,8 @@ def check_state_invariants(state: FactorState) -> None:
         if f.x_deg[j] <= 1 and u.x_deg[j] > 2:
             raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
                           f"{u.x_deg[j]} rejected edges", state)
-    if state.pending_x != {j for j in range(g.x_count) if f.x_deg[j] <= 1}:
-        raise _defect("pending_x set out of sync with F-degrees", state)
+    if state.pending_x != [j for j in range(g.x_count) if f.x_deg[j] <= 1]:
+        raise _defect("pending_x list out of sync with F-degrees", state)
     prev_f, prev_u = state._seen_counts
     if f.edge_count < prev_f or u.edge_count < prev_u:
         raise _defect("committed edge sets shrank between steps", state)
@@ -192,8 +194,9 @@ def step_i(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
         state.u.add(rest[wb_idx])
         f_new = [chosen_eid]
         u_new = [rest[wa_idx], rest[wb_idx]]
-        state.current = (Vertex.x(policy.pick(state.pending_x))
-                         if state.pending_x else None)
+        pending = state.pending_x
+        state.current = (Vertex.x(pending[policy.pick_index(len(pending))])
+                         if pending else None)
     elif da == 2 or db == 2:
         case = "2"
         w1_idx, w2_idx = (wa_idx, wb_idx) if da == 2 else (wb_idx, wa_idx)

@@ -47,9 +47,10 @@ class Vertex(NamedTuple):
     @classmethod
     def parse(cls, token: str) -> "Vertex":
         side = {"y": Y_SIDE, "x": X_SIDE}.get(token[:1])
-        if side is None or not token[1:].isdigit():
+        digits = token[1:]
+        if side is None or not (digits.isascii() and digits.isdigit()):
             raise GraphFormatError(f"malformed vertex token {token!r}")
-        return cls(side, int(token[1:]))
+        return cls(side, int(digits))
 
     @property
     def is_y(self) -> bool:

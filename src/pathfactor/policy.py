@@ -17,10 +17,19 @@ T = TypeVar("T")
 
 
 class TieBreakPolicy:
-    """pick() selects one candidate, order() ranks them all."""
+    """pick() selects one candidate, order() ranks them all.
+
+    pick_index(n) is pick() over an ascending pool the caller maintains:
+    it returns the position of the chosen element, and must choose the
+    element pick() would choose from the same pool.  Callers that keep
+    an ordered pool across rounds use it to avoid rebuilding the pool.
+    """
 
     def pick(self, candidates: Iterable[T]) -> T:
         raise NotImplementedError
+
+    def pick_index(self, n: int) -> int:
+        return self.pick(range(n))
 
     def order(self, candidates: Iterable[T]) -> Sequence[T]:
         raise NotImplementedError
@@ -31,6 +40,9 @@ class LexicographicPolicy(TieBreakPolicy):
 
     def pick(self, candidates: Iterable[T]) -> T:
         return min(candidates)
+
+    def pick_index(self, n: int) -> int:
+        return 0
 
     def order(self, candidates: Iterable[T]) -> Sequence[T]:
         return sorted(candidates)
@@ -53,7 +65,10 @@ class RandomPolicy(TieBreakPolicy):
 
     def pick(self, candidates: Iterable[T]) -> T:
         pool = sorted(candidates)
-        return pool[int(self._rng.integers(len(pool)))]
+        return pool[self.pick_index(len(pool))]
+
+    def pick_index(self, n: int) -> int:
+        return int(self._rng.integers(n))
 
     def order(self, candidates: Iterable[T]) -> Sequence[T]:
         pool = sorted(candidates)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pathfactor
 from pathfactor import fixture, serialize_graph
 from pathfactor.cli import main
 
@@ -102,6 +105,17 @@ def test_solve_malformed_file_exits_1(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_solve_non_ascii_digit_exits_1(tmp_path, capsys):
+    # str.isdigit() accepts superscripts that int() then rejects
+    f = tmp_path / "bad.bbg"
+    f.write_text("p bbg 4 3 1\ne y\u00b2 x0\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "malformed vertex token" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_corrupt_factor(tmp_path, capsys):
     graph_file = tmp_path / "k34.bbg"
     graph_file.write_text(K34)
@@ -176,8 +190,13 @@ def test_experiment_jobs_do_not_change_output(capsys):
 
 
 def test_console_entry_point():
+    # the child interpreter must import the same package the tests do,
+    # including from an uninstalled checkout
+    package_root = str(Path(pathfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pathfactor", "generate", "--k", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == K34

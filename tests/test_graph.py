@@ -31,7 +31,7 @@ def test_vertex_order_and_parse():
     assert Vertex.x(1) < Vertex.x(2)
     assert str(Vertex.y(7)) == "y7"
     assert Vertex.parse("x12") == Vertex.x(12)
-    for bad in ("z3", "y", "x-1", "y1.5", ""):
+    for bad in ("z3", "y", "x-1", "y1.5", "", "y\u00b2", "x\u0661"):
         with pytest.raises(GraphFormatError):
             Vertex.parse(bad)
 
