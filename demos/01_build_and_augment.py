@@ -38,7 +38,7 @@ else:
         trail = find_trail(factor, y0)
         print(f"{y0}: {len(options)} possible trails, taking "
               f"{' '.join(map(str, trail.vertices))}")
-        factor = rewire(factor, trail)
+        rewire(factor, trail)
         print(f"   max path length now {factor.max_path_length}")
 
 print("\n-- result --")

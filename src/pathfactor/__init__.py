@@ -12,7 +12,7 @@ same via the command line.
 """
 
 from .augment import find_trail, rewire, solve
-from .builder import FactorState, build_pseudo_factor, step_i, step_zero
+from .builder import build_pseudo_factor
 from .errors import (AlgorithmDefectError, GenerationError, GraphFormatError,
                      NotBiregularError, NotSimpleError, OracleSizeError,
                      PathFactorError)
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmDefectError", "AugmentingTrail", "Bigraph",
-    "ComponentViolation", "EdgeSubgraph", "ExperimentSummary", "FactorState",
-    "GenConfig", "GenerationError", "GraphFormatError", "LexicographicPolicy",
+    "ComponentViolation", "EdgeSubgraph", "ExperimentSummary", "GenConfig",
+    "GenerationError", "GraphFormatError", "LexicographicPolicy",
     "NotBiregularError", "NotSimpleError", "OracleSizeError",
     "PathDecomposition", "PathFactor", "PathFactorError", "PseudoPathFactor",
     "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
@@ -42,6 +42,6 @@ __all__ = [
     "build_pseudo_factor", "check_biregular", "components_as_paths",
     "find_trail", "fixture", "format_factor", "generate", "make_policy",
     "orient_path", "parse_factor", "parse_graph", "rewire", "run_experiment",
-    "serialize_graph", "solve", "step_i", "step_zero",
-    "validate_path_factor", "validate_pseudo_factor",
+    "serialize_graph", "solve", "validate_path_factor",
+    "validate_pseudo_factor",
 ]

@@ -12,12 +12,13 @@ path factor.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from .builder import build_pseudo_factor
 from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, Vertex, Y_SIDE, _decompose
+from .graph import Bigraph, Vertex, _decompose
 from .policy import LexicographicPolicy, TieBreakPolicy
 
 TraceFn = Callable[[str], None]
@@ -139,31 +140,47 @@ def _audit_trail(factor: PseudoPathFactor, trail: AugmentingTrail) -> None:
             f"{sub.degree(terminal_y)}, want 2")
 
 
-def _apply_trail(factor: PseudoPathFactor, trail: AugmentingTrail,
-                 *, checked: bool = False) -> None:
-    # In-place rewiring: drop the trail's factor edges, adopt its
-    # non-factor edges, and rebuild the path index only where it changed.
+def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
+           *, checked: bool = False) -> None:
+    """Swap the trail's factor and non-factor edges, in place.
+
+    Afterwards the factor covers exactly one more Y vertex (the trail
+    origin), its edge count is unchanged and its maximum path length has
+    not grown.  Raises ValueError, before changing anything, unless the
+    origin is uncovered, every factor edge of the trail lies in F, every
+    non-factor edge lies outside it and no edge repeats.
+    """
     g, sub = factor.graph, factor.subgraph
     y0 = trail.vertices[0]
+    if sub.degree(y0) != 0:
+        raise ValueError(f"trail origin {y0} is already covered")
+    drop = [g.edge_id_between(a, b) for a, b in trail.factor_edges()]
+    adopt = [g.edge_id_between(a, b) for a, b in trail.non_factor_edges()]
+    if not all(sub.has(eid) for eid in drop):
+        raise ValueError(f"{trail} has a factor edge outside F")
+    if any(sub.has(eid) for eid in adopt):
+        raise ValueError(f"{trail} has a non-factor edge inside F")
+    if len(set(drop + adopt)) != len(drop) + len(adopt):
+        raise ValueError(f"{trail} repeats an edge")
+
     old_max = factor.max_path_length
-    old_covered = len(factor.covered)
+    affected = factor._unindex_paths_at(trail.vertices)
+    affected.add(y0)
+    for eid in drop:
+        sub.remove(eid)
+    for eid in adopt:
+        sub.add(eid)
 
-    slots = {factor._slot_of[v] for v in trail.vertices
-             if v in factor._slot_of}
-    affected = {y0}
-    for slot in slots:
-        affected.update(factor._remove_slot(slot))
-    for a, b in trail.factor_edges():
-        sub.remove(g.edge_id_between(a, b))
-    for a, b in trail.non_factor_edges():
-        sub.add(g.edge_id_between(a, b))
-
+    # Only affected vertices changed and all but y0 were covered before,
+    # so this checks that exactly one more vertex, y0, is now covered.
     for v in affected:
-        if v.side != Y_SIDE and sub.x_deg[v.index] != 2:
+        if v.is_y:
+            if sub.y_deg[v.index] == 0:
+                raise AlgorithmDefectError(
+                    f"rewiring along {trail} left {v} uncovered")
+        elif sub.x_deg[v.index] != 2:
             raise AlgorithmDefectError(
                 f"rewiring left deg({v}) = {sub.x_deg[v.index]}, want 2")
-        if v.side == Y_SIDE:
-            factor.covered.discard(v)
     dec = _decompose(sub, sorted(affected))
     if not dec.ok:
         v = dec.violation
@@ -175,12 +192,8 @@ def _apply_trail(factor: PseudoPathFactor, trail: AugmentingTrail,
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
                 f"{' '.join(map(str, p))}")
-        factor._insert_path(p)
+        factor._index_path(deque(p))
 
-    if len(factor.covered) != old_covered + 1 or y0 not in factor.covered:
-        raise AlgorithmDefectError(
-            f"rewiring was expected to cover exactly {y0}: covered count "
-            f"went {old_covered} -> {len(factor.covered)}")
     if factor.max_path_length > old_max:
         raise AlgorithmDefectError(
             f"rewiring raised the maximum path length {old_max} -> "
@@ -191,19 +204,6 @@ def _apply_trail(factor: PseudoPathFactor, trail: AugmentingTrail,
         if not report.valid:
             raise AlgorithmDefectError(
                 f"validator rejected the rewired factor:\n{report.render()}")
-
-
-def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
-           *, checked: bool = False) -> PseudoPathFactor:
-    """Swap the trail's factor and non-factor edges.
-
-    Returns a new pseudo path factor covering exactly one more Y vertex
-    (the trail origin); the input factor is left untouched.  The maximum
-    path length never increases and the edge count is unchanged.
-    """
-    result = factor.copy()
-    _apply_trail(result, trail, checked=checked)
-    return result
 
 
 def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
@@ -221,7 +221,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
         policy = LexicographicPolicy()
     factor = build_pseudo_factor(g, policy, checked=checked, trace=trace)
     # Every rewire covers exactly its origin and nothing else (asserted
-    # in _apply_trail), so the ascending pool taken once after the scan
+    # in rewire), so the ascending pool taken once after the scan
     # stays exact by popping each origin; from_pseudo re-checks the end.
     uncovered = factor.uncovered_ys()
     while uncovered:
@@ -231,7 +231,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
                 "length >= 4")
         y0 = uncovered.pop(policy.pick_index(len(uncovered)))
         trail = find_trail(factor, y0, policy, checked=checked)
-        _apply_trail(factor, trail, checked=checked)
+        rewire(factor, trail, checked=checked)
         if trace:
             trace(f"augment {y0} trail_len {trail.edge_count} "
                   f"max_path {factor.max_path_length}")

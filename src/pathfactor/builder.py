@@ -16,7 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dsu import PathForest
 from .errors import AlgorithmDefectError, NotSimpleError
 from .factors import PseudoPathFactor
 from .graph import (Bigraph, EdgeSubgraph, Vertex, X_SIDE,
@@ -30,28 +29,31 @@ TraceFn = Callable[[str], None]
 class FactorState:
     """Mutable scan state.
 
-    pending_x is the ascending list of j with F-degree of x_j <= 1;
-    F-degrees only grow, so an entry is deleted when its vertex reaches
-    degree 2 and never returns.  Keeping it sorted lets case 1 pick from
-    it by position without rebuilding a pool.
+    factor holds F with its path index, and f is F's edge set.  pending_x
+    is the ascending list of j with F-degree of x_j <= 1; F-degrees only
+    grow, so an entry is deleted when its vertex reaches degree 2 and
+    never returns.  Keeping it sorted lets case 1 pick from it by
+    position without rebuilding a pool.
     """
 
     graph: Bigraph
-    f: EdgeSubgraph
+    factor: PseudoPathFactor
     u: EdgeSubgraph
     scanned: list[bool]
     current: Optional[Vertex]
-    forest: PathForest
     step_no: int
     pending_x: list[int]
     _seen_counts: tuple[int, int] = (0, 0)  # (|F|, |U|) at last check
 
     @classmethod
     def initial(cls, g: Bigraph) -> "FactorState":
-        return cls(graph=g, f=EdgeSubgraph(g), u=EdgeSubgraph(g),
-                   scanned=[False] * g.y_count, current=None,
-                   forest=PathForest(), step_no=0,
+        return cls(graph=g, factor=PseudoPathFactor(g), u=EdgeSubgraph(g),
+                   scanned=[False] * g.y_count, current=None, step_no=0,
                    pending_x=list(range(g.x_count)))
+
+    @property
+    def f(self) -> EdgeSubgraph:
+        return self.factor.subgraph
 
     def is_initial(self) -> bool:
         return (self.step_no == 0 and self.current is None
@@ -76,16 +78,15 @@ def _defect(msg: str, state: FactorState) -> AlgorithmDefectError:
 
 
 def _grow_f(state: FactorState, eid: int) -> None:
-    # Adding to F must keep it a forest of paths; the forest tracker
-    # rejects cycles and interior attachments outright.
-    y, x = state.graph.endpoints(eid)
-    state.f.add(eid)
+    # Adding to F must keep it a forest of paths; the path index rejects
+    # cycles and interior attachments outright.
     try:
-        state.forest.add_edge(y, x)
+        state.factor.add_edge(eid)
     except ValueError as exc:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
-    if state.f.x_deg[x.index] == 2:
-        del state.pending_x[bisect_left(state.pending_x, x.index)]
+    x = state.graph.edges[eid][1]
+    if state.f.x_deg[x] == 2:
+        del state.pending_x[bisect_left(state.pending_x, x)]
 
 
 def check_state_invariants(state: FactorState) -> None:
@@ -121,7 +122,7 @@ def check_state_invariants(state: FactorState) -> None:
     state._seen_counts = (f.edge_count, u.edge_count)
 
 
-def step_zero(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
+def step_zero(state: FactorState, policy: TieBreakPolicy,
               trace: Optional[TraceFn] = None) -> FactorState:
     """Scan the first Y vertex.
 
@@ -130,6 +131,7 @@ def step_zero(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
     """
     if not state.is_initial():
         raise _defect("step_zero requires a fresh state", state)
+    g = state.graph
     y0 = Vertex.y(policy.pick(range(g.y_count)))
     eid_of = {g.edges[eid][1]: eid for eid in g.incident_edge_ids(y0)}
     ordered = policy.order(eid_of)
@@ -146,7 +148,7 @@ def step_zero(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
     return state
 
 
-def step_i(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
+def step_i(state: FactorState, policy: TieBreakPolicy,
            trace: Optional[TraceFn] = None, checked: bool = False
            ) -> FactorState:
     """Scan one more Y vertex, reached from the current X vertex.
@@ -163,7 +165,7 @@ def step_i(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
       3b: both 1           extend F toward whichever end keeps F acyclic,
                            reject the other, which becomes current.
     """
-    x_i = state.current
+    g, x_i = state.graph, state.current
     if x_i is None or x_i.side != X_SIDE:
         raise _defect(f"current vertex {x_i} is not an X vertex", state)
     if state.f.x_deg[x_i.index] > 1:
@@ -217,7 +219,7 @@ def step_i(state: FactorState, g: Bigraph, policy: TieBreakPolicy,
         case = "3b"
         # Both candidates sit on F-paths; exactly one may already share a
         # component with y_i, and extending that way would close a cycle.
-        if state.forest.connected(y_i, Vertex.x(wa_idx)):
+        if state.factor.same_path(y_i, Vertex.x(wa_idx)):
             w1_idx, w2_idx = wb_idx, wa_idx
         else:
             w1_idx, w2_idx = wa_idx, wb_idx
@@ -255,25 +257,23 @@ def build_pseudo_factor(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
                              "graph is required")
     check_biregular(g)
     state = FactorState.initial(g)
-    step_zero(state, g, policy, trace=trace)
+    step_zero(state, policy, trace=trace)
     if checked:
         check_state_invariants(state)
     while state.current is not None:
         if state.step_no > g.y_count:
             raise _defect("scan did not stop within |Y| steps", state)
-        step_i(state, g, policy, trace=trace, checked=checked)
+        step_i(state, policy, trace=trace, checked=checked)
+    # add_edge kept F a family of paths; with every X vertex interior,
+    # each path ends in Y at both ends and so has even length.
     for j in range(g.x_count):
         if state.f.x_deg[j] != 2:
             raise _defect(f"scan stopped with deg_F(x{j}) = "
                           f"{state.f.x_deg[j]}", state)
-    try:
-        factor = PseudoPathFactor.from_subgraph(g, state.f)
-    except ValueError as exc:
-        raise _defect(f"final F is not a pseudo path factor: {exc}", state)
     if checked:
         from .verify import validate_pseudo_factor
         report = validate_pseudo_factor(g, state.f)
         if not report.valid:
             raise _defect(f"validator rejected the built factor:\n"
                           f"{report.render()}", state)
-    return factor
+    return state.factor

@@ -1,61 +1,8 @@
-"""Disjoint-set structures backing the solver and the exhaustive oracle."""
+"""Disjoint-set structure backing the exhaustive oracle."""
 
 from __future__ import annotations
 
 from typing import Hashable
-
-
-class PathForest:
-    """Union-find over path components that tracks each path's two ends.
-
-    add_edge(a, b) merges two distinct components and requires both
-    vertices to be path ends, which is exactly the acyclicity-plus-shape
-    check the factor construction needs.  Isolated vertices are created on
-    first sight and count as paths of length zero (both ends themselves).
-    """
-
-    def __init__(self):
-        self._parent: dict = {}
-        self._size: dict = {}
-        self._ends: dict = {}
-
-    def _ensure(self, v) -> None:
-        if v not in self._parent:
-            self._parent[v] = v
-            self._size[v] = 1
-            self._ends[v] = (v, v)
-
-    def find(self, v):
-        self._ensure(v)
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:  # path halving
-            parent[v], v = root, parent[v]
-        return root
-
-    def connected(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
-
-    def ends(self, v) -> tuple:
-        return self._ends[self.find(v)]
-
-    def add_edge(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            raise ValueError(f"edge {a}-{b} would close a cycle")
-        ends_a, ends_b = self._ends[ra], self._ends[rb]
-        if a not in ends_a or b not in ends_b:
-            raise ValueError(f"edge {a}-{b} attaches to a path interior")
-        new_ends = (ends_a[0] if ends_a[1] == a else ends_a[1],
-                    ends_b[0] if ends_b[1] == b else ends_b[1])
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self._ends[ra] = new_ends
-        del self._ends[rb]
 
 
 class RollbackUnionFind:

@@ -10,136 +10,128 @@ k vertex-disjoint paths on a (3,4)-biregular instance.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graph import (Bigraph, EdgeSubgraph, Vertex, Y_SIDE,
-                    components_as_paths, orient_path)
+from .graph import Bigraph, EdgeSubgraph, Vertex, orient_path
 
 
 class PseudoPathFactor:
-    """A pseudo path factor with an incrementally maintained path index.
+    """A factor F of a graph with an incrementally maintained path index.
 
-    Per-vertex component lookup, the maximum path length and the count of
-    components of length >= 4 are all O(1); the rewiring step updates them
-    locally instead of re-decomposing the whole subgraph.
+    F is kept as an EdgeSubgraph, one map from each covered vertex to the
+    path it lies on, and a histogram of path lengths.  The scan grows F
+    one edge at a time through add_edge; rewiring re-indexes only the
+    paths a trail touched.  Per-vertex component lookup is O(1); the
+    maximum path length and the count of components of length >= 4 are
+    read off the histogram.
     """
 
-    def __init__(self, graph: Bigraph, subgraph: EdgeSubgraph,
-                 paths: Iterable[Sequence[Vertex]]):
+    def __init__(self, graph: Bigraph):
         self.graph = graph
-        self.subgraph = subgraph
-        self._paths: dict[int, tuple[Vertex, ...]] = {}
-        self._slot_of: dict[Vertex, int] = {}
-        self._next_slot = 0
-        self._len_counts: Counter[int] = Counter()
-        self._long_count = 0  # components of length >= 4
-        self._max_len = 0
-        self.covered: set[Vertex] = set()
-        for p in paths:
-            self._insert_path(tuple(p))
-
-    @classmethod
-    def from_subgraph(cls, graph: Bigraph,
-                      subgraph: EdgeSubgraph) -> "PseudoPathFactor":
-        """Decompose and shape-check a subgraph.  Raises ValueError when
-        some component is not an even path or some X degree is not 2."""
-        dec = components_as_paths(subgraph)
-        if not dec.ok:
-            v = dec.violation
-            raise ValueError(f"{v.kind} at {' '.join(map(str, v.vertices))}")
-        for j in range(graph.x_count):
-            if subgraph.x_deg[j] != 2:
-                raise ValueError(
-                    f"deg(x{j}) = {subgraph.x_deg[j]} in subgraph, want 2")
-        for p in dec.paths:
-            if len(p) % 2 == 0 or not (p[0].is_y and p[-1].is_y):
-                raise ValueError(
-                    f"component {' '.join(map(str, p))} is not an even path "
-                    f"with both endpoints in Y")
-        return cls(graph, subgraph, dec.paths)
+        self.subgraph = EdgeSubgraph(graph)
+        self._path_of: dict[Vertex, deque[Vertex]] = {}
+        self._len_counts: Counter[int] = Counter()  # length -> path count
 
     # -- path index maintenance -------------------------------------------
 
-    def _insert_path(self, path: tuple[Vertex, ...]) -> None:
-        slot = self._next_slot
-        self._next_slot += 1
-        self._paths[slot] = path
-        for v in path:
-            self._slot_of[v] = slot
-            if v.side == Y_SIDE:
-                self.covered.add(v)
-        length = len(path) - 1
-        self._len_counts[length] += 1
-        if length >= 4:
-            self._long_count += 1
-        if length > self._max_len:
-            self._max_len = length
+    def add_edge(self, eid: int) -> None:
+        """Add an edge to F, joining the paths that end at its endpoints.
 
-    def _remove_slot(self, slot: int) -> tuple[Vertex, ...]:
-        path = self._paths.pop(slot)
-        for v in path:
-            del self._slot_of[v]
-        length = len(path) - 1
-        self._len_counts[length] -= 1
-        if self._len_counts[length] == 0:
+        Raises ValueError, leaving F unchanged, if the edge would close a
+        cycle or attach to a path interior.  The shorter path is copied
+        onto the longer, so growing F edge by edge costs O(n log n).
+        """
+        y, x = self.graph.endpoints(eid)
+        a = self._path_of.get(y) or deque((y,))
+        b = self._path_of.get(x) or deque((x,))
+        if a is b:
+            raise ValueError(f"edge {y}-{x} would close a cycle")
+        if y not in (a[0], a[-1]) or x not in (b[0], b[-1]):
+            raise ValueError(f"edge {y}-{x} attaches to a path interior")
+        self.subgraph.add(eid)
+        for p in (a, b):
+            if len(p) > 1:
+                self._tally(len(p) - 1, -1)
+        if len(a) < len(b):
+            a, b, y, x = b, a, x, y
+        if b[0] != x:
+            b.reverse()
+        if a[-1] == y:
+            a.extend(b)
+        else:
+            a.extendleft(b)
+        self._path_of[y] = a
+        for v in b:
+            self._path_of[v] = a
+        self._tally(len(a) - 1, 1)
+
+    def _tally(self, length: int, delta: int) -> None:
+        # zero counts are deleted, so max() of the keys is the longest path
+        count = self._len_counts[length] + delta
+        if count:
+            self._len_counts[length] = count
+        else:
             del self._len_counts[length]
-            if length == self._max_len:
-                self._max_len = max(self._len_counts, default=0)
-        if length >= 4:
-            self._long_count -= 1
-        return path
+
+    def _index_path(self, path: deque[Vertex]) -> None:
+        for v in path:
+            self._path_of[v] = path
+        self._tally(len(path) - 1, 1)
+
+    def _unindex_paths_at(self, vertices: Iterable[Vertex]) -> set[Vertex]:
+        """Drop every path through one of `vertices` from the index and
+        return all the vertices those paths held."""
+        freed: set[Vertex] = set()
+        for v in vertices:
+            path = self._path_of.get(v)
+            if path is not None:
+                for u in path:
+                    del self._path_of[u]
+                self._tally(len(path) - 1, -1)
+                freed.update(path)
+        return freed
 
     # -- queries ------------------------------------------------------------
 
     @property
     def paths(self) -> tuple[tuple[Vertex, ...], ...]:
         """All component paths, canonically oriented and sorted."""
-        return tuple(sorted(self._paths.values()))
-
-    def component_path_at(self, v: Vertex) -> tuple[Vertex, ...] | None:
-        slot = self._slot_of.get(v)
-        return None if slot is None else self._paths[slot]
+        return tuple(sorted(orient_path(p) for v, p in self._path_of.items()
+                            if p[0] == v))
 
     def component_length_at(self, v: Vertex) -> int:
         """Edge count of v's component; 0 for an isolated vertex."""
-        slot = self._slot_of.get(v)
-        return 0 if slot is None else len(self._paths[slot]) - 1
+        path = self._path_of.get(v)
+        return 0 if path is None else len(path) - 1
+
+    def same_path(self, a: Vertex, b: Vertex) -> bool:
+        path = self._path_of.get(a)
+        return path is not None and path is self._path_of.get(b)
 
     @property
     def max_path_length(self) -> int:
-        return self._max_len
+        return max(self._len_counts, default=0)
 
     @property
     def long_component_count(self) -> int:
-        return self._long_count
+        """Components of length >= 4."""
+        return sum(c for length, c in self._len_counts.items() if length >= 4)
 
     @property
     def path_count(self) -> int:
-        return len(self._paths)
+        return sum(self._len_counts.values())
 
     def uncovered_ys(self) -> list[Vertex]:
         return [Vertex.y(i) for i in range(self.graph.y_count)
                 if self.subgraph.y_deg[i] == 0]
 
-    def copy(self) -> "PseudoPathFactor":
-        dup = PseudoPathFactor.__new__(PseudoPathFactor)
-        dup.graph = self.graph
-        dup.subgraph = self.subgraph.copy()
-        dup._paths = dict(self._paths)
-        dup._slot_of = dict(self._slot_of)
-        dup._next_slot = self._next_slot
-        dup._len_counts = Counter(self._len_counts)
-        dup._long_count = self._long_count
-        dup._max_len = self._max_len
-        dup.covered = set(self.covered)
-        return dup
-
     def __repr__(self) -> str:
+        covered = sum(1 for d in self.subgraph.y_deg if d)
         return (f"PseudoPathFactor({self.path_count} paths, "
-                f"{len(self.covered)}/{self.graph.y_count} Y covered, "
-                f"max length {self._max_len})")
+                f"{covered}/{self.graph.y_count} Y covered, "
+                f"max length {self.max_path_length})")
 
 
 @dataclass(frozen=True)
@@ -204,6 +196,3 @@ class PathFactor:
     def lengths(self) -> tuple[int, ...]:
         """Path edge counts, ascending."""
         return tuple(sorted(len(p) - 1 for p in self.paths))
-
-    def canonical(self) -> tuple[tuple[Vertex, ...], ...]:
-        return tuple(sorted(orient_path(p) for p in self.paths))

@@ -29,6 +29,11 @@ Y_SIDE = 0
 X_SIDE = 1
 
 
+def _is_count(token: str) -> bool:
+    # int() alone would also take signs, underscores and non-ASCII digits
+    return token.isascii() and token.isdigit()
+
+
 class Vertex(NamedTuple):
     """A side-tagged vertex.  Ordering is all of Y before all of X, then by
     index, which is the canonical vertex order used everywhere."""
@@ -47,10 +52,9 @@ class Vertex(NamedTuple):
     @classmethod
     def parse(cls, token: str) -> "Vertex":
         side = {"y": Y_SIDE, "x": X_SIDE}.get(token[:1])
-        digits = token[1:]
-        if side is None or not (digits.isascii() and digits.isdigit()):
+        if side is None or not _is_count(token[1:]):
             raise GraphFormatError(f"malformed vertex token {token!r}")
-        return cls(side, int(digits))
+        return cls(side, int(token[1:]))
 
     @property
     def is_y(self) -> bool:
@@ -221,15 +225,6 @@ class EdgeSubgraph:
         return [eid for eid in self.parent.incident_edge_ids(v)
                 if self._member[eid]]
 
-    def copy(self) -> "EdgeSubgraph":
-        dup = EdgeSubgraph.__new__(EdgeSubgraph)
-        dup.parent = self.parent
-        dup._member = bytearray(self._member)
-        dup.y_deg = list(self.y_deg)
-        dup.x_deg = list(self.x_deg)
-        dup._count = self._count
-        return dup
-
     def __repr__(self) -> str:
         return f"EdgeSubgraph({self._count} of {self.parent.edge_count} edges)"
 
@@ -367,15 +362,12 @@ def parse_graph(text: str, allow_multi: bool = False) -> Bigraph:
         if fields[0] == "p":
             if header is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
-            if len(fields) != 5 or fields[1] != "bbg":
+            if (len(fields) != 5 or fields[1] != "bbg"
+                    or not all(map(_is_count, fields[2:]))):
                 raise GraphFormatError(
                     f"line {lineno}: malformed header {line!r}")
-            try:
-                y_count, x_count, edge_count = map(int, fields[2:])
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: malformed header {line!r}") from None
-            if y_count < 1 or x_count < 1 or edge_count < 0:
+            y_count, x_count, edge_count = map(int, fields[2:])
+            if y_count < 1 or x_count < 1:
                 raise GraphFormatError(
                     f"line {lineno}: header counts out of range")
             header = (y_count, x_count, edge_count)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from pathfactor import Bigraph, EdgeSubgraph, PseudoPathFactor, Vertex
+from pathfactor import Bigraph, PseudoPathFactor, Vertex
 
 
 def _ypath(*indices):
@@ -29,10 +29,10 @@ def _factor_from_paths(y_count, x_count, f_paths, extra_edges):
     f_pairs = list(edges)
     edges.extend(extra_edges)
     g = Bigraph(y_count, x_count, edges)
-    sub = EdgeSubgraph(g)
+    factor = PseudoPathFactor(g)
     for y, x in f_pairs:
-        sub.add(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
-    return g, PseudoPathFactor.from_subgraph(g, sub)
+        factor.add_edge(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+    return g, factor
 
 
 @pytest.fixture

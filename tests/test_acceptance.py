@@ -14,9 +14,8 @@ from pathfactor import (Bigraph, GenConfig, LexicographicPolicy,
                         NotBiregularError, NotSimpleError,
                         brute_force_factor, brute_force_trails,
                         build_pseudo_factor, check_biregular, find_trail,
-                        fixture, generate, solve, validate_path_factor,
-                        validate_pseudo_factor)
-from pathfactor.augment import _apply_trail
+                        fixture, generate, rewire, solve,
+                        validate_path_factor, validate_pseudo_factor)
 from pathfactor.cli import main
 from pathfactor.experiment import run_experiment
 
@@ -56,10 +55,10 @@ def test_criterion_2_augmentation_guarantees():
             legal = {t.vertices for t in brute_force_trails(factor, y0)}
             trail = find_trail(factor, y0, policy, checked=True)
             assert trail.vertices in legal, (seed, trail)
-            before_cov = len(factor.covered)
+            before_uncovered = len(factor.uncovered_ys())
             before_max = factor.max_path_length
-            _apply_trail(factor, trail, checked=True)
-            assert len(factor.covered) == before_cov + 1
+            rewire(factor, trail, checked=True)
+            assert len(factor.uncovered_ys()) == before_uncovered - 1
             assert factor.max_path_length <= before_max
             trails_checked += 1
     report(2, trails_checked > 0,

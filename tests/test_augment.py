@@ -39,29 +39,31 @@ def test_k2_all_trails_enumerated(k2_pseudo):
 
 def test_k2_rewire_is_golden(k2_pseudo):
     g, factor = k2_pseudo
-    before = factor.paths
+    before_max = factor.max_path_length
+    before_uncovered = len(factor.uncovered_ys())
     trail = find_trail(factor, Vertex.y(0))
-    result = rewire(factor, trail, checked=True)
-    assert result.paths == (
+    rewire(factor, trail, checked=True)
+    assert factor.paths == (
         _ypath(0, 0, 1),
         _ypath(2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7))
-    assert result.max_path_length == 10 < factor.max_path_length
-    assert len(result.covered) == len(factor.covered) + 1
-    assert factor.paths == before  # input untouched
+    assert factor.max_path_length == 10 < before_max
+    assert len(factor.uncovered_ys()) == before_uncovered - 1
 
 
 def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     g, factor = k2_pseudo
     trail = find_trail(factor, Vertex.y(0))
-    result = rewire(factor, trail)
 
     def pairs(f):
         return {(y.index, x.index) for y, x in f.subgraph.member_pairs()}
 
+    before_pairs = pairs(factor)
+    before_count = factor.subgraph.edge_count
+    rewire(factor, trail)
     dropped = {(y.index, x.index) for x, y in trail.factor_edges()}
     adopted = {(y.index, x.index) for y, x in trail.non_factor_edges()}
-    assert pairs(result) == (pairs(factor) - dropped) | adopted
-    assert result.subgraph.edge_count == factor.subgraph.edge_count
+    assert pairs(factor) == (before_pairs - dropped) | adopted
+    assert factor.subgraph.edge_count == before_count
 
 
 def test_k3_trail_crosses_the_short_path(k3_pseudo):
@@ -69,13 +71,13 @@ def test_k3_trail_crosses_the_short_path(k3_pseudo):
     trail = find_trail(factor, Vertex.y(0), checked=True)
     assert trail.vertices == _ypath(0, 0, 1, 1, 4)
     assert trail.intermediate_count == 1
-    result = rewire(factor, trail, checked=True)
-    assert result.paths == (
+    rewire(factor, trail, checked=True)
+    assert factor.paths == (
         _ypath(0, 0, 2),
         _ypath(1, 1, 3),
         _ypath(4, 2, 5, 3, 6, 4, 7, 5, 8, 6, 9, 7, 10, 8, 11))
-    assert result.max_path_length == 14
-    assert not result.uncovered_ys()
+    assert factor.max_path_length == 14
+    assert not factor.uncovered_ys()
 
 
 def test_find_trail_rejects_covered_origin(k2_pseudo):
@@ -160,7 +162,6 @@ def test_augment_trace_format_and_monotone_max():
 def test_emitted_trails_always_among_enumerated():
     # every trail the solver uses on small instances must be one the
     # exhaustive enumeration predicts
-    from pathfactor.augment import _apply_trail
     from pathfactor import LexicographicPolicy
     hits = 0
     for seed in range(40):
@@ -173,7 +174,7 @@ def test_emitted_trails_always_among_enumerated():
             trail = find_trail(factor, y0, checked=True)
             assert trail.vertices in legal
             hits += 1
-            _apply_trail(factor, trail, checked=True)
+            rewire(factor, trail, checked=True)
     assert hits > 0
 
 
@@ -183,7 +184,7 @@ def _reference_solve(g, policy):
     factor = build_pseudo_factor(g, policy)
     while factor.uncovered_ys():
         y0 = policy.pick(factor.uncovered_ys())
-        factor = rewire(factor, find_trail(factor, y0, policy))
+        rewire(factor, find_trail(factor, y0, policy))
     return format_factor(factor.paths)
 
 

@@ -44,9 +44,9 @@ def test_builder_rejects_bad_input():
 
 def test_step_zero_requires_fresh_state():
     g = fixture("k34")
-    state = step_zero(FactorState.initial(g), g, LexicographicPolicy())
+    state = step_zero(FactorState.initial(g), LexicographicPolicy())
     with pytest.raises(AlgorithmDefectError, match="fresh state"):
-        step_zero(state, g, LexicographicPolicy())
+        step_zero(state, LexicographicPolicy())
 
 
 def _forced_3b_state():
@@ -68,7 +68,7 @@ def _forced_3b_state():
 def test_case_3b_avoids_the_cycle():
     g, state = _forced_3b_state()
     lines = []
-    step_i(state, g, LexicographicPolicy(), trace=lines.append, checked=True)
+    step_i(state, LexicographicPolicy(), trace=lines.append, checked=True)
     # x1 joins y1 to the component already holding y0 and x0, so the
     # factor must extend through x2 even though x1 sorts first
     assert lines == ["step 2 case 3b y1 F:[y1x0 y1x2] U:[y1x1]"]
@@ -81,9 +81,21 @@ def test_forced_3b_state_completes():
     g, state = _forced_3b_state()
     policy = LexicographicPolicy()
     while state.current is not None:
-        step_i(state, g, policy, checked=True)
+        step_i(state, policy, checked=True)
     assert all(d == 2 for d in state.f.x_deg)
     assert validate_pseudo_factor(g, state.f).valid
+
+
+@pytest.mark.parametrize("pairs, match", [
+    ([(1, 0), (1, 1)], "cycle"),  # y1 joins both ends of x0 y0 x1
+    ([(0, 2)], "interior"),       # y0 is interior to x0 y0 x1
+])
+def test_grow_f_reports_a_non_path_as_a_defect(pairs, match):
+    g, state = _forced_3b_state()
+    with pytest.raises(AlgorithmDefectError,
+                       match=f"family of paths: .*{match}"):
+        for y, x in pairs:
+            _grow_f(state, g.edge_id_between(Vertex.y(y), Vertex.x(x)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -106,14 +106,24 @@ def test_solve_malformed_file_exits_1(tmp_path, capsys):
 
 
 def test_solve_non_ascii_digit_exits_1(tmp_path, capsys):
-    # str.isdigit() accepts superscripts that int() then rejects
+    # str.isdigit() accepts superscripts that int() then rejects, and
+    # int() alone accepts Arabic-Indic digits, underscores and signs
+    k34_edges = K34.split("\n", 1)[1]
+    cases = [
+        ("p bbg 4 3 1\ne y\u00b2 x0\n", "malformed vertex token"),
+        ("p bbg \u0664 \u0663 \u0661\u0662\n" + k34_edges,
+         "line 1: malformed header"),
+        ("p bbg 4 3 1_2\n" + k34_edges, "line 1: malformed header"),
+        ("p bbg +4 3 12\n" + k34_edges, "line 1: malformed header"),
+    ]
     f = tmp_path / "bad.bbg"
-    f.write_text("p bbg 4 3 1\ne y\u00b2 x0\n", encoding="utf-8")
-    code, out, err = run(capsys, "solve", str(f))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "malformed vertex token" in err
-    assert "Traceback" not in err
+    for text, message in cases:
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(f))
+        assert code == 1, text
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 def test_verify_rejects_corrupt_factor(tmp_path, capsys):

@@ -1,40 +1,6 @@
 from __future__ import annotations
 
-import pytest
-
-from pathfactor.dsu import PathForest, RollbackUnionFind
-
-
-def test_path_forest_tracks_ends():
-    pf = PathForest()
-    pf.add_edge("a", "b")
-    pf.add_edge("b", "c")
-    assert pf.connected("a", "c")
-    assert set(pf.ends("b")) == {"a", "c"}
-
-
-def test_path_forest_rejects_cycle():
-    pf = PathForest()
-    pf.add_edge("a", "b")
-    pf.add_edge("b", "c")
-    with pytest.raises(ValueError, match="cycle"):
-        pf.add_edge("a", "c")
-
-
-def test_path_forest_rejects_interior():
-    pf = PathForest()
-    pf.add_edge("a", "b")
-    pf.add_edge("b", "c")
-    with pytest.raises(ValueError, match="interior"):
-        pf.add_edge("b", "d")
-
-
-def test_path_forest_merges_two_paths():
-    pf = PathForest()
-    pf.add_edge("a", "b")
-    pf.add_edge("c", "d")
-    pf.add_edge("b", "c")
-    assert set(pf.ends("d")) == {"a", "d"}
+from pathfactor.dsu import RollbackUnionFind
 
 
 def test_rollback_union_find():
