@@ -12,13 +12,12 @@ path factor.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from .builder import build_pseudo_factor
 from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, Vertex, _decompose
+from .graph import Bigraph, Vertex
 from .policy import LexicographicPolicy, TieBreakPolicy
 
 TraceFn = Callable[[str], None]
@@ -149,6 +148,10 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     not grown.  Raises ValueError, before changing anything, unless the
     origin is uncovered, every factor edge of the trail lies in F, every
     non-factor edge lies outside it and no edge repeats.
+
+    F changes only through PseudoPathFactor.remove_edge and add_edge, so
+    a rewire takes time proportional to the trail length plus the
+    shorter piece of each path it splits.
     """
     g, sub = factor.graph, factor.subgraph
     y0 = trail.vertices[0]
@@ -164,16 +167,19 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         raise ValueError(f"{trail} repeats an edge")
 
     old_max = factor.max_path_length
-    affected = factor._unindex_paths_at(trail.vertices)
-    affected.add(y0)
-    for eid in drop:
-        sub.remove(eid)
-    for eid in adopt:
-        sub.add(eid)
+    try:
+        for eid in drop:
+            factor.remove_edge(eid)
+        for eid in adopt:
+            factor.add_edge(eid)
+    except ValueError as exc:
+        raise AlgorithmDefectError(f"rewiring along {trail} broke the "
+                                   f"path structure: {exc}") from None
 
-    # Only affected vertices changed and all but y0 were covered before,
-    # so this checks that exactly one more vertex, y0, is now covered.
-    for v in affected:
+    # Every path that changed holds a trail vertex, and all trail Y
+    # vertices but y0 were covered before, so this checks that exactly
+    # one more vertex, y0, is now covered and every changed path is even.
+    for v in trail.vertices:
         if v.is_y:
             if sub.y_deg[v.index] == 0:
                 raise AlgorithmDefectError(
@@ -181,18 +187,11 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         elif sub.x_deg[v.index] != 2:
             raise AlgorithmDefectError(
                 f"rewiring left deg({v}) = {sub.x_deg[v.index]}, want 2")
-    dec = _decompose(sub, sorted(affected))
-    if not dec.ok:
-        v = dec.violation
-        raise AlgorithmDefectError(
-            f"rewiring broke the path structure: {v.kind} at "
-            f"{' '.join(map(str, v.vertices))}")
-    for p in dec.paths:
-        if len(p) % 2 == 0 or not (p[0].is_y and p[-1].is_y):
+        path = factor._path_of[v]
+        if not (path[0].is_y and path[-1].is_y):
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
-                f"{' '.join(map(str, p))}")
-        factor._index_path(deque(p))
+                f"{' '.join(map(str, path))}")
 
     if factor.max_path_length > old_max:
         raise AlgorithmDefectError(

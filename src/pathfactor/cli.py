@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .augment import solve
-from .errors import (AlgorithmDefectError, GenerationError, GraphFormatError,
-                     NotBiregularError, NotSimpleError, OracleSizeError,
-                     PathFactorError)
+from .errors import AlgorithmDefectError, OracleSizeError, PathFactorError
 from .experiment import run_experiment
 from .factors import PathFactor
 from .generate import GenConfig, generate
@@ -124,9 +122,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    # parse permissively; the solver itself rejects multigraphs with a
-    # clearer message than a duplicate-line parse error
-    g = parse_graph(args.graph.read_text(), allow_multi=True)
+    g = parse_graph(args.graph.read_text())
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     factor = solve(g, args.policy, checked=args.checked, trace=trace)
     report = validate_path_factor(g, factor)
@@ -138,7 +134,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = parse_graph(args.graph.read_text(), allow_multi=True)
+    g = parse_graph(args.graph.read_text())
     if args.oracle:
         factor = brute_force_factor(g)
         if factor is None:
@@ -174,14 +170,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AlgorithmDefectError as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return 3
-    except (GraphFormatError, NotSimpleError, NotBiregularError,
-            GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PathFactorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PathFactorError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graph import Bigraph, EdgeSubgraph, Vertex, orient_path
 
@@ -21,11 +20,11 @@ class PseudoPathFactor:
     """A factor F of a graph with an incrementally maintained path index.
 
     F is kept as an EdgeSubgraph, one map from each covered vertex to the
-    path it lies on, and a histogram of path lengths.  The scan grows F
-    one edge at a time through add_edge; rewiring re-indexes only the
-    paths a trail touched.  Per-vertex component lookup is O(1); the
-    maximum path length and the count of components of length >= 4 are
-    read off the histogram.
+    path it lies on, and a histogram of path lengths.  F changes only
+    through add_edge and remove_edge: the scan grows it edge by edge, and
+    rewiring removes a trail's factor edges and adds its non-factor ones.
+    Per-vertex component lookup is O(1); the maximum path length and the
+    count of components of length >= 4 are read off the histogram.
     """
 
     def __init__(self, graph: Bigraph):
@@ -67,6 +66,36 @@ class PseudoPathFactor:
             self._path_of[v] = a
         self._tally(len(a) - 1, 1)
 
+    def remove_edge(self, eid: int) -> None:
+        """Remove an edge from F, splitting its path in two.
+
+        Raises ValueError, leaving F unchanged, if the edge is not in F.
+        The shorter piece is moved to a new path, so a split costs
+        O(shorter piece); a piece of one vertex leaves the index.
+        """
+        if not self.subgraph.has(eid):
+            raise ValueError(f"edge occurrence {eid} is not in F")
+        self.subgraph.remove(eid)
+        ends = self.graph.endpoints(eid)
+        path = self._path_of[ends[0]]
+        self._tally(len(path) - 1, -1)
+        # walk in from both ends at once: the first endpoint met closes
+        # the shorter piece
+        for size, (head, tail) in enumerate(zip(path, reversed(path)), 1):
+            if head in ends:
+                piece = deque(path.popleft() for _ in range(size))
+                break
+            if tail in ends:
+                piece = deque(path.pop() for _ in range(size))
+                break
+        for v in piece:
+            self._path_of[v] = piece
+        for p in (piece, path):
+            if len(p) > 1:
+                self._tally(len(p) - 1, 1)
+            else:
+                del self._path_of[p[0]]
+
     def _tally(self, length: int, delta: int) -> None:
         # zero counts are deleted, so max() of the keys is the longest path
         count = self._len_counts[length] + delta
@@ -74,24 +103,6 @@ class PseudoPathFactor:
             self._len_counts[length] = count
         else:
             del self._len_counts[length]
-
-    def _index_path(self, path: deque[Vertex]) -> None:
-        for v in path:
-            self._path_of[v] = path
-        self._tally(len(path) - 1, 1)
-
-    def _unindex_paths_at(self, vertices: Iterable[Vertex]) -> set[Vertex]:
-        """Drop every path through one of `vertices` from the index and
-        return all the vertices those paths held."""
-        freed: set[Vertex] = set()
-        for v in vertices:
-            path = self._path_of.get(v)
-            if path is not None:
-                for u in path:
-                    del self._path_of[u]
-                self._tally(len(path) - 1, -1)
-                freed.update(path)
-        return freed
 
     # -- queries ------------------------------------------------------------
 

@@ -287,12 +287,7 @@ def components_as_paths(s: EdgeSubgraph) -> PathDecomposition:
     the result carries the first violation in canonical vertex order: a
     vertex of degree >= 3, or the vertex set of a cycle.
     """
-    return _decompose(s, list(s.parent.vertices()))
-
-
-def _decompose(s: EdgeSubgraph, vertices: list[Vertex]) -> PathDecomposition:
-    # Restricted variant used by rewiring: `vertices` must be closed under
-    # the components it touches, in canonical order.
+    vertices = list(s.parent.vertices())
     for v in vertices:
         if s.degree(v) >= 3:
             return PathDecomposition(
@@ -344,16 +339,16 @@ def _collect_component(s: EdgeSubgraph, start: Vertex,
     return comp
 
 
-def parse_graph(text: str, allow_multi: bool = False) -> Bigraph:
+def parse_graph(text: str) -> Bigraph:
     """Parse the ``p bbg`` text format.
 
+    A repeated edge line is a parallel edge, so multigraphs parse.
     Reports the first problem with its line number: a malformed line, an
-    out-of-range endpoint, a duplicate edge when allow_multi is false, or
-    an edge count that disagrees with the header.
+    out-of-range endpoint, or an edge count that disagrees with the
+    header.
     """
     header: Optional[tuple[int, int, int]] = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
@@ -386,13 +381,7 @@ def parse_graph(text: str, allow_multi: bool = False) -> Bigraph:
             if not (a.index < header[0] and b.index < header[1]):
                 raise GraphFormatError(
                     f"line {lineno}: endpoint out of range in {line!r}")
-            pair = (a.index, b.index)
-            if pair in seen and not allow_multi:
-                raise GraphFormatError(
-                    f"line {lineno}: duplicate edge {a}{b} "
-                    f"(pass allow_multi to accept multigraphs)")
-            seen.add(pair)
-            edges.append(pair)
+            edges.append((a.index, b.index))
         else:
             raise GraphFormatError(
                 f"line {lineno}: unrecognized line {line!r}")

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pathfactor
 from pathfactor import fixture, serialize_graph
 from pathfactor.cli import main
@@ -124,6 +126,23 @@ def test_solve_non_ascii_digit_exits_1(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "{bad}"),
+    ("verify", "{bad}", "--factor", "{good}"),
+    ("verify", "{good}", "--factor", "{bad}"),
+], ids=["solve", "verify-graph", "verify-factor"])
+def test_non_utf8_input_exits_1(tmp_path, capsys, argv):
+    bad, good = tmp_path / "bad", tmp_path / "k34.bbg"
+    bad.write_bytes(b"p bbg 4 3 12\n\xff\xfe e y0 x0\n")
+    good.write_text(K34)
+    code, out, err = run(capsys, *(a.format(bad=bad, good=good)
+                                   for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_corrupt_factor(tmp_path, capsys):

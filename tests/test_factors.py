@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
-                        PseudoPathFactor, Vertex, components_as_paths,
-                        find_trail, fixture, generate, make_policy, rewire)
+                        PseudoPathFactor, Vertex, build_pseudo_factor,
+                        components_as_paths, find_trail, fixture, generate,
+                        make_policy, orient_path, rewire,
+                        validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 
 
@@ -51,6 +55,65 @@ def test_add_edge_merges_two_paths():
     assert factor.paths == (_ypath(0, 0, 1, 1, 2),)
     assert (factor.path_count, factor.max_path_length) == (1, 4)
     assert factor.long_component_count == 1
+
+
+def _remove(g, factor, y, x):
+    factor.remove_edge(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+
+
+# the 6-path y0 x0 y1 x1 y2 x2 y3, built edge by edge
+_SIX_PATH = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2))
+
+
+@pytest.mark.parametrize("y, x, pieces", [
+    (1, 1, (_ypath(0, 0, 1), _ypath(3, 2, 2, 1))),
+    (2, 1, (_ypath(0, 0, 1, 1), _ypath(2, 2, 3))),
+])
+def test_remove_edge_splits_an_inner_edge(y, x, pieces):
+    g, factor = _k34_factor(*_SIX_PATH)
+    _remove(g, factor, y, x)
+    assert factor.paths == tuple(sorted(orient_path(p) for p in pieces))
+    assert factor.subgraph.edge_count == 5
+    assert (factor.path_count, factor.max_path_length) == (2, 3)
+    for piece in pieces:
+        assert all(factor.same_path(piece[0], v) for v in piece)
+        assert all(factor.component_length_at(v) == len(piece) - 1
+                   for v in piece)
+    assert not factor.same_path(pieces[0][0], pieces[1][0])
+    _assert_index_matches(factor)
+
+
+@pytest.mark.parametrize("y, x", [(0, 0), (3, 2)])
+def test_remove_edge_splits_off_an_end(y, x):
+    g, factor = _k34_factor(*_SIX_PATH)
+    _remove(g, factor, y, x)
+    assert (factor.path_count, factor.max_path_length) == (1, 5)
+    assert factor.component_length_at(Vertex.y(y)) == 0
+    assert not factor.same_path(Vertex.y(y), Vertex.y(y))  # unindexed
+    assert factor.component_length_at(Vertex.x(x)) == 5
+    _assert_index_matches(factor)
+
+
+def test_remove_edge_empties_a_2_path():
+    # a trail that crosses the same middle X twice removes both its edges
+    g, factor = _k34_factor((0, 0), (1, 0), (2, 1), (3, 1))
+    _remove(g, factor, 0, 0)
+    _remove(g, factor, 1, 0)
+    assert factor.paths == (_ypath(2, 1, 3),)
+    assert (factor.path_count, factor.max_path_length) == (1, 2)
+    for v in (Vertex.y(0), Vertex.y(1), Vertex.x(0)):
+        assert factor.component_length_at(v) == 0
+        assert not factor.same_path(v, v)
+    _assert_index_matches(factor)
+
+
+def test_remove_edge_rejects_an_edge_outside_f():
+    g, factor = _k34_factor(*_SIX_PATH)
+    with pytest.raises(ValueError, match="not in F"):
+        _remove(g, factor, 0, 1)
+    assert factor.subgraph.edge_count == 6
+    assert factor.paths == (_ypath(0, 0, 1, 1, 2, 2, 3),)
+    _assert_index_matches(factor)
 
 
 def _assert_index_matches(factor):
@@ -111,3 +174,61 @@ def test_rewire_checks_coverage(k2_pseudo):
     g, factor = k2_pseudo
     with pytest.raises(AlgorithmDefectError, match="left y1 uncovered"):
         rewire(factor, AugmentingTrail(_ypath(0, 0, 1)))
+
+
+@pytest.mark.parametrize("vertices, match", [
+    (_ypath(0, 0, 2, 5, 7), "broke the path structure"),  # add_edge rejects
+    (_ypath(0, 1, 2, 5, 7), "left y7 uncovered"),
+])
+def test_rewire_reports_a_broken_rewire_as_a_defect(
+        k2_pseudo, vertices, match):
+    g, factor = k2_pseudo
+    with pytest.raises(AlgorithmDefectError, match=match):
+        rewire(factor, AugmentingTrail(vertices))
+
+
+def test_rewire_checks_the_ends_of_changed_paths():
+    # F is broken beforehand: its path ends at x2.  Splitting it at x0y1
+    # leaves that end on a piece through the trail vertex y1.
+    g, factor = _k34_factor((0, 0), (1, 0), (1, 1), (2, 1), (2, 2))
+    with pytest.raises(AlgorithmDefectError, match="non-even component"):
+        rewire(factor, AugmentingTrail(_ypath(3, 0, 1)))
+
+
+def test_rewire_checks_the_maximum_path_length():
+    # x1 and x7 lie on two different long paths; rejoining their pieces
+    # through y1 makes a path longer than either
+    g = generate(GenConfig(k=3, seed=7))
+    factor = build_pseudo_factor(g)
+    assert factor.max_path_length == 12
+    with pytest.raises(AlgorithmDefectError, match="12 -> 14"):
+        rewire(factor, AugmentingTrail(_ypath(8, 1, 1, 7, 6)))
+
+
+def test_rewire_every_short_trail(k2_pseudo):
+    # every alternating vertex sequence of 3 or 5 vertices from y0
+    g, factor = k2_pseudo
+    f_eids = list(factor.subgraph.edge_ids())
+    ys = [Vertex.y(i) for i in range(g.y_count)]
+    xs = [Vertex.x(j) for j in range(g.x_count)]
+    outcomes = {"ok": 0, "defect": 0, "rejected": 0}
+    for n in (3, 5):
+        for rest in itertools.product(*[xs, ys] * (n // 2)):
+            factor = PseudoPathFactor(g)
+            for eid in f_eids:
+                factor.add_edge(eid)
+            paths = factor.paths
+            try:
+                rewire(factor, AugmentingTrail((Vertex.y(0),) + rest))
+            except ValueError:
+                assert factor.paths == paths
+                assert list(factor.subgraph.edge_ids()) == f_eids
+                outcomes["rejected"] += 1
+                continue
+            except AlgorithmDefectError:
+                outcomes["defect"] += 1
+                continue
+            assert validate_pseudo_factor(g, factor.subgraph).valid
+            _assert_index_matches(factor)
+            outcomes["ok"] += 1
+    assert outcomes == {"ok": 14, "defect": 6, "rejected": 2332}

@@ -58,10 +58,8 @@ def test_multigraph_round_trip():
     assert not cx.simple
     text = serialize_graph(cx)
     assert text.count("e y1 x0") == 3  # multiplicity as repeated lines
-    with pytest.raises(GraphFormatError, match="duplicate edge"):
-        parse_graph(text)
-    assert parse_graph(text, allow_multi=True) == cx
-    assert serialize_graph(parse_graph(text, allow_multi=True)) == text
+    assert parse_graph(text) == cx
+    assert serialize_graph(parse_graph(text)) == text
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,7 +83,6 @@ def test_parse_comments_and_blanks():
     ("p bbg 4 3 1\ne x0 y0\n", "a y then an x"),
     ("p bbg 4 3 1\ne y0 x5\n", "out of range"),
     ("p bbg 4 3 1\ne y0\n", "malformed edge"),
-    ("p bbg 4 3 2\ne y0 x0\ne y0 x0\n", "duplicate edge"),
     ("p bbg 4 3 2\ne y0 x0\n", "edge count mismatch"),
     ("hello\n", "unrecognized line"),
     ("c only a comment\n", "missing 'p bbg' header"),
