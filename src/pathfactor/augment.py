@@ -24,8 +24,7 @@ TraceFn = Callable[[str], None]
 
 
 def find_trail(factor: PseudoPathFactor, y0: Vertex,
-               policy: Optional[TieBreakPolicy] = None,
-               *, checked: bool = False) -> AugmentingTrail:
+               policy: Optional[TieBreakPolicy] = None) -> AugmentingTrail:
     """Find an augmenting trail out of the uncovered vertex y0.
 
     The trail alternates non-factor and factor edges.  Interior X stops
@@ -33,7 +32,8 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     vertex found on a longer component ends the trail at one of that
     component's interior Y vertices.  Guaranteed to succeed whenever the
     factor misses a Y vertex; failure to make progress is reported as a
-    defect, not an error in the input.
+    defect, not an error in the input.  The trail is not re-checked
+    here: rewire checks every trail condition before changing F.
     """
     if policy is None:
         policy = LexicographicPolicy()
@@ -98,45 +98,9 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
                 f"of length {factor.component_length_at(x_next)}")
         y_idx = policy.pick(interior)
         trail.append(Vertex.y(y_idx))
-        result = AugmentingTrail(tuple(trail))
-        if checked:
-            _audit_trail(factor, result)
-        return result
+        return AugmentingTrail(tuple(trail))
     raise AlgorithmDefectError(
         f"trail search from {y0} did not terminate within |Y| extensions")
-
-
-def _audit_trail(factor: PseudoPathFactor, trail: AugmentingTrail) -> None:
-    # Re-derive every trail condition from scratch.
-    g, sub = factor.graph, factor.subgraph
-    eids = []
-    for (a, b), in_f in zip(trail.edges(),
-                            [False, True] * (trail.edge_count // 2)):
-        eid = g.edge_id_between(a, b)
-        if sub.has(eid) != in_f:
-            raise AlgorithmDefectError(
-                f"trail edge {a}{b} factor membership is {sub.has(eid)}, "
-                f"want {in_f}")
-        eids.append(eid)
-    if len(set(eids)) != len(eids):
-        raise AlgorithmDefectError("trail repeats an edge")
-    ys = trail.vertices[0::2]
-    if len(set(ys)) != len(ys):
-        raise AlgorithmDefectError("trail repeats a Y vertex")
-    for x in trail.vertices[1:-2:2]:
-        if factor.component_length_at(x) != 2:
-            raise AlgorithmDefectError(
-                f"interior trail vertex {x} is on a component of length "
-                f"{factor.component_length_at(x)}, want 2")
-    terminal_x, terminal_y = trail.vertices[-2], trail.vertices[-1]
-    if factor.component_length_at(terminal_x) < 4:
-        raise AlgorithmDefectError(
-            f"terminal {terminal_x} is on a component of length "
-            f"{factor.component_length_at(terminal_x)}, want >= 4")
-    if sub.degree(terminal_y) != 2:
-        raise AlgorithmDefectError(
-            f"terminal {terminal_y} has factor degree "
-            f"{sub.degree(terminal_y)}, want 2")
 
 
 def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
@@ -146,15 +110,18 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     Afterwards the factor covers exactly one more Y vertex (the trail
     origin), its edge count is unchanged and its maximum path length has
     not grown.  Raises ValueError, before changing anything, unless the
-    origin is uncovered, every factor edge of the trail lies in F, every
-    non-factor edge lies outside it and no edge repeats.
+    trail is one find_trail could build: the origin is uncovered, the
+    edges alternate outside and inside F, no Y vertex repeats (so no
+    edge does), every interior X vertex lies on a 2-path, the terminal
+    X vertex lies on a path of length >= 4 and the terminal Y vertex has
+    factor degree 2.
 
     F changes only through PseudoPathFactor.remove_edge and add_edge, so
     a rewire takes time proportional to the trail length plus the
     shorter piece of each path it splits.
     """
     g, sub = factor.graph, factor.subgraph
-    y0 = trail.vertices[0]
+    y0, vertices = trail.vertices[0], trail.vertices
     if sub.degree(y0) != 0:
         raise ValueError(f"trail origin {y0} is already covered")
     drop = [g.edge_id_between(a, b) for a, b in trail.factor_edges()]
@@ -163,8 +130,24 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         raise ValueError(f"{trail} has a factor edge outside F")
     if any(sub.has(eid) for eid in adopt):
         raise ValueError(f"{trail} has a non-factor edge inside F")
-    if len(set(drop + adopt)) != len(drop) + len(adopt):
-        raise ValueError(f"{trail} repeats an edge")
+    # the factor edges end at distinct Y vertices, and so do the
+    # non-factor ones, so this also rules out a repeated edge
+    ys = vertices[0::2]
+    if len(set(ys)) != len(ys):
+        raise ValueError(f"{trail} repeats a Y vertex")
+    for x in vertices[1:-2:2]:
+        if factor.component_length_at(x) != 2:
+            raise ValueError(
+                f"{trail} crosses {x} on a component of length "
+                f"{factor.component_length_at(x)}, want 2")
+    terminal_x, terminal_y = vertices[-2], vertices[-1]
+    if factor.component_length_at(terminal_x) < 4:
+        raise ValueError(
+            f"{trail} ends on a component of length "
+            f"{factor.component_length_at(terminal_x)}, want >= 4")
+    if sub.degree(terminal_y) != 2:
+        raise ValueError(f"{trail} ends at {terminal_y} of factor degree "
+                         f"{sub.degree(terminal_y)}, want 2")
 
     old_max = factor.max_path_length
     try:
@@ -179,14 +162,10 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     # Every path that changed holds a trail vertex, and all trail Y
     # vertices but y0 were covered before, so this checks that exactly
     # one more vertex, y0, is now covered and every changed path is even.
-    for v in trail.vertices:
-        if v.is_y:
-            if sub.y_deg[v.index] == 0:
-                raise AlgorithmDefectError(
-                    f"rewiring along {trail} left {v} uncovered")
-        elif sub.x_deg[v.index] != 2:
+    for v in vertices:
+        if v.is_y and sub.y_deg[v.index] == 0:
             raise AlgorithmDefectError(
-                f"rewiring left deg({v}) = {sub.x_deg[v.index]}, want 2")
+                f"rewiring along {trail} left {v} uncovered")
         path = factor._path_of[v]
         if not (path[0].is_y and path[-1].is_y):
             raise AlgorithmDefectError(
@@ -229,8 +208,12 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
                 "factor misses a Y vertex yet has no component of "
                 "length >= 4")
         y0 = uncovered.pop(policy.pick_index(len(uncovered)))
-        trail = find_trail(factor, y0, policy, checked=checked)
-        rewire(factor, trail, checked=checked)
+        trail = find_trail(factor, y0, policy)
+        try:
+            rewire(factor, trail, checked=checked)
+        except ValueError as exc:
+            raise AlgorithmDefectError(
+                f"rewire rejected find_trail's own trail: {exc}") from None
         if trace:
             trace(f"augment {y0} trail_len {trail.edge_count} "
                   f"max_path {factor.max_path_length}")

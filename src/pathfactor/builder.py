@@ -2,11 +2,11 @@
 
 The scan visits Y vertices one at a time ("scanning"), committing all
 three edges of the scanned vertex: some into the growing factor F, the
-rest into a reject set U.  A current X vertex threads the scan.  Two
-facts keep it alive: the current vertex always has F-degree <= 1 and at
-most 2 rejected edges, so an uncommitted edge at it exists; and every
-committed edge points to a scanned Y vertex, so following an uncommitted
-edge always reaches a fresh one.  The scan ends exactly when every X
+rest into a reject set U.  An edge is therefore committed exactly when
+its Y end is scanned, so U is not stored: it is the edges at scanned Y
+vertices that are not in F.  A current X vertex threads the scan.  It
+always has F-degree <= 1 and at most 2 rejected edges, so an edge at it
+leads to an unscanned Y vertex.  The scan ends exactly when every X
 vertex has F-degree 2, at which point F is a pseudo path factor.
 """
 
@@ -29,16 +29,17 @@ TraceFn = Callable[[str], None]
 class FactorState:
     """Mutable scan state.
 
-    factor holds F with its path index, and f is F's edge set.  pending_x
-    is the ascending list of j with F-degree of x_j <= 1; F-degrees only
-    grow, so an entry is deleted when its vertex reaches degree 2 and
-    never returns.  Keeping it sorted lets case 1 pick from it by
-    position without rebuilding a pool.
+    factor holds F with its path index, and f is F's edge set.  The reject
+    set U is derived, not stored: it is the edges at scanned Y vertices
+    that are not in F.  pending_x is the ascending list of j with
+    F-degree of x_j <= 1; F-degrees only grow, so an entry is deleted
+    when its vertex reaches degree 2 and never returns.  Keeping it
+    sorted lets case 1 pick from it by position without rebuilding a
+    pool.
     """
 
     graph: Bigraph
     factor: PseudoPathFactor
-    u: EdgeSubgraph
     scanned: list[bool]
     current: Optional[Vertex]
     step_no: int
@@ -47,7 +48,7 @@ class FactorState:
 
     @classmethod
     def initial(cls, g: Bigraph) -> "FactorState":
-        return cls(graph=g, factor=PseudoPathFactor(g), u=EdgeSubgraph(g),
+        return cls(graph=g, factor=PseudoPathFactor(g),
                    scanned=[False] * g.y_count, current=None, step_no=0,
                    pending_x=list(range(g.x_count)))
 
@@ -57,12 +58,13 @@ class FactorState:
 
     def is_initial(self) -> bool:
         return (self.step_no == 0 and self.current is None
-                and self.f.edge_count == 0 and self.u.edge_count == 0
-                and not any(self.scanned))
+                and self.f.edge_count == 0 and not any(self.scanned))
 
     def dump(self) -> str:
-        f_edges = " ".join(_edge_str(self.graph, e) for e in self.f.edge_ids())
-        u_edges = " ".join(_edge_str(self.graph, e) for e in self.u.edge_ids())
+        g, f = self.graph, self.f
+        f_edges = " ".join(_edge_str(g, e) for e in f.edge_ids())
+        u_edges = " ".join(_edge_str(g, e) for e in range(g.edge_count)
+                           if self.scanned[g.edges[e][0]] and not f.has(e))
         done = " ".join(f"y{i}" for i, s in enumerate(self.scanned) if s)
         return (f"step={self.step_no} current={self.current} "
                 f"scanned=[{done}] F=[{f_edges}] U=[{u_edges}]")
@@ -94,32 +96,31 @@ def check_state_invariants(state: FactorState) -> None:
 
     Raises AlgorithmDefectError on the first breach.
     """
-    g, f, u = state.graph, state.f, state.u
-    for eid in range(g.edge_count):
-        if f.has(eid) and u.has(eid):
-            raise _defect(f"edge {_edge_str(g, eid)} in both F and U", state)
+    g, f, scanned = state.graph, state.f, state.scanned
     dec = components_as_paths(f)
     if not dec.ok:
         v = dec.violation
         raise _defect(f"F has a {v.kind} at "
                       f"{' '.join(map(str, v.vertices))}", state)
     for i in range(g.y_count):
-        committed = sum(1 for eid in g.incident_edge_ids(Vertex.y(i))
-                        if f.has(eid) or u.has(eid))
-        want = 3 if state.scanned[i] else 0
-        if committed != want:
-            raise _defect(f"y{i} scanned={state.scanned[i]} but has "
-                          f"{committed} committed edges", state)
+        if not scanned[i] and f.y_deg[i]:
+            raise _defect(f"unscanned y{i} has F-degree {f.y_deg[i]}", state)
     for j in range(g.x_count):
-        if f.x_deg[j] <= 1 and u.x_deg[j] > 2:
-            raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
-                          f"{u.x_deg[j]} rejected edges", state)
+        if f.x_deg[j] <= 1:
+            rejected = sum(scanned[g.edges[eid][0]] for eid in
+                           g.incident_edge_ids(Vertex.x(j))) - f.x_deg[j]
+            if rejected > 2:
+                raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
+                              f"{rejected} rejected edges", state)
     if state.pending_x != [j for j in range(g.x_count) if f.x_deg[j] <= 1]:
         raise _defect("pending_x list out of sync with F-degrees", state)
+    # every F edge is at a scanned Y (checked above), so the rest of the
+    # three edges at each scanned Y make up U
+    u_count = 3 * sum(scanned) - f.edge_count
     prev_f, prev_u = state._seen_counts
-    if f.edge_count < prev_f or u.edge_count < prev_u:
+    if f.edge_count < prev_f or u_count < prev_u:
         raise _defect("committed edge sets shrank between steps", state)
-    state._seen_counts = (f.edge_count, u.edge_count)
+    state._seen_counts = (f.edge_count, u_count)
 
 
 def step_zero(state: FactorState, policy: TieBreakPolicy,
@@ -138,7 +139,6 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
     first, middle, last = ordered[0], ordered[1], ordered[2]
     _grow_f(state, eid_of[last])
     _grow_f(state, eid_of[first])
-    state.u.add(eid_of[middle])
     state.scanned[y0.index] = True
     state.current = Vertex.x(middle)
     state.step_no = 1
@@ -171,14 +171,10 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     if state.f.x_deg[x_i.index] > 1:
         raise _defect(f"current vertex {x_i} already has F-degree 2", state)
     free = {g.edges[eid][0]: eid for eid in g.incident_edge_ids(x_i)
-            if not (state.f.has(eid) or state.u.has(eid))}
+            if not state.scanned[g.edges[eid][0]]}
     if not free:
         raise _defect(f"no uncommitted edge at {x_i}; the scan guarantees "
                       f"at least one", state)
-    for y_idx in free:
-        if state.scanned[y_idx]:
-            raise _defect(f"uncommitted edge leads to already scanned "
-                          f"y{y_idx}", state)
 
     y_idx = policy.pick(free)
     y_i = Vertex.y(y_idx)
@@ -192,8 +188,6 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     _grow_f(state, chosen_eid)
     if da == 2 and db == 2:
         case = "1"
-        state.u.add(rest[wa_idx])
-        state.u.add(rest[wb_idx])
         f_new = [chosen_eid]
         u_new = [rest[wa_idx], rest[wb_idx]]
         pending = state.pending_x
@@ -202,8 +196,6 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     elif da == 2 or db == 2:
         case = "2"
         w1_idx, w2_idx = (wa_idx, wb_idx) if da == 2 else (wb_idx, wa_idx)
-        state.u.add(rest[w1_idx])
-        state.u.add(rest[w2_idx])
         f_new = [chosen_eid]
         u_new = [rest[w1_idx], rest[w2_idx]]
         state.current = Vertex.x(w2_idx)
@@ -211,7 +203,6 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
         case = "3a"
         w1_idx, w2_idx = (wa_idx, wb_idx) if da == 0 else (wb_idx, wa_idx)
         _grow_f(state, rest[w1_idx])
-        state.u.add(rest[w2_idx])
         f_new = [chosen_eid, rest[w1_idx]]
         u_new = [rest[w2_idx]]
         state.current = Vertex.x(w2_idx)
@@ -224,7 +215,6 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
         else:
             w1_idx, w2_idx = wa_idx, wb_idx
         _grow_f(state, rest[w1_idx])
-        state.u.add(rest[w2_idx])
         f_new = [chosen_eid, rest[w1_idx]]
         u_new = [rest[w2_idx]]
         state.current = Vertex.x(w2_idx)

@@ -173,6 +173,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (PathFactorError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # anything else escaping a command is a bug in this package
+        print(f"defect: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def test_criterion_2_augmentation_guarantees():
             assert factor.long_component_count >= 1
             y0 = policy.pick(factor.uncovered_ys())
             legal = {t.vertices for t in brute_force_trails(factor, y0)}
-            trail = find_trail(factor, y0, policy, checked=True)
+            trail = find_trail(factor, y0, policy)
             assert trail.vertices in legal, (seed, trail)
             before_uncovered = len(factor.uncovered_ys())
             before_max = factor.max_path_length

@@ -6,11 +6,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathfactor import (GenConfig, NotSimpleError, PseudoPathFactor,
-                        RandomPolicy, Vertex, brute_force_trails,
-                        build_pseudo_factor, find_trail, fixture,
-                        format_factor, generate, make_policy, rewire, solve,
-                        validate_path_factor)
+from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
+                        NotSimpleError, PseudoPathFactor, RandomPolicy,
+                        Vertex, brute_force_trails, build_pseudo_factor,
+                        find_trail, fixture, format_factor, generate,
+                        make_policy, rewire, solve, validate_path_factor)
 
 
 def _ypath(*indices):
@@ -21,7 +21,7 @@ def _ypath(*indices):
 def test_k2_trail_is_golden(k2_pseudo):
     g, factor = k2_pseudo
     assert factor.uncovered_ys() == [Vertex.y(0)]
-    trail = find_trail(factor, Vertex.y(0), checked=True)
+    trail = find_trail(factor, Vertex.y(0))
     assert trail.vertices == _ypath(0, 0, 2)
     assert trail.intermediate_count == 0
     assert trail.edge_count == 2
@@ -68,7 +68,7 @@ def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
 
 def test_k3_trail_crosses_the_short_path(k3_pseudo):
     g, factor = k3_pseudo
-    trail = find_trail(factor, Vertex.y(0), checked=True)
+    trail = find_trail(factor, Vertex.y(0))
     assert trail.vertices == _ypath(0, 0, 1, 1, 4)
     assert trail.intermediate_count == 1
     rewire(factor, trail, checked=True)
@@ -86,6 +86,19 @@ def test_find_trail_rejects_covered_origin(k2_pseudo):
         find_trail(factor, Vertex.y(1))
     with pytest.raises(ValueError, match="uncovered"):
         find_trail(factor, Vertex.x(0))
+
+
+def test_solve_reports_a_rejected_trail_as_a_defect(monkeypatch):
+    # a trail search that returns y0 x y0 hands rewire a factor edge
+    # outside F; solve must not pass that off as the caller's error
+    def bad_find_trail(factor, y0, policy):
+        return AugmentingTrail((y0, find_trail(factor, y0).vertices[1], y0))
+
+    monkeypatch.setattr("pathfactor.augment.find_trail", bad_find_trail)
+    g = generate(GenConfig(k=3, seed=0))  # the scan leaves one Y uncovered
+    with pytest.raises(AlgorithmDefectError,
+                       match="rejected find_trail's own trail: .*outside F"):
+        solve(g)
 
 
 def test_solve_on_fixture_graphs(k2_pseudo, k3_pseudo):
@@ -171,7 +184,7 @@ def test_emitted_trails_always_among_enumerated():
         while factor.uncovered_ys():
             y0 = policy.pick(factor.uncovered_ys())
             legal = {t.vertices for t in brute_force_trails(factor, y0)}
-            trail = find_trail(factor, y0, checked=True)
+            trail = find_trail(factor, y0)
             assert trail.vertices in legal
             hits += 1
             rewire(factor, trail, checked=True)

@@ -56,8 +56,6 @@ def _forced_3b_state():
     state = FactorState.initial(g)
     for y, x in [(0, 0), (0, 1), (2, 2)]:
         _grow_f(state, g.edge_id_between(Vertex.y(y), Vertex.x(x)))
-    for y, x in [(0, 2), (2, 0), (2, 1)]:
-        state.u.add(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
     state.scanned[0] = state.scanned[2] = True
     state.current = Vertex.x(0)
     state.step_no = 2
@@ -96,6 +94,62 @@ def test_grow_f_reports_a_non_path_as_a_defect(pairs, match):
                        match=f"family of paths: .*{match}"):
         for y, x in pairs:
             _grow_f(state, g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+
+
+def _edge(g, y, x):
+    return g.edge_id_between(Vertex.y(y), Vertex.x(x))
+
+
+def _add_f_at_unscanned_y(g, state):
+    _grow_f(state, _edge(g, 3, 2))  # y3 x2 y2, with y3 unscanned
+
+
+def _add_f_at_scanned_y(g, state):
+    _grow_f(state, _edge(g, 2, 0))  # y2 was scanned with y2x0 rejected
+
+
+def _drop_f_edge(g, state):
+    state.factor.remove_edge(_edge(g, 2, 2))  # x2 stays pending
+
+
+def _add_branch(g, state):
+    state.f.add(_edge(g, 0, 2))  # y0 already has F-degree 2
+
+
+def _add_cycle(g, state):
+    state.f.add(_edge(g, 1, 0))  # y1 closes x0 y0 x1
+    state.f.add(_edge(g, 1, 1))
+
+
+def _reject_every_edge_at_x(g, state):
+    # y1 and y3 scanned with no F edge: x0 then has F-degree 1 and its
+    # three other edges all rejected
+    state.scanned[1] = state.scanned[3] = True
+
+
+def _desync_pending_x(g, state):
+    state.pending_x.remove(2)
+
+
+def _clear_scanned(g, state):
+    state.scanned[2] = False
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_add_f_at_unscanned_y, "unscanned y3 has F-degree 1"),
+    (_add_f_at_scanned_y, "shrank"),
+    (_drop_f_edge, "shrank"),
+    (_add_branch, "F has a branch"),
+    (_add_cycle, "F has a cycle"),
+    (_reject_every_edge_at_x, "x0 has F-degree 1 yet 3 rejected edges"),
+    (_desync_pending_x, "pending_x"),
+    (_clear_scanned, "unscanned y2 has F-degree 1"),
+])
+def test_audit_catches_a_corrupted_state(corrupt, match):
+    g, state = _forced_3b_state()
+    corrupt(g, state)
+    with pytest.raises(AlgorithmDefectError, match=match):
+        check_state_invariants(state)
 
 
 @settings(max_examples=40, deadline=None)

@@ -145,6 +145,19 @@ def test_non_utf8_input_exits_1(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken_solve(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("pathfactor.cli.solve", broken_solve)
+    path = tmp_path / "g.bbg"
+    path.write_text(K34)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3 and out == ""
+    assert err == "defect: RuntimeError('boom\\nsecond line')\n"
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_corrupt_factor(tmp_path, capsys):
     graph_file = tmp_path / "k34.bbg"
     graph_file.write_text(K34)

@@ -5,9 +5,9 @@ import itertools
 import pytest
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
-                        PseudoPathFactor, Vertex, build_pseudo_factor,
-                        components_as_paths, find_trail, fixture, generate,
-                        make_policy, orient_path, rewire,
+                        PseudoPathFactor, Vertex, brute_force_trails,
+                        build_pseudo_factor, components_as_paths, find_trail,
+                        fixture, generate, make_policy, orient_path, rewire,
                         validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 
@@ -150,41 +150,52 @@ def test_index_matches_fresh_decomposition(k, policy_kind):
         assert not factor.uncovered_ys(), (k, seed, spec)
 
 
-@pytest.mark.parametrize("vertices, match", [
-    (_ypath(0, 0, 4), "factor edge outside F"),  # x0y4 is not in F
-    (_ypath(1, 3, 4), "already covered"),
-    (_ypath(0, 0, 0), "factor edge outside F"),
-    (_ypath(0, 0, 1, 0, 1), "non-factor edge inside F"),
-    (_ypath(0, 0, 1, 3, 4, 0, 1), "repeats an edge"),
-    (_ypath(0, 0, 3), "multiplicity 0"),  # y3x0 is no edge at all
-])
-def test_rewire_rejects_a_malformed_trail_before_mutating(
-        k2_pseudo, vertices, match):
-    g, factor = k2_pseudo
+def _assert_rejected(factor, vertices, match):
     paths, eids = factor.paths, list(factor.subgraph.edge_ids())
     with pytest.raises(ValueError, match=match):
         rewire(factor, AugmentingTrail(vertices))
     assert factor.paths == paths
     assert list(factor.subgraph.edge_ids()) == eids
+
+
+@pytest.mark.parametrize("vertices, match", [
+    (_ypath(0, 0, 4), "factor edge outside F"),  # x0y4 is not in F
+    (_ypath(1, 3, 4), "already covered"),
+    (_ypath(0, 0, 0), "factor edge outside F"),
+    (_ypath(0, 0, 1, 0, 1), "non-factor edge inside F"),
+    (_ypath(0, 0, 1, 3, 4, 0, 1), "repeats a Y vertex"),
+    (_ypath(0, 0, 3), "multiplicity 0"),  # y3x0 is no edge at all
+    # x0 and x1 lie inside the 12-path, not on 2-paths
+    (_ypath(0, 0, 2, 5, 7), "crosses x0 on a component of length 12"),
+    (_ypath(0, 1, 2, 5, 7), "crosses x1 on a component of length 12"),
+])
+def test_rewire_rejects_a_malformed_trail_before_mutating(
+        k2_pseudo, vertices, match):
+    g, factor = k2_pseudo
+    _assert_rejected(factor, vertices, match)
     assert factor.uncovered_ys() == [Vertex.y(0)]
 
 
 def test_rewire_checks_coverage(k2_pseudo):
-    # y1 ends the 12-path, so dropping x0y1 leaves it isolated
+    # y1 ends the 12-path, so dropping x0y1 would leave it isolated
     g, factor = k2_pseudo
-    with pytest.raises(AlgorithmDefectError, match="left y1 uncovered"):
-        rewire(factor, AugmentingTrail(_ypath(0, 0, 1)))
+    _assert_rejected(factor, _ypath(0, 0, 1), "ends at y1 of factor degree 1")
 
 
-@pytest.mark.parametrize("vertices, match", [
-    (_ypath(0, 0, 2, 5, 7), "broke the path structure"),  # add_edge rejects
-    (_ypath(0, 1, 2, 5, 7), "left y7 uncovered"),
-])
-def test_rewire_reports_a_broken_rewire_as_a_defect(
-        k2_pseudo, vertices, match):
+def test_rewire_rejects_a_trail_ending_on_a_2_path(k3_pseudo):
+    g, factor = k3_pseudo
+    _assert_rejected(factor, _ypath(0, 0, 1),
+                     "ends on a component of length 2, want >= 4")
+
+
+def test_rewire_reports_a_broken_rewire_as_a_defect(k2_pseudo):
+    # F's index is out of step with its edge set: it places the uncovered
+    # y0 on the 12-path, so adding y0x0 is refused mid-rewire
     g, factor = k2_pseudo
-    with pytest.raises(AlgorithmDefectError, match=match):
-        rewire(factor, AugmentingTrail(vertices))
+    factor._path_of[Vertex.y(0)] = factor._path_of[Vertex.y(1)]
+    with pytest.raises(AlgorithmDefectError,
+                       match="broke the path structure: .*interior"):
+        rewire(factor, AugmentingTrail(_ypath(0, 0, 2)))
 
 
 def test_rewire_checks_the_ends_of_changed_paths():
@@ -197,38 +208,41 @@ def test_rewire_checks_the_ends_of_changed_paths():
 
 def test_rewire_checks_the_maximum_path_length():
     # x1 and x7 lie on two different long paths; rejoining their pieces
-    # through y1 makes a path longer than either
+    # through y1 would make a path longer than either, but the trail is
+    # refused first because it crosses x1 off a 2-path
     g = generate(GenConfig(k=3, seed=7))
     factor = build_pseudo_factor(g)
     assert factor.max_path_length == 12
-    with pytest.raises(AlgorithmDefectError, match="12 -> 14"):
-        rewire(factor, AugmentingTrail(_ypath(8, 1, 1, 7, 6)))
+    _assert_rejected(factor, _ypath(8, 1, 1, 7, 6),
+                     "crosses x1 on a component of length 6")
 
 
 def test_rewire_every_short_trail(k2_pseudo):
-    # every alternating vertex sequence of 3 or 5 vertices from y0
+    # every alternating vertex sequence of 3 or 5 vertices from y0: rewire
+    # accepts exactly the augmenting trails, and never fails midway
     g, factor = k2_pseudo
     f_eids = list(factor.subgraph.edge_ids())
     ys = [Vertex.y(i) for i in range(g.y_count)]
     xs = [Vertex.x(j) for j in range(g.x_count)]
-    outcomes = {"ok": 0, "defect": 0, "rejected": 0}
+    accepted, rejected = [], 0
     for n in (3, 5):
         for rest in itertools.product(*[xs, ys] * (n // 2)):
             factor = PseudoPathFactor(g)
             for eid in f_eids:
                 factor.add_edge(eid)
             paths = factor.paths
+            trail = AugmentingTrail((Vertex.y(0),) + rest)
             try:
-                rewire(factor, AugmentingTrail((Vertex.y(0),) + rest))
+                rewire(factor, trail)
             except ValueError:
                 assert factor.paths == paths
                 assert list(factor.subgraph.edge_ids()) == f_eids
-                outcomes["rejected"] += 1
-                continue
-            except AlgorithmDefectError:
-                outcomes["defect"] += 1
+                rejected += 1
                 continue
             assert validate_pseudo_factor(g, factor.subgraph).valid
             _assert_index_matches(factor)
-            outcomes["ok"] += 1
-    assert outcomes == {"ok": 14, "defect": 6, "rejected": 2332}
+            accepted.append(trail)
+    assert rejected == 2347
+    legal = brute_force_trails(k2_pseudo[1], Vertex.y(0))
+    assert {t.vertices for t in accepted} == {t.vertices for t in legal}
+    assert len(accepted) == 5
