@@ -19,10 +19,9 @@ from .errors import (AlgorithmDefectError, GenerationError, GraphFormatError,
 from .experiment import ExperimentSummary, run_experiment
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .generate import GenConfig, fixture, generate
-from .graph import (Bigraph, ComponentViolation, EdgeSubgraph,
-                    PathDecomposition, Vertex, check_biregular,
-                    components_as_paths, format_factor, orient_path,
-                    parse_factor, parse_graph, serialize_graph)
+from .graph import (Bigraph, EdgeSubgraph, Vertex, check_biregular,
+                    format_factor, orient_path, parse_factor, parse_graph,
+                    serialize_graph)
 from .policy import (LexicographicPolicy, RandomPolicy, TieBreakPolicy,
                      make_policy)
 from .verify import (ValidationReport, Violation, brute_force_factor,
@@ -32,16 +31,14 @@ from .verify import (ValidationReport, Violation, brute_force_factor,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmDefectError", "AugmentingTrail", "Bigraph",
-    "ComponentViolation", "EdgeSubgraph", "ExperimentSummary", "GenConfig",
-    "GenerationError", "GraphFormatError", "LexicographicPolicy",
-    "NotBiregularError", "NotSimpleError", "OracleSizeError",
-    "PathDecomposition", "PathFactor", "PathFactorError", "PseudoPathFactor",
+    "AlgorithmDefectError", "AugmentingTrail", "Bigraph", "EdgeSubgraph",
+    "ExperimentSummary", "GenConfig", "GenerationError", "GraphFormatError",
+    "LexicographicPolicy", "NotBiregularError", "NotSimpleError",
+    "OracleSizeError", "PathFactor", "PathFactorError", "PseudoPathFactor",
     "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
     "Violation", "brute_force_factor", "brute_force_trails",
-    "build_pseudo_factor", "check_biregular", "components_as_paths",
-    "find_trail", "fixture", "format_factor", "generate", "make_policy",
-    "orient_path", "parse_factor", "parse_graph", "rewire", "run_experiment",
-    "serialize_graph", "solve", "validate_path_factor",
-    "validate_pseudo_factor",
+    "build_pseudo_factor", "check_biregular", "find_trail", "fixture",
+    "format_factor", "generate", "make_policy", "orient_path", "parse_factor",
+    "parse_graph", "rewire", "run_experiment", "serialize_graph", "solve",
+    "validate_path_factor", "validate_pseudo_factor",
 ]

@@ -19,6 +19,7 @@ from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import Bigraph, Vertex
 from .policy import LexicographicPolicy, TieBreakPolicy
+from .verify import audit_paths
 
 TraceFn = Callable[[str], None]
 
@@ -118,7 +119,8 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
 
     F changes only through PseudoPathFactor.remove_edge and add_edge, so
     a rewire takes time proportional to the trail length plus the
-    shorter piece of each path it splits.
+    shorter piece of each path it splits.  checked=True also holds a
+    fresh walk of F through every trail vertex against the path index.
     """
     g, sub = factor.graph, factor.subgraph
     y0, vertices = trail.vertices[0], trail.vertices
@@ -166,7 +168,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         if v.is_y and sub.y_deg[v.index] == 0:
             raise AlgorithmDefectError(
                 f"rewiring along {trail} left {v} uncovered")
-        path = factor._path_of[v]
+        path = factor._path_of.get(v, (v,))
         if not (path[0].is_y and path[-1].is_y):
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
@@ -177,11 +179,13 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
             f"rewiring raised the maximum path length {old_max} -> "
             f"{factor.max_path_length}")
     if checked:
-        from .verify import validate_pseudo_factor
-        report = validate_pseudo_factor(g, sub)
-        if not report.valid:
+        # a fresh walk of F through every trail vertex reaches every path
+        # the rewire changed; with the Y ends checked above, it also shows
+        # that every trail X vertex kept factor degree 2
+        problem = audit_paths(factor, vertices)
+        if problem:
             raise AlgorithmDefectError(
-                f"validator rejected the rewired factor:\n{report.render()}")
+                f"after rewiring along {trail}: {problem}")
 
 
 def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
@@ -217,6 +221,13 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
         if trace:
             trace(f"augment {y0} trail_len {trail.edge_count} "
                   f"max_path {factor.max_path_length}")
+    if checked:  # the result is read off the index; F gets its own check
+        from .verify import validate_pseudo_factor
+        report = validate_pseudo_factor(g, factor.subgraph)
+        if not report.valid:
+            raise AlgorithmDefectError(
+                f"validator rejected the augmented factor:\n"
+                f"{report.render()}")
     try:
         result = PathFactor.from_pseudo(factor)
     except ValueError as exc:

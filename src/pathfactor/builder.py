@@ -18,9 +18,9 @@ from typing import Callable, Optional
 
 from .errors import AlgorithmDefectError, NotSimpleError
 from .factors import PseudoPathFactor
-from .graph import (Bigraph, EdgeSubgraph, Vertex, X_SIDE,
-                    check_biregular, components_as_paths)
+from .graph import Bigraph, EdgeSubgraph, Vertex, X_SIDE, check_biregular
 from .policy import LexicographicPolicy, TieBreakPolicy
+from .verify import audit_paths
 
 TraceFn = Callable[[str], None]
 
@@ -88,39 +88,79 @@ def _grow_f(state: FactorState, eid: int) -> None:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
     x = state.graph.edges[eid][1]
     if state.f.x_deg[x] == 2:
-        del state.pending_x[bisect_left(state.pending_x, x)]
+        pending = state.pending_x
+        at = bisect_left(pending, x)
+        if at == len(pending) or pending[at] != x:
+            raise _defect(f"pending_x list out of sync: x{x} reached "
+                          f"F-degree 2 but is not pending", state)
+        del pending[at]
 
 
 def check_state_invariants(state: FactorState) -> None:
-    """Full per-step invariant audit, used in checked mode.
+    """Full invariant audit, used in checked mode at both ends of the scan.
 
     Raises AlgorithmDefectError on the first breach.
     """
     g, f, scanned = state.graph, state.f, state.scanned
-    dec = components_as_paths(f)
-    if not dec.ok:
-        v = dec.violation
-        raise _defect(f"F has a {v.kind} at "
-                      f"{' '.join(map(str, v.vertices))}", state)
+    problem = audit_paths(state.factor, g.vertices())
+    if problem:
+        raise _defect(problem, state)
     for i in range(g.y_count):
         if not scanned[i] and f.y_deg[i]:
             raise _defect(f"unscanned y{i} has F-degree {f.y_deg[i]}", state)
     for j in range(g.x_count):
-        if f.x_deg[j] <= 1:
-            rejected = sum(scanned[g.edges[eid][0]] for eid in
-                           g.incident_edge_ids(Vertex.x(j))) - f.x_deg[j]
-            if rejected > 2:
-                raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
-                              f"{rejected} rejected edges", state)
+        _check_rejected(state, j)
     if state.pending_x != [j for j in range(g.x_count) if f.x_deg[j] <= 1]:
         raise _defect("pending_x list out of sync with F-degrees", state)
-    # every F edge is at a scanned Y (checked above), so the rest of the
-    # three edges at each scanned Y make up U
-    u_count = 3 * sum(scanned) - f.edge_count
+    if sum(scanned) != state.step_no:
+        raise _defect(f"{sum(scanned)} Y vertices scanned in "
+                      f"{state.step_no} steps", state)
+    _check_growth(state)
+
+
+def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
+    # Local audit after a checked step: a step changes F only at the
+    # scanned y_i and its three X neighbours and moves the current X, so
+    # only those are checked, in time proportional to their paths.
+    g, f = state.graph, state.f
+    if f.y_deg[y_idx] != f_added:
+        raise _defect(f"unscanned y{y_idx} had F-degree "
+                      f"{f.y_deg[y_idx] - f_added}", state)
+    xs = [g.edges[eid][1] for eid in g.incident_edge_ids(Vertex.y(y_idx))]
+    if state.current is not None:
+        xs.append(state.current.index)
+    problem = audit_paths(state.factor,
+                          [Vertex.y(y_idx)] + [Vertex.x(j) for j in xs])
+    if problem:
+        raise _defect(problem, state)
+    pending = state.pending_x
+    for j in xs:
+        _check_rejected(state, j)
+        at = bisect_left(pending, j)
+        if (at < len(pending) and pending[at] == j) != (f.x_deg[j] <= 1):
+            raise _defect(f"pending_x list out of sync at x{j}", state)
+    _check_growth(state)
+
+
+def _check_rejected(state: FactorState, j: int) -> None:
+    g, f = state.graph, state.f
+    if f.x_deg[j] <= 1:
+        rejected = sum(state.scanned[g.edges[eid][0]] for eid in
+                       g.incident_edge_ids(Vertex.x(j))) - f.x_deg[j]
+        if rejected > 2:
+            raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
+                          f"{rejected} rejected edges", state)
+
+
+def _check_growth(state: FactorState) -> None:
+    # every F edge is at a scanned Y, so the rest of the three edges at
+    # each of the step_no scanned Y make up U
+    f_count = state.f.edge_count
+    u_count = 3 * state.step_no - f_count
     prev_f, prev_u = state._seen_counts
-    if f.edge_count < prev_f or u_count < prev_u:
+    if f_count < prev_f or u_count < prev_u:
         raise _defect("committed edge sets shrank between steps", state)
-    state._seen_counts = (f.edge_count, u_count)
+    state._seen_counts = (f_count, u_count)
 
 
 def step_zero(state: FactorState, policy: TieBreakPolicy,
@@ -226,7 +266,9 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
               f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
               f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
     if checked:
-        check_state_invariants(state)
+        _check_step(state, y_idx, len(f_new))
+        if state.current is None:
+            check_state_invariants(state)
     return state
 
 
@@ -235,10 +277,11 @@ def build_pseudo_factor(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
                         trace: Optional[TraceFn] = None) -> PseudoPathFactor:
     """Run the scan to completion on a simple (3,4)-biregular bigraph.
 
-    Deterministic for a fixed (graph, policy).  With checked=True the full
-    invariant audit runs after every step; the returned factor is also
-    re-validated.  Raises NotSimpleError / NotBiregularError on bad input
-    and AlgorithmDefectError on any internal breach.
+    Deterministic for a fixed (graph, policy).  With checked=True every
+    step audits what it touched, the full invariant audit runs after the
+    first and the last step, and the returned factor is re-validated.
+    Raises NotSimpleError / NotBiregularError on bad input and
+    AlgorithmDefectError on any internal breach.
     """
     if policy is None:
         policy = LexicographicPolicy()

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GenerationError
 from .graph import Bigraph, check_biregular
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ATTEMPTS = 20
 
@@ -46,6 +48,7 @@ def generate(config: GenConfig, *, checked: bool = False) -> Bigraph:
     exhausts its repair budget (not observed for any tested (k, seed), but
     the bound keeps termination unconditional).
     """
+    import numpy as np  # here, so that importing the package skips it
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, attempt)))

@@ -20,7 +20,6 @@ vertex names; ``c`` comments are allowed there as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GraphFormatError, NotBiregularError
@@ -253,90 +252,10 @@ def check_biregular(g: Bigraph) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class ComponentViolation:
-    """Why a subgraph failed to decompose into simple paths."""
-
-    kind: str  # "branch-vertex" or "cycle"
-    vertices: tuple[Vertex, ...]
-
-
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Either every component as a path, or the first violation found."""
-
-    paths: Optional[tuple[tuple[Vertex, ...], ...]]
-    violation: Optional[ComponentViolation]
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
 def orient_path(seq: Sequence[Vertex]) -> tuple[Vertex, ...]:
     """Canonical orientation: the lexicographically smaller endpoint first."""
     seq = tuple(seq)
     return seq if seq[0] <= seq[-1] else seq[::-1]
-
-
-def components_as_paths(s: EdgeSubgraph) -> PathDecomposition:
-    """Decompose a subgraph into simple paths.
-
-    On success, returns each component with at least one edge as a vertex
-    sequence in canonical orientation, sorted by first vertex.  Otherwise
-    the result carries the first violation in canonical vertex order: a
-    vertex of degree >= 3, or the vertex set of a cycle.
-    """
-    vertices = list(s.parent.vertices())
-    for v in vertices:
-        if s.degree(v) >= 3:
-            return PathDecomposition(
-                None, ComponentViolation("branch-vertex", (v,)))
-    visited: set[Vertex] = set()
-    paths: list[tuple[Vertex, ...]] = []
-    for v in vertices:
-        if v in visited or s.degree(v) != 1:
-            continue
-        paths.append(orient_path(_walk_path(s, v, visited)))
-    for v in vertices:
-        if v not in visited and s.degree(v) >= 1:
-            cycle = _collect_component(s, v, visited)
-            return PathDecomposition(
-                None, ComponentViolation("cycle", tuple(sorted(cycle))))
-    paths.sort(key=lambda p: p[0])
-    return PathDecomposition(tuple(paths), None)
-
-
-def _walk_path(s: EdgeSubgraph, start: Vertex,
-               visited: set[Vertex]) -> list[Vertex]:
-    seq = [start]
-    visited.add(start)
-    cur, prev_eid = start, -1
-    while True:
-        nxt = [eid for eid in s.member_incident(cur) if eid != prev_eid]
-        if not nxt:
-            return seq
-        # degree <= 2 was pre-checked, so there is exactly one way forward
-        prev_eid = nxt[0]
-        cur = s.parent.other_endpoint(prev_eid, cur)
-        seq.append(cur)
-        visited.add(cur)
-
-
-def _collect_component(s: EdgeSubgraph, start: Vertex,
-                       visited: set[Vertex]) -> set[Vertex]:
-    comp = {start}
-    stack = [start]
-    visited.add(start)
-    while stack:
-        v = stack.pop()
-        for eid in s.member_incident(v):
-            w = s.parent.other_endpoint(eid, v)
-            if w not in comp:
-                comp.add(w)
-                visited.add(w)
-                stack.append(w)
-    return comp
 
 
 def parse_graph(text: str) -> Bigraph:

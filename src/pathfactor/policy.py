@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, TypeVar
 
-import numpy as np
-
 T = TypeVar("T")
 
 
@@ -60,6 +58,7 @@ class RandomPolicy(TieBreakPolicy):
     """
 
     def __init__(self, seed: int):
+        import numpy as np  # here, so that importing the package skips it
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
 

@@ -1,7 +1,9 @@
 """Independent validators and exhaustive oracles.
 
 The validators re-derive every structural claim from the raw subgraph or
-path list; they share no bookkeeping with the solver.  The oracle
+path list; they share no bookkeeping with the solver.  The checked-mode
+audit walks the subgraph the same way and holds the solver's path index
+against that walk.  The oracle
 enumerates all ways to keep exactly 2 of the 4 edges at every X vertex
 (6 per vertex, 6^(3k) total), so it can certify both the existence and
 the non-existence of a path factor.  It is deliberately capped at k <= 2.
@@ -11,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .dsu import RollbackUnionFind
 from .errors import OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import (Bigraph, EdgeSubgraph, Vertex, Y_SIDE,
-                    check_biregular, components_as_paths)
+                    check_biregular, orient_path)
 
 ORACLE_MAX_K = 2
 
@@ -46,27 +48,64 @@ class ValidationReport:
                        for v in self.violations)
 
 
-def _subgraph_components(s: EdgeSubgraph) -> list[tuple[list[Vertex], int]]:
-    # Each component with >= 1 edge as (sorted vertices, edge count).
+def walk_component(sub: EdgeSubgraph,
+                   v: Vertex) -> tuple[list[Vertex], int]:
+    """The component of sub through v: its vertices and its edge count,
+    in time proportional to the component.  The collection starts where a
+    walk away from v first meets a vertex of degree other than 2, or v
+    again on a cycle, so a path comes out in order from one end."""
+    g = sub.parent
+    start, prev_eid = v, -1
+    while sub.degree(start) == 2:
+        prev_eid = next(eid for eid in sub.member_incident(start)
+                        if eid != prev_eid)
+        start = g.other_endpoint(prev_eid, start)
+        if start == v:
+            break
+    comp = {start: None}  # insertion-ordered set
+    stack = [start]
+    edges = 0
+    while stack:
+        u = stack.pop()
+        for eid in sub.member_incident(u):
+            edges += 1
+            w = g.other_endpoint(eid, u)
+            if w not in comp:
+                comp[w] = None
+                stack.append(w)
+    return list(comp), edges // 2
+
+
+def audit_paths(factor: PseudoPathFactor,
+                vertices: Iterable[Vertex]) -> Optional[str]:
+    """Walk F afresh, once per component, through the given vertices.
+
+    Each component met must be a path, and every vertex on it must map to
+    one path index entry holding that path in either orientation (none
+    for an isolated vertex).  Returns the first fault found, or None.
+    """
+    sub, index = factor.subgraph, factor._path_of
     seen: set[Vertex] = set()
-    comps = []
-    for v in s.parent.vertices():
-        if v in seen or s.degree(v) == 0:
+    for v in vertices:
+        if v in seen:
             continue
-        comp = {v}
-        stack = [v]
-        edges = 0
-        while stack:
-            u = stack.pop()
-            for eid in s.member_incident(u):
-                edges += 1
-                w = s.parent.other_endpoint(eid, u)
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append((sorted(comp), edges // 2))
-    return comps
+        comp, edges = walk_component(sub, v)
+        seen.update(comp)
+        branch = [u for u in comp if sub.degree(u) >= 3]
+        if branch:
+            return f"F has a branch-vertex at {min(branch)}"
+        if edges >= len(comp):
+            return f"F has a cycle at {' '.join(map(str, sorted(comp)))}"
+        held = index.get(v)
+        path = tuple(comp)
+        if tuple(held or (v,)) not in (path, path[::-1]):
+            return (f"path index at {v} holds "
+                    f"[{' '.join(map(str, held or (v,)))}] but F has "
+                    f"[{' '.join(map(str, path))}]")
+        for u in comp:
+            if index.get(u) is not held:
+                return f"path index at {u} is not the one at {v} on its path"
+    return None
 
 
 def validate_pseudo_factor(g: Bigraph, sub: EdgeSubgraph) -> ValidationReport:
@@ -87,13 +126,19 @@ def validate_pseudo_factor(g: Bigraph, sub: EdgeSubgraph) -> ValidationReport:
         if d >= 3:
             violations.append(Violation(
                 "max-degree", (v,), f"deg({v}) = {d}, want <= 2"))
-    for comp, edges in _subgraph_components(sub):
+    seen: set[Vertex] = set()
+    for v in g.vertices():
+        if v in seen or sub.degree(v) == 0:
+            continue
+        comp, edges = walk_component(sub, v)
+        seen.update(comp)
+        comp.sort()
         names = " ".join(map(str, comp))
         if edges >= len(comp):
             violations.append(Violation(
                 "cycle", tuple(comp), f"component {{{names}}} has {edges} "
                 f"edges on {len(comp)} vertices"))
-        elif all(sub.degree(v) <= 2 for v in comp) and edges % 2 == 1:
+        elif all(sub.degree(u) <= 2 for u in comp) and edges % 2 == 1:
             violations.append(Violation(
                 "odd-length", tuple(comp),
                 f"path component {{{names}}} has odd length {edges}"))
@@ -224,9 +269,11 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
     for pair in chosen:
         for eid in pair:
             sub.add(eid)
-    dec = components_as_paths(sub)
-    assert dec.ok, "accepted choice vector decomposed into a non-path"
-    return PathFactor(g, dec.paths)
+    # the search kept every Y degree in {1, 2} and F acyclic, so each
+    # component is a path, met here once from each of its two ends
+    paths = {orient_path(walk_component(sub, v)[0])
+             for v in g.vertices() if sub.degree(v) == 1}
+    return PathFactor(g, tuple(sorted(paths)))
 
 
 def brute_force_trails(factor: PseudoPathFactor,

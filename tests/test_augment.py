@@ -251,3 +251,85 @@ def test_solve_scans_for_uncovered_ys_a_bounded_number_of_times(
           trace=lines.append)
     assert sum(ln.startswith("augment") for ln in lines) > 2
     assert len(calls) <= 2
+
+
+def test_checked_rewire_catches_f_disagreeing_with_the_index(
+        k2_pseudo, monkeypatch):
+    # remove_edge splits the path in the index but leaves the edge in F,
+    # so after the swap F branches at the trail's X vertex while the index
+    # still looks like a family of even paths
+    g, factor = k2_pseudo
+    trail = find_trail(factor, Vertex.y(0))
+    original = PseudoPathFactor.remove_edge
+
+    def keeps_the_edge(self, eid):
+        original(self, eid)
+        self.subgraph.add(eid)
+
+    monkeypatch.setattr(PseudoPathFactor, "remove_edge", keeps_the_edge)
+    with pytest.raises(AlgorithmDefectError,
+                       match="F has a branch-vertex at x0"):
+        rewire(factor, trail, checked=True)
+
+
+def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
+    # after the last rewire, drop an F edge far from its trail from the
+    # edge set only: no rewire looks there again, and the paths read off
+    # the index stay a valid factor, so only the check of F after
+    # augmentation can see it
+    g = generate(GenConfig(k=20, seed=0))
+    rounds = len(build_pseudo_factor(g).uncovered_ys())
+    assert rounds > 1
+    calls = []
+
+    def corrupting_rewire(factor, trail, *, checked=False):
+        rewire(factor, trail, checked=checked)
+        calls.append(1)
+        if len(calls) == rounds:
+            sub = factor.subgraph
+            eid = next(eid for eid in sub.edge_ids()
+                       if sub.y_deg[g.edges[eid][0]] == 2
+                       and not set(g.endpoints(eid)) & set(trail.vertices))
+            sub.remove(eid)
+
+    monkeypatch.setattr("pathfactor.augment.rewire", corrupting_rewire)
+    assert validate_path_factor(g, solve(g)).valid
+    calls.clear()
+    with pytest.raises(AlgorithmDefectError,
+                       match="rejected the augmented factor") as err:
+        solve(g, checked=True)
+    assert "FAIL x-degree" in str(err.value)
+
+
+@pytest.mark.parametrize("spec", ["lex", "random:3"])
+def test_checked_solve_audits_in_full_only_at_phase_ends(monkeypatch, spec):
+    # the per-step and per-trail audits are local; a full audit after
+    # every step or trail is quadratic in k
+    from pathfactor import builder, verify
+    calls = {"state": 0, "pseudo": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(builder, "check_state_invariants",
+                        counting("state", builder.check_state_invariants))
+    monkeypatch.setattr(verify, "validate_pseudo_factor",
+                        counting("pseudo", verify.validate_pseudo_factor))
+    lines = []
+    solve(generate(GenConfig(k=200, seed=1)), make_policy(spec),
+          checked=True, trace=lines.append)
+    assert sum(ln.startswith("augment") for ln in lines) > 2
+    # once after the first scan step and once at the scan's end; once
+    # after the scan and once after augmentation
+    assert calls == {"state": 2, "pseudo": 2}
+
+
+@pytest.mark.parametrize("spec", ["lex", "random:5"])
+@pytest.mark.parametrize("k", [50, 500])
+def test_checked_solve_matches_plain(k, spec):
+    g = generate(GenConfig(k=k, seed=2))
+    assert (solve(g, make_policy(spec), checked=True).paths
+            == solve(g, make_policy(spec)).paths)

@@ -152,6 +152,22 @@ def test_audit_catches_a_corrupted_state(corrupt, match):
         check_state_invariants(state)
 
 
+@pytest.mark.parametrize("corrupt", [
+    _add_f_at_unscanned_y, _add_f_at_scanned_y, _drop_f_edge, _add_branch,
+    _add_cycle, _reject_every_edge_at_x, _desync_pending_x, _clear_scanned,
+])
+def test_checked_scan_catches_a_corrupted_state(corrupt):
+    # the same faults, met while the scan runs on: between them the local
+    # audit after each step, the scan's own guards and the full audit when
+    # the scan ends must catch every one
+    g, state = _forced_3b_state()
+    corrupt(g, state)
+    policy = LexicographicPolicy()
+    with pytest.raises(AlgorithmDefectError):
+        while state.current is not None:
+            step_i(state, policy, checked=True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 8), seed=st.integers(0, 10**6))
 def test_checked_build_validates(k, seed):

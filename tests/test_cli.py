@@ -231,14 +231,27 @@ def test_experiment_jobs_do_not_change_output(capsys):
     assert a[1] == b[1]
 
 
-def test_console_entry_point():
+def _child(*args):
     # the child interpreter must import the same package the tests do,
     # including from an uninstalled checkout
     package_root = str(Path(pathfactor.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root,
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathfactor", "generate", "--k", "1"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point():
+    proc = _child("-m", "pathfactor", "generate", "--k", "1")
     assert proc.returncode == 0
     assert proc.stdout == K34
+
+
+def test_import_leaves_numpy_unloaded():
+    # only RandomPolicy and generate need numpy, and they import it when
+    # first called, so `verify` or `solve --policy lex` never pay for it
+    proc = _child("-c", "import sys, pathfactor, pathfactor.cli; "
+                        "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -6,10 +6,11 @@ import pytest
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
                         PseudoPathFactor, Vertex, brute_force_trails,
-                        build_pseudo_factor, components_as_paths, find_trail,
-                        fixture, generate, make_policy, orient_path, rewire,
+                        build_pseudo_factor, find_trail, fixture, generate,
+                        make_policy, orient_path, rewire,
                         validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
+from pathfactor.verify import audit_paths, walk_component
 
 
 def _ypath(*indices):
@@ -117,14 +118,17 @@ def test_remove_edge_rejects_an_edge_outside_f():
 
 
 def _assert_index_matches(factor):
-    dec = components_as_paths(factor.subgraph)
-    assert dec.ok
-    assert factor.paths == dec.paths
-    lengths = [len(p) - 1 for p in dec.paths]
+    # a fresh walk of F from each path end is the reference
+    sub = factor.subgraph
+    walked = sorted({orient_path(walk_component(sub, v)[0])
+                     for v in factor.graph.vertices() if sub.degree(v) == 1})
+    assert factor.paths == tuple(walked)
+    assert audit_paths(factor, factor.graph.vertices()) is None
+    lengths = [len(p) - 1 for p in walked]
     assert factor.path_count == len(lengths)
     assert factor.max_path_length == max(lengths, default=0)
     assert factor.long_component_count == sum(n >= 4 for n in lengths)
-    length_at = {v: len(p) - 1 for p in dec.paths for v in p}
+    length_at = {v: len(p) - 1 for p in walked for v in p}
     for v in factor.graph.vertices():
         assert factor.component_length_at(v) == length_at.get(v, 0), v
 

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, GraphFormatError,
-                        NotBiregularError, Vertex, check_biregular,
-                        components_as_paths, fixture, format_factor, generate,
+                        NotBiregularError, PseudoPathFactor, Vertex,
+                        check_biregular, fixture, format_factor, generate,
                         orient_path, parse_factor, parse_graph,
                         serialize_graph)
+from pathfactor.verify import audit_paths, walk_component
 
 K34_TEXT = """\
 p bbg 4 3 12
@@ -141,44 +142,88 @@ def test_subgraph_degree_sums_agree(seed, data):
 
 def test_components_single_edges_and_empty():
     g = fixture("k34")
-    assert components_as_paths(EdgeSubgraph(g)).paths == ()
+    assert walk_component(EdgeSubgraph(g), Vertex.y(0)) == ([Vertex.y(0)], 0)
     sub = EdgeSubgraph.from_pairs(g, [(Vertex.y(2), Vertex.x(1))])
-    dec = components_as_paths(sub)
-    assert dec.ok
-    assert dec.paths == ((Vertex.y(2), Vertex.x(1)),)
+    for v in (Vertex.y(2), Vertex.x(1)):
+        comp, edges = walk_component(sub, v)
+        assert edges == 1
+        assert orient_path(comp) == (Vertex.y(2), Vertex.x(1))
 
 
 def test_components_detect_cycle():
     g = fixture("k34")
-    sub = EdgeSubgraph.from_pairs(g, [
-        (Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
-        (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))])
-    dec = components_as_paths(sub)
-    assert not dec.ok
-    assert dec.violation.kind == "cycle"
-    assert dec.violation.vertices == (Vertex.y(0), Vertex.y(1),
-                                      Vertex.x(0), Vertex.x(1))
+    cycle = [(Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
+             (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))]
+    sub = EdgeSubgraph.from_pairs(g, cycle)
+    comp, edges = walk_component(sub, Vertex.x(1))
+    assert sorted(comp) == [Vertex.y(0), Vertex.y(1), Vertex.x(0),
+                            Vertex.x(1)]
+    assert edges == 4
+    factor = PseudoPathFactor(g)
+    for a, b in cycle[:3]:
+        factor.add_edge(g.edge_id_between(a, b))
+    factor.subgraph.add(g.edge_id_between(*cycle[3]))
+    assert (audit_paths(factor, [Vertex.y(3), Vertex.x(0)])
+            == "F has a cycle at y0 y1 x0 x1")
 
 
 def test_components_detect_branch():
     g = fixture("k34")
-    sub = EdgeSubgraph.from_pairs(g, [
-        (Vertex.y(0), Vertex.x(j)) for j in range(3)])
-    dec = components_as_paths(sub)
-    assert not dec.ok
-    assert dec.violation.kind == "branch-vertex"
-    assert dec.violation.vertices == (Vertex.y(0),)
+    star = [(Vertex.y(0), Vertex.x(j)) for j in range(3)]
+    sub = EdgeSubgraph.from_pairs(g, star)
+    comp, edges = walk_component(sub, Vertex.x(2))
+    assert sorted(comp) == [Vertex.y(0)] + [Vertex.x(j) for j in range(3)]
+    assert edges == 3
+    factor = PseudoPathFactor(g)
+    for a, b in star[:2]:
+        factor.add_edge(g.edge_id_between(a, b))
+    factor.subgraph.add(g.edge_id_between(*star[2]))
+    assert (audit_paths(factor, [Vertex.x(1)])
+            == "F has a branch-vertex at y0")
 
 
 def test_components_orientation_and_sort():
+    # a path comes out in order from one end, whichever vertex the walk
+    # starts from
     g = fixture("k34")
-    sub = EdgeSubgraph.from_pairs(g, [
-        (Vertex.y(3), Vertex.x(1)), (Vertex.y(1), Vertex.x(1)),
-        (Vertex.y(0), Vertex.x(2))])
-    dec = components_as_paths(sub)
-    assert dec.paths == (
-        (Vertex.y(0), Vertex.x(2)),
-        (Vertex.y(1), Vertex.x(1), Vertex.y(3)))
+    path = (Vertex.y(3), Vertex.x(1), Vertex.y(1), Vertex.x(2), Vertex.y(0))
+    sub = EdgeSubgraph.from_pairs(g, zip(path, path[1:]))
+    for v in path:
+        comp, edges = walk_component(sub, v)
+        assert tuple(comp) in (path, path[::-1])
+        assert edges == 4
+
+
+def _flood(sub, v):
+    comp, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for eid in sub.member_incident(u):
+            w = sub.parent.other_endpoint(eid, u)
+            if w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return comp
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), multi=st.booleans(), data=st.data())
+def test_walk_component_matches_a_flood_fill(seed, multi, data):
+    # any edge subset, parallel edges included: branches, cycles,
+    # lollipops and 2-cycles must all end the walk with the whole component
+    g = fixture("counterexample") if multi else generate(GenConfig(2, seed))
+    sub = EdgeSubgraph(g)
+    for eid in data.draw(st.sets(st.integers(0, g.edge_count - 1))):
+        sub.add(eid)
+    for v in g.vertices():
+        comp, edges = walk_component(sub, v)
+        assert len(comp) == len(set(comp))
+        assert set(comp) == _flood(sub, v)
+        assert edges == sum(sub.degree(u) for u in comp) // 2
+        if edges == len(comp) - 1 and all(sub.degree(u) <= 2 for u in comp):
+            for a, b in zip(comp, comp[1:]):  # a path, in order
+                assert any(g.other_endpoint(eid, a) == b
+                           for eid in sub.member_incident(a))
 
 
 def test_orient_path():
