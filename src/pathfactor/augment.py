@@ -168,11 +168,11 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         if v.is_y and sub.y_deg[v.index] == 0:
             raise AlgorithmDefectError(
                 f"rewiring along {trail} left {v} uncovered")
-        path = factor._path_of.get(v, (v,))
-        if not (path[0].is_y and path[-1].is_y):
+        path = factor._path_of[g.vertex_id(v)] or (g.vertex_id(v),)
+        if not (path[0] < g.y_count and path[-1] < g.y_count):
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
-                f"{' '.join(map(str, path))}")
+                f"{' '.join(str(g.vertex(u)) for u in path)}")
 
     if factor.max_path_length > old_max:
         raise AlgorithmDefectError(

@@ -13,24 +13,27 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .graph import Bigraph, EdgeSubgraph, Vertex, orient_path
+from .graph import Bigraph, EdgeSubgraph, Vertex
 
 
 class PseudoPathFactor:
     """A factor F of a graph with an incrementally maintained path index.
 
-    F is kept as an EdgeSubgraph, one map from each covered vertex to the
-    path it lies on, and a histogram of path lengths.  F changes only
+    F is kept as an EdgeSubgraph, a list from each integer vertex id
+    (y_i -> i, x_j -> |Y| + j) to the deque of ids of the path it lies on
+    (None while isolated), and a histogram of path lengths.  F changes only
     through add_edge and remove_edge: the scan grows it edge by edge, and
     rewiring removes a trail's factor edges and adds its non-factor ones.
     Per-vertex component lookup is O(1); the maximum path length and the
-    count of components of length >= 4 are read off the histogram.
+    count of components of length >= 4 are read off the histogram.  Every
+    public method takes and returns Vertex.
     """
 
     def __init__(self, graph: Bigraph):
         self.graph = graph
         self.subgraph = EdgeSubgraph(graph)
-        self._path_of: dict[Vertex, deque[Vertex]] = {}
+        self._path_of: list[deque[int] | None] = \
+            [None] * (graph.y_count + graph.x_count)
         self._len_counts: Counter[int] = Counter()  # length -> path count
 
     # -- path index maintenance -------------------------------------------
@@ -42,13 +45,14 @@ class PseudoPathFactor:
         cycle or attach to a path interior.  The shorter path is copied
         onto the longer, so growing F edge by edge costs O(n log n).
         """
-        y, x = self.graph.endpoints(eid)
-        a = self._path_of.get(y) or deque((y,))
-        b = self._path_of.get(x) or deque((x,))
+        yi, xj = self.graph.edges[eid]
+        y, x = yi, self.graph.y_count + xj
+        a = self._path_of[y] or deque((y,))
+        b = self._path_of[x] or deque((x,))
         if a is b:
-            raise ValueError(f"edge {y}-{x} would close a cycle")
+            raise ValueError(f"edge y{yi}-x{xj} would close a cycle")
         if y not in (a[0], a[-1]) or x not in (b[0], b[-1]):
-            raise ValueError(f"edge {y}-{x} attaches to a path interior")
+            raise ValueError(f"edge y{yi}-x{xj} attaches to a path interior")
         self.subgraph.add(eid)
         for p in (a, b):
             if len(p) > 1:
@@ -76,8 +80,9 @@ class PseudoPathFactor:
         if not self.subgraph.has(eid):
             raise ValueError(f"edge occurrence {eid} is not in F")
         self.subgraph.remove(eid)
-        ends = self.graph.endpoints(eid)
-        path = self._path_of[ends[0]]
+        y, x = self.graph.edges[eid]
+        ends = (y, self.graph.y_count + x)
+        path = self._path_of[y]
         self._tally(len(path) - 1, -1)
         # walk in from both ends at once: the first endpoint met closes
         # the shorter piece
@@ -94,7 +99,7 @@ class PseudoPathFactor:
             if len(p) > 1:
                 self._tally(len(p) - 1, 1)
             else:
-                del self._path_of[p[0]]
+                self._path_of[p[0]] = None
 
     def _tally(self, length: int, delta: int) -> None:
         # zero counts are deleted, so max() of the keys is the longest path
@@ -109,17 +114,23 @@ class PseudoPathFactor:
     @property
     def paths(self) -> tuple[tuple[Vertex, ...], ...]:
         """All component paths, canonically oriented and sorted."""
-        return tuple(sorted(orient_path(p) for v, p in self._path_of.items()
-                            if p[0] == v))
+        # ids sort in Vertex order.  Each tuple is built from a list, so at
+        # its final size: tuple(map(...)) resizes it, and freed resized
+        # tuples pile up on free lists that no later call draws from.
+        names = tuple(self.graph.vertices())
+        oriented = (p if p[0] <= p[-1] else reversed(p)
+                    for v, p in enumerate(self._path_of)
+                    if p is not None and p[0] == v)
+        return tuple(sorted(tuple([names[u] for u in p]) for p in oriented))
 
     def component_length_at(self, v: Vertex) -> int:
         """Edge count of v's component; 0 for an isolated vertex."""
-        path = self._path_of.get(v)
+        path = self._path_of[self.graph.vertex_id(v)]
         return 0 if path is None else len(path) - 1
 
     def same_path(self, a: Vertex, b: Vertex) -> bool:
-        path = self._path_of.get(a)
-        return path is not None and path is self._path_of.get(b)
+        index, vid = self._path_of, self.graph.vertex_id
+        return index[vid(a)] is not None and index[vid(a)] is index[vid(b)]
 
     @property
     def max_path_length(self) -> int:

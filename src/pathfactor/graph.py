@@ -20,6 +20,8 @@ vertex names; ``c`` comments are allowed there as well.
 
 from __future__ import annotations
 
+import re
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GraphFormatError, NotBiregularError
@@ -31,6 +33,11 @@ X_SIDE = 1
 def _is_count(token: str) -> bool:
     # int() alone would also take signs, underscores and non-ASCII digits
     return token.isascii() and token.isdigit()
+
+
+# A well-formed edge line.  It accepts only lines the field-by-field checks
+# accept, with the same (y, x); any other line takes those checks.
+_EDGE_LINE = re.compile(r"[ \t]*e[ \t]+y([0-9]+)[ \t]+x([0-9]+)[ \t]*")
 
 
 class Vertex(NamedTuple):
@@ -74,8 +81,7 @@ class Bigraph:
     safe to share across threads.
     """
 
-    __slots__ = ("y_count", "x_count", "edges", "simple",
-                 "_y_inc", "_x_inc", "_y_deg", "_x_deg")
+    __slots__ = ("y_count", "x_count", "edges", "simple", "_inc")
 
     def __init__(self, y_count: int, x_count: int,
                  edges: Iterable[tuple[int, int]]):
@@ -89,55 +95,55 @@ class Bigraph:
         self.x_count = x_count
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
         self.simple = all(a != b for a, b in zip(canon, canon[1:]))
-        y_inc: list[list[int]] = [[] for _ in range(y_count)]
-        x_inc: list[list[int]] = [[] for _ in range(x_count)]
+        inc: list[list[int]] = [[] for _ in range(y_count + x_count)]
         for eid, (y, x) in enumerate(canon):
-            y_inc[y].append(eid)
-            x_inc[x].append(eid)
-        self._y_inc = tuple(tuple(ids) for ids in y_inc)
-        self._x_inc = tuple(tuple(ids) for ids in x_inc)
-        self._y_deg = tuple(len(ids) for ids in y_inc)
-        self._x_deg = tuple(len(ids) for ids in x_inc)
+            inc[y].append(eid)
+            inc[y_count + x].append(eid)
+        self._inc = inc  # by vertex id; tuples would double the build time
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: Vertex) -> int:
-        return (self._y_deg if v.side == Y_SIDE else self._x_deg)[v.index]
+    def vertex_id(self, v: Vertex) -> int:
+        """y_i -> i and x_j -> |Y| + j, so ids sort in Vertex order."""
+        return v.index + v.side * self.y_count
 
-    def incident_edge_ids(self, v: Vertex) -> tuple[int, ...]:
-        return (self._y_inc if v.side == Y_SIDE else self._x_inc)[v.index]
+    def vertex(self, vid: int) -> Vertex:
+        """The inverse of vertex_id."""
+        ny = self.y_count
+        return Vertex(Y_SIDE, vid) if vid < ny else Vertex(X_SIDE, vid - ny)
+
+    def degree(self, v: Vertex) -> int:
+        return len(self._inc[self.vertex_id(v)])
+
+    def incident_edge_ids(self, v: Vertex) -> Sequence[int]:
+        return self._inc[self.vertex_id(v)]
 
     def endpoints(self, eid: int) -> tuple[Vertex, Vertex]:
         """The (y, x) endpoint pair of an edge occurrence."""
         y, x = self.edges[eid]
         return Vertex.y(y), Vertex.x(x)
 
-    def other_endpoint(self, eid: int, v: Vertex) -> Vertex:
-        y, x = self.edges[eid]
-        return Vertex.x(x) if v.side == Y_SIDE else Vertex.y(y)
-
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """Neighbors in ascending order, repeated per edge multiplicity."""
-        return tuple(self.other_endpoint(eid, v)
+        return tuple(self.endpoints(eid)[1 - v.side]
                      for eid in self.incident_edge_ids(v))
 
     def edge_id_between(self, a: Vertex, b: Vertex) -> int:
         """The unique occurrence id joining a and b; an error if the pair
         is absent or has multiplicity greater than one."""
         y, x = (a, b) if a.side == Y_SIDE else (b, a)
-        ids = [eid for eid in self._y_inc[y.index]
+        ids = [eid for eid in self._inc[y.index]
                if self.edges[eid][1] == x.index]
         if len(ids) != 1:
             raise ValueError(f"edge {y}{x} has multiplicity {len(ids)}")
         return ids[0]
 
     def vertices(self) -> Iterator[Vertex]:
-        for i in range(self.y_count):
-            yield Vertex.y(i)
-        for j in range(self.x_count):
-            yield Vertex.x(j)
+        """Every vertex in Vertex order, which is vertex id order."""
+        return chain(map(Vertex, repeat(Y_SIDE), range(self.y_count)),
+                     map(Vertex, repeat(X_SIDE), range(self.x_count)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bigraph):
@@ -243,12 +249,11 @@ def check_biregular(g: Bigraph) -> int:
     if g.x_count != 3 * k:
         raise NotBiregularError(
             f"|X| = {g.x_count}, want 3k = {3 * k} to match |Y| = {g.y_count}")
-    for i in range(g.y_count):
-        if g._y_deg[i] != 3:
-            raise NotBiregularError(f"deg(y{i}) = {g._y_deg[i]}, want 3")
-    for j in range(g.x_count):
-        if g._x_deg[j] != 4:
-            raise NotBiregularError(f"deg(x{j}) = {g._x_deg[j]}, want 4")
+    have, want = list(map(len, g._inc)), [3] * g.y_count + [4] * g.x_count
+    if have != want:
+        v = next(v for v, (h, w) in enumerate(zip(have, want)) if h != w)
+        raise NotBiregularError(
+            f"deg({g.vertex(v)}) = {have[v]}, want {want[v]}")
     return k
 
 
@@ -268,7 +273,14 @@ def parse_graph(text: str) -> Bigraph:
     """
     header: Optional[tuple[int, int, int]] = None
     edges: list[tuple[int, int]] = []
+    y_count = x_count = 0  # no edge is in range before the header
     for lineno, raw in enumerate(text.splitlines(), 1):
+        hit = _EDGE_LINE.fullmatch(raw)
+        if hit:
+            y, x = int(hit[1]), int(hit[2])
+            if y < y_count and x < x_count:
+                edges.append((y, x))
+                continue
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue

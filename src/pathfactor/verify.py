@@ -48,18 +48,18 @@ class ValidationReport:
                        for v in self.violations)
 
 
-def walk_component(sub: EdgeSubgraph,
-                   v: Vertex) -> tuple[list[Vertex], int]:
-    """The component of sub through v: its vertices and its edge count,
-    in time proportional to the component.  The collection starts where a
-    walk away from v first meets a vertex of degree other than 2, or v
-    again on a cycle, so a path comes out in order from one end."""
+def _walk(sub: EdgeSubgraph, v: int) -> tuple[list[int], int]:
+    """The component of sub through vertex id v: its vertex ids and its
+    edge count, in time proportional to the component.  The collection
+    starts where a walk away from v first meets a vertex of degree other
+    than 2, or v again on a cycle, so a path comes out in order."""
     g = sub.parent
+    inc, ends, member, ny = g._inc, g.edges, sub._member, g.y_count
     start, prev_eid = v, -1
-    while sub.degree(start) == 2:
-        prev_eid = next(eid for eid in sub.member_incident(start)
-                        if eid != prev_eid)
-        start = g.other_endpoint(prev_eid, start)
+    while len(eids := [eid for eid in inc[start] if member[eid]]) == 2:
+        prev_eid = eids[eids[0] == prev_eid]
+        y, x = ends[prev_eid]
+        start = ny + x if start < ny else y
         if start == v:
             break
     comp = {start: None}  # insertion-ordered set
@@ -67,13 +67,26 @@ def walk_component(sub: EdgeSubgraph,
     edges = 0
     while stack:
         u = stack.pop()
-        for eid in sub.member_incident(u):
-            edges += 1
-            w = g.other_endpoint(eid, u)
-            if w not in comp:
-                comp[w] = None
-                stack.append(w)
+        for eid in inc[u]:
+            if member[eid]:
+                edges += 1
+                y, x = ends[eid]
+                w = ny + x if u < ny else y
+                if w not in comp:
+                    comp[w] = None
+                    stack.append(w)
     return list(comp), edges // 2
+
+
+def walk_component(sub: EdgeSubgraph,
+                   v: Vertex) -> tuple[list[Vertex], int]:
+    """_walk from v, in Vertex form."""
+    comp, edges = _walk(sub, sub.parent.vertex_id(v))
+    return list(map(sub.parent.vertex, comp)), edges
+
+
+def _names(g: Bigraph, ids: Iterable[int]) -> str:
+    return " ".join(str(g.vertex(u)) for u in ids)
 
 
 def audit_paths(factor: PseudoPathFactor,
@@ -84,27 +97,30 @@ def audit_paths(factor: PseudoPathFactor,
     one path index entry holding that path in either orientation (none
     for an isolated vertex).  Returns the first fault found, or None.
     """
-    sub, index = factor.subgraph, factor._path_of
-    seen: set[Vertex] = set()
-    for v in vertices:
+    g, sub, index = factor.graph, factor.subgraph, factor._path_of
+    ny, seen = g.y_count, set()
+    for vertex in vertices:
+        v = g.vertex_id(vertex)
         if v in seen:
             continue
-        comp, edges = walk_component(sub, v)
+        comp, edges = _walk(sub, v)
         seen.update(comp)
-        branch = [u for u in comp if sub.degree(u) >= 3]
+        branch = [u for u in comp
+                  if (sub.y_deg[u] if u < ny else sub.x_deg[u - ny]) >= 3]
         if branch:
-            return f"F has a branch-vertex at {min(branch)}"
+            return f"F has a branch-vertex at {g.vertex(min(branch))}"
         if edges >= len(comp):
-            return f"F has a cycle at {' '.join(map(str, sorted(comp)))}"
-        held = index.get(v)
+            return f"F has a cycle at {_names(g, sorted(comp))}"
+        held = index[v]
         path = tuple(comp)
         if tuple(held or (v,)) not in (path, path[::-1]):
-            return (f"path index at {v} holds "
-                    f"[{' '.join(map(str, held or (v,)))}] but F has "
-                    f"[{' '.join(map(str, path))}]")
+            return (f"path index at {vertex} holds "
+                    f"[{_names(g, held or (v,))}] but F has "
+                    f"[{_names(g, path)}]")
         for u in comp:
-            if index.get(u) is not held:
-                return f"path index at {u} is not the one at {v} on its path"
+            if index[u] is not held:
+                return (f"path index at {g.vertex(u)} is not the one at "
+                        f"{vertex} on its path")
     return None
 
 
@@ -126,13 +142,13 @@ def validate_pseudo_factor(g: Bigraph, sub: EdgeSubgraph) -> ValidationReport:
         if d >= 3:
             violations.append(Violation(
                 "max-degree", (v,), f"deg({v}) = {d}, want <= 2"))
-    seen: set[Vertex] = set()
-    for v in g.vertices():
-        if v in seen or sub.degree(v) == 0:
+    seen: set[int] = set()
+    for v, d in enumerate(sub.y_deg + sub.x_deg):  # by vertex id
+        if v in seen or d == 0:
             continue
-        comp, edges = walk_component(sub, v)
+        comp, edges = _walk(sub, v)
         seen.update(comp)
-        comp.sort()
+        comp = sorted(map(g.vertex, comp))
         names = " ".join(map(str, comp))
         if edges >= len(comp):
             violations.append(Violation(
@@ -171,9 +187,11 @@ def validate_path_factor(g: Bigraph, factor: PathsLike) -> ValidationReport:
         violations.append(Violation("graph-shape", (), str(exc)))
     edge_pairs = set(g.edges)
     seen: dict[Vertex, int] = {}
+
+    def line(idx: int, seq: Sequence[Vertex]) -> str:  # for a violation only
+        return f"line {idx + 1} [{' '.join(map(str, seq))}]"
     for idx, seq in enumerate(paths):
         seq = tuple(seq)
-        names = " ".join(map(str, seq))
         ok_path = len(seq) >= 2 and len(set(seq)) == len(seq)
         if ok_path:
             for a, b in zip(seq, seq[1:]):
@@ -185,8 +203,7 @@ def validate_path_factor(g: Bigraph, factor: PathsLike) -> ValidationReport:
         if not ok_path:
             violations.append(Violation(
                 "not-a-path", tuple(seq),
-                f"line {idx + 1} [{names}] is not a simple path in the "
-                f"graph"))
+                f"{line(idx, seq)} is not a simple path in the graph"))
             continue
         for end in (seq[0], seq[-1]):
             if not end.is_y:
@@ -196,7 +213,7 @@ def validate_path_factor(g: Bigraph, factor: PathsLike) -> ValidationReport:
         if (len(seq) - 1) % 2 == 1:
             violations.append(Violation(
                 "odd-length", tuple(seq),
-                f"line {idx + 1} [{names}] has odd length {len(seq) - 1}"))
+                f"{line(idx, seq)} has odd length {len(seq) - 1}"))
         for v in seq:
             if v in seen:
                 violations.append(Violation(

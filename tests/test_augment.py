@@ -210,9 +210,11 @@ def test_solve_matches_rescanning_reference(k, spec):
         assert got == _reference_solve(g, make_policy(spec)), (k, seed, spec)
 
 
-# sha256 prefixes of format_factor(solve(...)) from the set-based scan and
-# per-round rescan this package had before it kept both pools as lists;
-# pins the case-1 pick, which the rescanning reference above shares.
+# sha256 prefixes of format_factor(solve(...)).  The k = 5 and 50 ones come
+# from the set-based scan and per-round rescan this package had before it
+# kept both pools as lists, and pin the case-1 pick, which the rescanning
+# reference above shares; the k = 200 ones come from the solver that still
+# keyed F's path index by Vertex.
 PINNED_DIGESTS = {
     (5, 0, "lex"): "f7c3135cc855bd00",
     (5, 0, "random:7"): "fbf487888e7b0e57",
@@ -222,6 +224,8 @@ PINNED_DIGESTS = {
     (50, 0, "random:7"): "e9222d1d37e2b24b",
     (50, 1, "lex"): "7e4284124294739b",
     (50, 1, "random:7"): "08eb5ae7fa13459c",
+    (200, 1, "lex"): "4c2248ea2d893e0a",
+    (200, 1, "random:3"): "607fb721552ccda4",
 }
 
 

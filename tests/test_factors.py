@@ -196,7 +196,8 @@ def test_rewire_reports_a_broken_rewire_as_a_defect(k2_pseudo):
     # F's index is out of step with its edge set: it places the uncovered
     # y0 on the 12-path, so adding y0x0 is refused mid-rewire
     g, factor = k2_pseudo
-    factor._path_of[Vertex.y(0)] = factor._path_of[Vertex.y(1)]
+    factor._path_of[g.vertex_id(Vertex.y(0))] = \
+        factor._path_of[g.vertex_id(Vertex.y(1))]
     with pytest.raises(AlgorithmDefectError,
                        match="broke the path structure: .*interior"):
         rewire(factor, AugmentingTrail(_ypath(0, 0, 2)))

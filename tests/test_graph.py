@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, GraphFormatError,
                         NotBiregularError, PseudoPathFactor, Vertex,
@@ -199,7 +199,7 @@ def _flood(sub, v):
     while stack:
         u = stack.pop()
         for eid in sub.member_incident(u):
-            w = sub.parent.other_endpoint(eid, u)
+            w = sub.parent.endpoints(eid)[1 - u.side]
             if w not in comp:
                 comp.add(w)
                 stack.append(w)
@@ -222,7 +222,7 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
         assert edges == sum(sub.degree(u) for u in comp) // 2
         if edges == len(comp) - 1 and all(sub.degree(u) <= 2 for u in comp):
             for a, b in zip(comp, comp[1:]):  # a path, in order
-                assert any(g.other_endpoint(eid, a) == b
+                assert any(g.endpoints(eid)[1 - a.side] == b
                            for eid in sub.member_incident(a))
 
 
@@ -230,6 +230,173 @@ def test_orient_path():
     p = (Vertex.y(3), Vertex.x(0), Vertex.y(1))
     assert orient_path(p) == (Vertex.y(1), Vertex.x(0), Vertex.y(3))
     assert orient_path(orient_path(p)) == orient_path(p)
+
+
+def _reference_parse_graph(text):
+    # parse_graph as it was before edge lines had a fast path: every line
+    # is split into fields and each token checked on its own
+    def token(tok):
+        if tok[:1] not in ("y", "x") or not (tok[1:].isascii()
+                                             and tok[1:].isdigit()):
+            raise GraphFormatError(f"malformed vertex token {tok!r}")
+        return tok[0], int(tok[1:])
+
+    header = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate header")
+            if (len(fields) != 5 or fields[1] != "bbg"
+                    or not all(f.isascii() and f.isdigit()
+                               for f in fields[2:])):
+                raise GraphFormatError(
+                    f"line {lineno}: malformed header {line!r}")
+            header = tuple(map(int, fields[2:]))
+            if header[0] < 1 or header[1] < 1:
+                raise GraphFormatError(
+                    f"line {lineno}: header counts out of range")
+        elif fields[0] == "e":
+            if header is None:
+                raise GraphFormatError(
+                    f"line {lineno}: edge before 'p bbg' header")
+            if len(fields) != 3:
+                raise GraphFormatError(
+                    f"line {lineno}: malformed edge line {line!r}")
+            (sa, a), (sb, b) = token(fields[1]), token(fields[2])
+            if (sa, sb) != ("y", "x"):
+                raise GraphFormatError(
+                    f"line {lineno}: edge must name a y then an x vertex")
+            if not (a < header[0] and b < header[1]):
+                raise GraphFormatError(
+                    f"line {lineno}: endpoint out of range in {line!r}")
+            edges.append((a, b))
+        else:
+            raise GraphFormatError(
+                f"line {lineno}: unrecognized line {line!r}")
+    if header is None:
+        raise GraphFormatError("missing 'p bbg' header")
+    if len(edges) != header[2]:
+        raise GraphFormatError(
+            f"edge count mismatch: header declares {header[2]}, "
+            f"found {len(edges)}")
+    return Bigraph(header[0], header[1], edges)
+
+
+# blanks that str.split() and str.strip() take: some also end a line for
+# str.splitlines() (\x0b, \x1c), some are not ASCII (\xa0, \u2003)
+_BLANKS = ["\x0b", "\x1c", "\x1f", "\xa0", "\u2003", " \u2003"]
+_TOKEN_MUTATIONS = ["non-ascii", "sign", "underscore", "empty",
+                    "other side", "out of range"]
+_LINE_MUTATIONS = ["blank", "short", "long", "before header",
+                   "duplicate header", "comment", "count"]
+
+
+def _mutated_token(draw, mutation, tok, count):
+    side, digits = tok[0], tok[1:]
+    if mutation == "non-ascii":
+        return side + draw(st.sampled_from(["\u00b2", "\u0661", "\uff11"]))
+    if mutation == "sign":
+        return side + draw(st.sampled_from("+-")) + digits
+    if mutation == "underscore":
+        return tok + "_0"
+    if mutation == "empty":
+        return side
+    if mutation == "other side":
+        return "yx"[side == "y"] + digits
+    return side + str(count)  # out of range
+
+
+@st.composite
+def _graph_texts(draw):
+    """A valid graph text with varied blanks and leading zeros, then at
+    most one mutation that may make it invalid."""
+    counts = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(0, counts[0] - 1),
+                                    st.integers(0, counts[1] - 1)),
+                          min_size=1, max_size=6))
+    zeros = st.sampled_from(["", "", "0", "00"])
+    lines = [["p", "bbg", str(counts[0]), str(counts[1]), str(len(edges))]]
+    lines += [["e", "y" + draw(zeros) + str(y), "x" + draw(zeros) + str(x)]
+              for y, x in edges]
+    mutation = draw(st.sampled_from([None] + _TOKEN_MUTATIONS
+                                    + _LINE_MUTATIONS))
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation in _TOKEN_MUTATIONS:
+        at = draw(st.integers(1, len(lines) - 1))  # an edge line
+        side = draw(st.sampled_from([1, 2]))
+        lines[at][side] = _mutated_token(draw, mutation, lines[at][side],
+                                         counts[side - 1])
+    elif mutation == "short":
+        lines[at].pop()
+    elif mutation == "long":
+        lines[at].append("x0")
+    elif mutation == "before header":
+        lines.insert(1, lines.pop(0))
+    elif mutation == "duplicate header":
+        lines.insert(at + 1, list(lines[0]))
+    elif mutation == "count":
+        lines[0][4] = str(len(edges) + 1)
+    blank = st.sampled_from([" ", " ", "\t", "  ", " \t "])
+    texts = [draw(blank).join(fields) for fields in lines]
+    if mutation == "blank":
+        texts[at] = draw(st.sampled_from(_BLANKS)).join(lines[at])
+    elif mutation == "comment":
+        texts.insert(at + draw(st.integers(0, 1)), draw(st.sampled_from(
+            ["c", "c note", "c\tnote", "cnote", "", "\t"])))
+    return "".join(draw(st.sampled_from(["", "", " ", "\t", "\xa0"])) + t
+                   + draw(st.sampled_from(["", "", " ", "\t", "\u2003"]))
+                   + "\n" for t in texts)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_graph_texts())
+@example("p bbg 2 2 1\ne\ty01\t\tx1 \n")
+@example("p bbg 2 2 1\ne y\u0661 x0\n")
+@example("p bbg 2 2 1\ne y1 x\u00b2\n")
+@example("p bbg 2 2 1\ne y+1 x0\n")
+@example("p bbg 2 2 1\ne y1_0 x0\n")
+@example("p bbg 2 2 1\ne\x1fy1\xa0x0\u2003\n")
+@example("p bbg 2 2 1\ne y1\x0bx0\n")
+@example("p bbg 2 2 1\ne y1\x1cx0\n")
+@example("p bbg 2 2 1\ne y2 x0\n")
+@example("e y0 x0\np bbg 2 2 1\n")
+@example("p bbg 2 2 1\np bbg 2 2 1\ne y0 x0\n")
+@example("c\tnote\np bbg 2 2 1\ne y0 x0\n")
+@example("p bbg 2 2 1\nc y1 x0\ne y0 x0\n")
+def test_parse_graph_matches_the_reference_parser(text):
+    assert (_outcome(parse_graph, text)
+            == _outcome(_reference_parse_graph, text))
+
+
+def test_parse_graph_builds_no_vertex_for_a_well_formed_edge_line(
+        monkeypatch):
+    calls = []
+    original = Vertex.parse.__func__
+
+    def counted(cls, token):
+        calls.append(token)
+        return original(cls, token)
+
+    monkeypatch.setattr(Vertex, "parse", classmethod(counted))
+    text = serialize_graph(generate(GenConfig(k=1000, seed=0)))
+    assert parse_graph(text).edge_count == 12000
+    assert calls == []
+    # an edge line out of range takes the field-by-field checks
+    with pytest.raises(GraphFormatError, match="out of range"):
+        parse_graph("p bbg 1 1 1\ne y0 x1\n")
+    assert calls == ["y0", "x1"]
 
 
 def test_factor_file_round_trip():
