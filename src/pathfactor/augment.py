@@ -41,65 +41,67 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     g, sub = factor.graph, factor.subgraph
     if not y0.is_y or sub.degree(y0) != 0:
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
+    # on ids: trail holds y and x indices alternately (side = position % 2)
+    ends, inc, member, ny = g.edges, g._inc, sub._member, g.y_count
 
-    trail = [y0]
+    def so_far() -> str:
+        return " ".join(f"{'yx'[t % 2]}{i}" for t, i in enumerate(trail))
+
+    trail = [y0.index]
     used: set[int] = set()
-    seen_ys = {y0}
-    for _ in range(g.y_count + 1):
+    seen_ys = {y0.index}
+    for _ in range(ny + 1):
         tip = trail[-1]
-        non_factor = [eid for eid in g.incident_edge_ids(tip)
-                      if not sub.has(eid)]
-        fresh = {g.edges[eid][1]: eid for eid in non_factor
-                 if eid not in used}
+        non_factor = [eid for eid in inc[tip] if not member[eid]]
+        fresh = {ends[eid][1]: eid for eid in non_factor if eid not in used}
         if len(fresh) != len(non_factor):
             raise AlgorithmDefectError(
-                f"non-factor edge at trail tip {tip} was already used; "
-                f"trail so far: {' '.join(map(str, trail))}")
+                f"non-factor edge at trail tip y{tip} was already used; "
+                f"trail so far: {so_far()}")
         if not fresh:
             raise AlgorithmDefectError(
-                f"no non-factor edge available at trail tip {tip}")
+                f"no non-factor edge available at trail tip y{tip}")
         x_idx = policy.pick(fresh)
-        x_next = Vertex.x(x_idx)
         used.add(fresh[x_idx])
-        trail.append(x_next)
+        trail.append(x_idx)
 
-        f_eids = [eid for eid in sub.member_incident(x_next)
-                  if eid not in used]
-        if factor.component_length_at(x_next) == 2:
+        f_all = [eid for eid in inc[ny + x_idx] if member[eid]]
+        f_eids = [eid for eid in f_all if eid not in used]
+        path = factor._path_of[ny + x_idx]
+        length = 0 if path is None else len(path) - 1
+        if length == 2:
             # Crossing a 2-path through its middle.  The same middle can
             # be crossed twice (X vertices may repeat), so one factor edge
             # may be spent already; both spent would mean a third arrival,
             # which the degree budget rules out.
             if not f_eids:
                 raise AlgorithmDefectError(
-                    f"no unused factor edge at 2-path middle {x_next}; "
-                    f"trail so far: {' '.join(map(str, trail))}")
-            choices = {g.edges[eid][0]: eid for eid in f_eids}
+                    f"no unused factor edge at 2-path middle x{x_idx}; "
+                    f"trail so far: {so_far()}")
+            choices = {ends[eid][0]: eid for eid in f_eids}
             y_idx = policy.pick(choices)
-            y_next = Vertex.y(y_idx)
-            if y_next in seen_ys:
+            if y_idx in seen_ys:
                 raise AlgorithmDefectError(
-                    f"trail revisited {y_next}; trail so far: "
-                    f"{' '.join(map(str, trail))}")
+                    f"trail revisited y{y_idx}; trail so far: {so_far()}")
             used.add(choices[y_idx])
-            seen_ys.add(y_next)
-            trail.append(y_next)
+            seen_ys.add(y_idx)
+            trail.append(y_idx)
             continue
         # Long component: stop at an interior Y vertex.  Factor edges used
         # so far all lie on 2-paths, so none here can be spent.
-        if len(f_eids) != len(sub.member_incident(x_next)):
+        if len(f_eids) != len(f_all):
             raise AlgorithmDefectError(
-                f"factor edge on the long component at {x_next} was "
-                f"already used; trail so far: {' '.join(map(str, trail))}")
-        interior = {g.edges[eid][0]: eid for eid in f_eids
-                    if sub.y_deg[g.edges[eid][0]] == 2}
+                f"factor edge on the long component at x{x_idx} was "
+                f"already used; trail so far: {so_far()}")
+        interior = {ends[eid][0]: eid for eid in f_eids
+                    if sub.y_deg[ends[eid][0]] == 2}
         if not interior:
             raise AlgorithmDefectError(
-                f"no interior Y vertex reachable at {x_next} on a component "
-                f"of length {factor.component_length_at(x_next)}")
-        y_idx = policy.pick(interior)
-        trail.append(Vertex.y(y_idx))
-        return AugmentingTrail(tuple(trail))
+                f"no interior Y vertex reachable at x{x_idx} on a component "
+                f"of length {length}")
+        trail.append(policy.pick(interior))
+        return AugmentingTrail(tuple(Vertex(t % 2, i)
+                                     for t, i in enumerate(trail)))
     raise AlgorithmDefectError(
         f"trail search from {y0} did not terminate within |Y| extensions")
 

@@ -18,9 +18,9 @@ from typing import Callable, Optional
 
 from .errors import AlgorithmDefectError, NotSimpleError
 from .factors import PseudoPathFactor
-from .graph import Bigraph, EdgeSubgraph, Vertex, X_SIDE, check_biregular
+from .graph import Bigraph, EdgeSubgraph, check_biregular
 from .policy import LexicographicPolicy, TieBreakPolicy
-from .verify import audit_paths
+from .verify import audit_ids
 
 TraceFn = Callable[[str], None]
 
@@ -31,17 +31,18 @@ class FactorState:
 
     factor holds F with its path index, and f is F's edge set.  The reject
     set U is derived, not stored: it is the edges at scanned Y vertices
-    that are not in F.  pending_x is the ascending list of j with
-    F-degree of x_j <= 1; F-degrees only grow, so an entry is deleted
-    when its vertex reaches degree 2 and never returns.  Keeping it
-    sorted lets case 1 pick from it by position without rebuilding a
-    pool.
+    that are not in F.  current is the index j of the current X vertex
+    x_j, None before the first step and after the last.  pending_x is
+    the ascending list of j with F-degree of x_j <= 1; F-degrees only
+    grow, so an entry is deleted when its vertex reaches degree 2 and
+    never returns.  Keeping it sorted lets case 1 pick from it by
+    position without rebuilding a pool.
     """
 
     graph: Bigraph
     factor: PseudoPathFactor
     scanned: list[bool]
-    current: Optional[Vertex]
+    current: Optional[int]
     step_no: int
     pending_x: list[int]
     _seen_counts: tuple[int, int] = (0, 0)  # (|F|, |U|) at last check
@@ -66,13 +67,14 @@ class FactorState:
         u_edges = " ".join(_edge_str(g, e) for e in range(g.edge_count)
                            if self.scanned[g.edges[e][0]] and not f.has(e))
         done = " ".join(f"y{i}" for i, s in enumerate(self.scanned) if s)
-        return (f"step={self.step_no} current={self.current} "
+        current = "None" if self.current is None else f"x{self.current}"
+        return (f"step={self.step_no} current={current} "
                 f"scanned=[{done}] F=[{f_edges}] U=[{u_edges}]")
 
 
 def _edge_str(g: Bigraph, eid: int) -> str:
-    y, x = g.endpoints(eid)
-    return f"{y}{x}"
+    y, x = g.edges[eid]
+    return f"y{y}x{x}"
 
 
 def _defect(msg: str, state: FactorState) -> AlgorithmDefectError:
@@ -102,7 +104,7 @@ def check_state_invariants(state: FactorState) -> None:
     Raises AlgorithmDefectError on the first breach.
     """
     g, f, scanned = state.graph, state.f, state.scanned
-    problem = audit_paths(state.factor, g.vertices())
+    problem = audit_ids(state.factor, range(g.y_count + g.x_count))
     if problem:
         raise _defect(problem, state)
     for i in range(g.y_count):
@@ -126,11 +128,10 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
     if f.y_deg[y_idx] != f_added:
         raise _defect(f"unscanned y{y_idx} had F-degree "
                       f"{f.y_deg[y_idx] - f_added}", state)
-    xs = [g.edges[eid][1] for eid in g.incident_edge_ids(Vertex.y(y_idx))]
+    xs = [g.edges[eid][1] for eid in g._inc[y_idx]]
     if state.current is not None:
-        xs.append(state.current.index)
-    problem = audit_paths(state.factor,
-                          [Vertex.y(y_idx)] + [Vertex.x(j) for j in xs])
+        xs.append(state.current)
+    problem = audit_ids(state.factor, [y_idx] + [g.y_count + j for j in xs])
     if problem:
         raise _defect(problem, state)
     pending = state.pending_x
@@ -146,7 +147,7 @@ def _check_rejected(state: FactorState, j: int) -> None:
     g, f = state.graph, state.f
     if f.x_deg[j] <= 1:
         rejected = sum(state.scanned[g.edges[eid][0]] for eid in
-                       g.incident_edge_ids(Vertex.x(j))) - f.x_deg[j]
+                       g._inc[g.y_count + j]) - f.x_deg[j]
         if rejected > 2:
             raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
                           f"{rejected} rejected edges", state)
@@ -173,18 +174,18 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
     if not state.is_initial():
         raise _defect("step_zero requires a fresh state", state)
     g = state.graph
-    y0 = Vertex.y(policy.pick(range(g.y_count)))
-    eid_of = {g.edges[eid][1]: eid for eid in g.incident_edge_ids(y0)}
+    y0 = policy.pick(range(g.y_count))
+    eid_of = {g.edges[eid][1]: eid for eid in g._inc[y0]}
     ordered = policy.order(eid_of)
     first, middle, last = ordered[0], ordered[1], ordered[2]
     _grow_f(state, eid_of[last])
     _grow_f(state, eid_of[first])
-    state.scanned[y0.index] = True
-    state.current = Vertex.x(middle)
+    state.scanned[y0] = True
+    state.current = middle
     state.step_no = 1
     if trace:
-        trace(f"step 0 case 0 {y0} F:[{y0}x{last} {y0}x{first}] "
-              f"U:[{y0}x{middle}]")
+        trace(f"step 0 case 0 y{y0} F:[y{y0}x{last} y{y0}x{first}] "
+              f"U:[y{y0}x{middle}]")
     return state
 
 
@@ -205,64 +206,60 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
       3b: both 1           extend F toward whichever end keeps F acyclic,
                            reject the other, which becomes current.
     """
-    g, x_i = state.graph, state.current
-    if x_i is None or x_i.side != X_SIDE:
-        raise _defect(f"current vertex {x_i} is not an X vertex", state)
-    if state.f.x_deg[x_i.index] > 1:
-        raise _defect(f"current vertex {x_i} already has F-degree 2", state)
-    free = {g.edges[eid][0]: eid for eid in g.incident_edge_ids(x_i)
-            if not state.scanned[g.edges[eid][0]]}
+    g, j, scanned = state.graph, state.current, state.scanned
+    ends, inc, x_deg = g.edges, g._inc, state.factor.subgraph.x_deg
+    if j is None:
+        raise _defect("current vertex None is not an X vertex", state)
+    if x_deg[j] > 1:
+        raise _defect(f"current vertex x{j} already has F-degree 2", state)
+    free = {ends[eid][0]: eid for eid in inc[g.y_count + j]
+            if not scanned[ends[eid][0]]}
     if not free:
-        raise _defect(f"no uncommitted edge at {x_i}; the scan guarantees "
+        raise _defect(f"no uncommitted edge at x{j}; the scan guarantees "
                       f"at least one", state)
 
     y_idx = policy.pick(free)
-    y_i = Vertex.y(y_idx)
     chosen_eid = free[y_idx]
-    rest = {g.edges[eid][1]: eid for eid in g.incident_edge_ids(y_i)
-            if eid != chosen_eid}
+    rest = {ends[eid][1]: eid for eid in inc[y_idx] if eid != chosen_eid}
     wa_idx, wb_idx = policy.order(rest)
-    da, db = state.f.x_deg[wa_idx], state.f.x_deg[wb_idx]
+    da, db = x_deg[wa_idx], x_deg[wb_idx]
 
     step_no = state.step_no
     _grow_f(state, chosen_eid)
+    # the case names w1 and w2: cases 1 and 2 reject both edges, 3a and 3b
+    # extend F through w1 and reject w2
     if da == 2 and db == 2:
-        case = "1"
-        f_new = [chosen_eid]
-        u_new = [rest[wa_idx], rest[wb_idx]]
-        pending = state.pending_x
-        state.current = (Vertex.x(pending[policy.pick_index(len(pending))])
-                         if pending else None)
+        case, w1_idx, w2_idx = "1", wa_idx, wb_idx
     elif da == 2 or db == 2:
         case = "2"
         w1_idx, w2_idx = (wa_idx, wb_idx) if da == 2 else (wb_idx, wa_idx)
-        f_new = [chosen_eid]
-        u_new = [rest[w1_idx], rest[w2_idx]]
-        state.current = Vertex.x(w2_idx)
     elif da == 0 or db == 0:
         case = "3a"
         w1_idx, w2_idx = (wa_idx, wb_idx) if da == 0 else (wb_idx, wa_idx)
-        _grow_f(state, rest[w1_idx])
-        f_new = [chosen_eid, rest[w1_idx]]
-        u_new = [rest[w2_idx]]
-        state.current = Vertex.x(w2_idx)
     else:
         case = "3b"
         # Both candidates sit on F-paths; exactly one may already share a
-        # component with y_i, and extending that way would close a cycle.
-        if state.factor.same_path(y_i, Vertex.x(wa_idx)):
-            w1_idx, w2_idx = wb_idx, wa_idx
-        else:
-            w1_idx, w2_idx = wa_idx, wb_idx
+        # component with y_i (on a path now, through the edge to the old
+        # current), and extending that way would close a cycle.
+        index = state.factor._path_of
+        closes = index[y_idx] is index[g.y_count + wa_idx]
+        w1_idx, w2_idx = (wb_idx, wa_idx) if closes else (wa_idx, wb_idx)
+    if case in ("1", "2"):
+        f_new, u_new = [chosen_eid], [rest[w1_idx], rest[w2_idx]]
+    else:
         _grow_f(state, rest[w1_idx])
-        f_new = [chosen_eid, rest[w1_idx]]
-        u_new = [rest[w2_idx]]
-        state.current = Vertex.x(w2_idx)
+        f_new, u_new = [chosen_eid, rest[w1_idx]], [rest[w2_idx]]
+    if case != "1":
+        state.current = w2_idx
+    else:
+        pending = state.pending_x
+        state.current = (pending[policy.pick_index(len(pending))]
+                         if pending else None)
 
-    state.scanned[y_idx] = True
+    scanned[y_idx] = True
     state.step_no += 1
     if trace:
-        trace(f"step {step_no} case {case} {y_i} "
+        trace(f"step {step_no} case {case} y{y_idx} "
               f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
               f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
     if checked:

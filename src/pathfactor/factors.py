@@ -10,7 +10,7 @@ k vertex-disjoint paths on a (3,4)-biregular instance.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .graph import Bigraph, EdgeSubgraph, Vertex
@@ -21,7 +21,8 @@ class PseudoPathFactor:
 
     F is kept as an EdgeSubgraph, a list from each integer vertex id
     (y_i -> i, x_j -> |Y| + j) to the deque of ids of the path it lies on
-    (None while isolated), and a histogram of path lengths.  F changes only
+    (None while isolated), and a histogram of path lengths with no zero
+    counts, so its largest key is the longest path.  F changes only
     through add_edge and remove_edge: the scan grows it edge by edge, and
     rewiring removes a trail's factor edges and adds its non-factor ones.
     Per-vertex component lookup is O(1); the maximum path length and the
@@ -34,7 +35,7 @@ class PseudoPathFactor:
         self.subgraph = EdgeSubgraph(graph)
         self._path_of: list[deque[int] | None] = \
             [None] * (graph.y_count + graph.x_count)
-        self._len_counts: Counter[int] = Counter()  # length -> path count
+        self._len_counts: dict[int, int] = {}  # length -> path count
 
     # -- path index maintenance -------------------------------------------
 
@@ -47,28 +48,38 @@ class PseudoPathFactor:
         """
         yi, xj = self.graph.edges[eid]
         y, x = yi, self.graph.y_count + xj
-        a = self._path_of[y] or deque((y,))
-        b = self._path_of[x] or deque((x,))
-        if a is b:
+        index, counts = self._path_of, self._len_counts
+        a, b = index[y], index[x]
+        if a is b and a is not None:
             raise ValueError(f"edge y{yi}-x{xj} would close a cycle")
-        if y not in (a[0], a[-1]) or x not in (b[0], b[-1]):
+        if (a is not None and a[0] != y != a[-1]
+                or b is not None and b[0] != x != b[-1]):
             raise ValueError(f"edge y{yi}-x{xj} attaches to a path interior")
         self.subgraph.add(eid)
-        for p in (a, b):
-            if len(p) > 1:
-                self._tally(len(p) - 1, -1)
-        if len(a) < len(b):
-            a, b, y, x = b, a, x, y
-        if b[0] != x:
+        if b is not None and (a is None or len(a) < len(b)):
+            a, b, y, x = b, a, x, y  # a: the longer path, or the only one
+        if a is None:
+            a = index[y] = deque((y,))
+        if b is None:
+            b = (x,)
+        elif b[0] != x:
             b.reverse()
+        # one histogram update: both paths go (a lone vertex has none),
+        # their union comes
+        for n in (len(a) - 1, len(b) - 1):
+            if n:
+                if counts[n] == 1:
+                    del counts[n]
+                else:
+                    counts[n] -= 1
         if a[-1] == y:
             a.extend(b)
         else:
             a.extendleft(b)
-        self._path_of[y] = a
+        n = len(a) - 1
+        counts[n] = counts.get(n, 0) + 1
         for v in b:
-            self._path_of[v] = a
-        self._tally(len(a) - 1, 1)
+            index[v] = a
 
     def remove_edge(self, eid: int) -> None:
         """Remove an edge from F, splitting its path in two.
@@ -82,8 +93,12 @@ class PseudoPathFactor:
         self.subgraph.remove(eid)
         y, x = self.graph.edges[eid]
         ends = (y, self.graph.y_count + x)
-        path = self._path_of[y]
-        self._tally(len(path) - 1, -1)
+        path, counts = self._path_of[y], self._len_counts
+        n = len(path) - 1
+        if counts[n] == 1:
+            del counts[n]
+        else:
+            counts[n] -= 1
         # walk in from both ends at once: the first endpoint met closes
         # the shorter piece
         for size, (head, tail) in enumerate(zip(path, reversed(path)), 1):
@@ -97,17 +112,9 @@ class PseudoPathFactor:
             self._path_of[v] = piece
         for p in (piece, path):
             if len(p) > 1:
-                self._tally(len(p) - 1, 1)
+                counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
             else:
                 self._path_of[p[0]] = None
-
-    def _tally(self, length: int, delta: int) -> None:
-        # zero counts are deleted, so max() of the keys is the longest path
-        count = self._len_counts[length] + delta
-        if count:
-            self._len_counts[length] = count
-        else:
-            del self._len_counts[length]
 
     # -- queries ------------------------------------------------------------
 

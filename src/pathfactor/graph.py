@@ -21,6 +21,7 @@ vertex names; ``c`` comments are allowed there as well.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -87,10 +88,12 @@ class Bigraph:
                  edges: Iterable[tuple[int, int]]):
         if y_count < 1 or x_count < 1:
             raise ValueError("vertex counts must be positive")
-        canon = sorted((int(y), int(x)) for y, x in edges)
+        canon = sorted(edges)
         for y, x in canon:
             if not (0 <= y < y_count and 0 <= x < x_count):
                 raise ValueError(f"edge (y{y}, x{x}) out of range")
+            if type(y) is not int or type(x) is not int:
+                raise TypeError(f"edge ({y!r}, {x!r}) has a non-int end")
         self.y_count = y_count
         self.x_count = x_count
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
@@ -142,8 +145,10 @@ class Bigraph:
 
     def vertices(self) -> Iterator[Vertex]:
         """Every vertex in Vertex order, which is vertex id order."""
-        return chain(map(Vertex, repeat(Y_SIDE), range(self.y_count)),
-                     map(Vertex, repeat(X_SIDE), range(self.x_count)))
+        # tuple.__new__ skips Vertex.__new__, a Python-level call per vertex
+        return map(partial(tuple.__new__, Vertex),
+                   chain(zip(repeat(Y_SIDE), range(self.y_count)),
+                         zip(repeat(X_SIDE), range(self.x_count))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bigraph):
@@ -352,5 +357,6 @@ def parse_factor(text: str) -> list[tuple[Vertex, ...]]:
 def format_factor(paths: Iterable[Sequence[Vertex]]) -> str:
     """Canonical factor text: each path oriented smaller-endpoint-first,
     lines sorted by first vertex."""
-    canon = sorted(orient_path(p) for p in paths)
-    return "".join(" ".join(map(str, p)) + "\n" for p in canon)
+    # the names Vertex.__repr__ gives, without a method call per vertex
+    return "".join(" ".join([f"{'yx'[s]}{i}" for s, i in p]) + "\n"
+                   for p in sorted(map(orient_path, paths)))

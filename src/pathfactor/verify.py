@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .dsu import RollbackUnionFind
 from .errors import OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import (Bigraph, EdgeSubgraph, Vertex, Y_SIDE,
+from .graph import (Bigraph, EdgeSubgraph, Vertex, X_SIDE, Y_SIDE,
                     check_biregular, orient_path)
 
 ORACLE_MAX_K = 2
@@ -91,7 +91,12 @@ def _names(g: Bigraph, ids: Iterable[int]) -> str:
 
 def audit_paths(factor: PseudoPathFactor,
                 vertices: Iterable[Vertex]) -> Optional[str]:
-    """Walk F afresh, once per component, through the given vertices.
+    """audit_ids through the ids of the given vertices."""
+    return audit_ids(factor, map(factor.graph.vertex_id, vertices))
+
+
+def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
+    """Walk F afresh, once per component, through the given vertex ids.
 
     Each component met must be a path, and every vertex on it must map to
     one path index entry holding that path in either orientation (none
@@ -99,8 +104,7 @@ def audit_paths(factor: PseudoPathFactor,
     """
     g, sub, index = factor.graph, factor.subgraph, factor._path_of
     ny, seen = g.y_count, set()
-    for vertex in vertices:
-        v = g.vertex_id(vertex)
+    for v in ids:
         if v in seen:
             continue
         comp, edges = _walk(sub, v)
@@ -114,13 +118,13 @@ def audit_paths(factor: PseudoPathFactor,
         held = index[v]
         path = tuple(comp)
         if tuple(held or (v,)) not in (path, path[::-1]):
-            return (f"path index at {vertex} holds "
+            return (f"path index at {g.vertex(v)} holds "
                     f"[{_names(g, held or (v,))}] but F has "
                     f"[{_names(g, path)}]")
         for u in comp:
             if index[u] is not held:
                 return (f"path index at {g.vertex(u)} is not the one at "
-                        f"{vertex} on its path")
+                        f"{g.vertex(v)} on its path")
     return None
 
 
@@ -221,11 +225,16 @@ def validate_path_factor(g: Bigraph, factor: PathsLike) -> ValidationReport:
                     f"{v} appears on lines {seen[v] + 1} and {idx + 1}"))
             else:
                 seen[v] = idx
-    missing = [v for v in g.vertices() if v not in seen]
-    if missing:
-        violations.append(Violation(
-            "spanning", tuple(missing),
-            f"uncovered: {' '.join(map(str, missing))}"))
+    # Each key of seen lies on a path that passed the edge check.  If every
+    # key has side Y or X, each stood for itself in an edge of g, so |V|
+    # keys cover g; only otherwise list the vertices missing.
+    if (len(seen) != g.y_count + g.x_count
+            or not {side for side, _ in seen} <= {Y_SIDE, X_SIDE}):
+        missing = [v for v in g.vertices() if v not in seen]
+        if missing:
+            violations.append(Violation(
+                "spanning", tuple(missing),
+                f"uncovered: {' '.join(map(str, missing))}"))
     if k is not None and len(paths) != k:
         violations.append(Violation(
             "path-count", (), f"{len(paths)} paths, want k = {k}"))

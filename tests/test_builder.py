@@ -57,7 +57,7 @@ def _forced_3b_state():
     for y, x in [(0, 0), (0, 1), (2, 2)]:
         _grow_f(state, g.edge_id_between(Vertex.y(y), Vertex.x(x)))
     state.scanned[0] = state.scanned[2] = True
-    state.current = Vertex.x(0)
+    state.current = 0  # x0
     state.step_no = 2
     check_state_invariants(state)
     return g, state
@@ -70,7 +70,7 @@ def test_case_3b_avoids_the_cycle():
     # x1 joins y1 to the component already holding y0 and x0, so the
     # factor must extend through x2 even though x1 sorts first
     assert lines == ["step 2 case 3b y1 F:[y1x0 y1x2] U:[y1x1]"]
-    assert state.current == Vertex.x(1)
+    assert state.current == 1  # x1
     f_pairs = {(y.index, x.index) for y, x in state.f.member_pairs()}
     assert (1, 2) in f_pairs and (1, 1) not in f_pairs
 
@@ -187,6 +187,26 @@ def test_random_policy_build_validates(k, seed, pseed):
     g = generate(GenConfig(k=k, seed=seed))
     factor = build_pseudo_factor(g, RandomPolicy(pseed), checked=True)
     assert validate_pseudo_factor(g, factor.subgraph).valid
+
+
+@pytest.mark.parametrize("policy", [LexicographicPolicy,
+                                    lambda: RandomPolicy(0)])
+def test_scan_builds_no_vertex(monkeypatch, policy):
+    # the scan runs on integer vertex ids; Vertex is for the public API
+    g = generate(GenConfig(k=1000, seed=0))
+    made = []
+    original = Vertex.__new__
+
+    def counted(cls, *args):
+        made.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(Vertex, "__new__", staticmethod(counted))
+    monkeypatch.setattr(type(g), "vertices", lambda self: made.append("all"))
+    build_pseudo_factor(g, policy())
+    assert made == []
+    Vertex.y(0)  # the count is live
+    assert made == [(0, 0)]
 
 
 def test_build_is_deterministic():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -110,6 +111,16 @@ def test_check_biregular():
              if (y, x) != (3, 2)]
     with pytest.raises(NotBiregularError, match=r"deg\(y3\) = 2"):
         check_biregular(Bigraph(4, 3, short))
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1", np.int64(1)])
+def test_bigraph_rejects_a_non_int_endpoint(bad):
+    # an int-valued stand-in would index and compare like an int, so it
+    # must fail at construction instead of passing unnoticed
+    with pytest.raises(TypeError):
+        Bigraph(4, 3, [(0, 0), (bad, 1)])
+    with pytest.raises(TypeError):
+        Bigraph(4, 3, [(0, 0), (1, bad)])
 
 
 def test_edge_subgraph_bookkeeping():

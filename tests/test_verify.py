@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, OracleSizeError,
-                        Vertex, brute_force_factor,
+                        Vertex, Violation, brute_force_factor,
                         brute_force_trails, build_pseudo_factor, fixture,
                         format_factor, generate, solve, validate_path_factor,
                         validate_pseudo_factor)
@@ -61,6 +61,19 @@ def test_path_validator_accepts_solver_output():
     assert validate_path_factor(g, factor).valid
     # raw path lists are accepted too
     assert validate_path_factor(g, [tuple(p) for p in factor.paths]).valid
+
+
+def test_path_validator_spanning_counts_only_real_vertices():
+    # Vertex(2, j) passes the edge checks in place of x_j, so every path
+    # is still a path and |V| distinct vertices are named, yet x_j is not
+    g = generate(GenConfig(k=3, seed=0))
+    paths = list(solve(g).paths)
+    first = paths[0]
+    j = first[1].index
+    paths[0] = (first[0], Vertex(2, j)) + first[2:]
+    report = validate_path_factor(g, paths)
+    assert report.violations == (Violation(
+        "spanning", (Vertex.x(j),), f"uncovered: x{j}"),)
 
 
 def _k34_paths():
