@@ -19,7 +19,7 @@ from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import Bigraph, Vertex
 from .policy import LexicographicPolicy, TieBreakPolicy
-from .verify import audit_paths
+from .verify import audit_ids
 
 TraceFn = Callable[[str], None]
 
@@ -128,8 +128,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     y0, vertices = trail.vertices[0], trail.vertices
     if sub.degree(y0) != 0:
         raise ValueError(f"trail origin {y0} is already covered")
-    drop = [g.edge_id_between(a, b) for a, b in trail.factor_edges()]
-    adopt = [g.edge_id_between(a, b) for a, b in trail.non_factor_edges()]
+    # edges alternate outside F (y_{j-1} x_j) and inside it (x_j y_j)
+    eids = [g.edge_id_between(a, b) for a, b in zip(vertices, vertices[1:])]
+    drop, adopt = eids[1::2], eids[0::2]
     if not all(sub.has(eid) for eid in drop):
         raise ValueError(f"{trail} has a factor edge outside F")
     if any(sub.has(eid) for eid in adopt):
@@ -184,7 +185,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         # a fresh walk of F through every trail vertex reaches every path
         # the rewire changed; with the Y ends checked above, it also shows
         # that every trail X vertex kept factor degree 2
-        problem = audit_paths(factor, vertices)
+        problem = audit_ids(factor, map(g.vertex_id, vertices))
         if problem:
             raise AlgorithmDefectError(
                 f"after rewiring along {trail}: {problem}")

@@ -21,26 +21,29 @@ from .errors import AlgorithmDefectError, OracleSizeError, PathFactorError
 from .experiment import run_experiment
 from .factors import PathFactor
 from .generate import GenConfig, generate
-from .graph import format_factor, parse_factor, parse_graph, serialize_graph
+from .graph import (_is_count, format_factor, parse_factor, parse_graph,
+                    serialize_graph)
 from .policy import make_policy
 from .verify import brute_force_factor, validate_path_factor
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
+def _int_arg(text: str) -> int:
+    # the file format's rule for counts, ASCII digits only, plus a sign so
+    # that a negative value gets its own message
+    if not _is_count(text.removeprefix("-")):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _positive_int(text: str) -> int:
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError("seed must be non-negative")
     return value
@@ -103,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=_positive_int, required=True)
     p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes (results are merged in "
-                            "trial order, so output is unchanged)")
+                       help="worker processes, at most one per trial and "
+                            "per CPU (results are merged in trial order, "
+                            "so output is unchanged)")
     p_exp.set_defaults(func=_cmd_experiment)
     return parser
 

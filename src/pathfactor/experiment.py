@@ -13,6 +13,7 @@ output can be compared byte for byte.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -79,12 +80,14 @@ def run_experiment(k: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     args = [(k, (seed + t) % 2**64) for t in range(trials)]
-    if jobs <= 1:
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers <= 1:
         results = [_run_trial(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, args,
-                                    chunksize=max(1, trials // (4 * jobs))))
+                                    chunksize=max(1, trials // (4 * workers))))
     hist: Counter[int] = Counter()
     all_short = 0
     total_time = 0.0

@@ -135,10 +135,6 @@ class PseudoPathFactor:
         path = self._path_of[self.graph.vertex_id(v)]
         return 0 if path is None else len(path) - 1
 
-    def same_path(self, a: Vertex, b: Vertex) -> bool:
-        index, vid = self._path_of, self.graph.vertex_id
-        return index[vid(a)] is not None and index[vid(a)] is index[vid(b)]
-
     @property
     def max_path_length(self) -> int:
         return max(self._len_counts, default=0)
@@ -184,24 +180,8 @@ class AugmentingTrail:
                 raise ValueError(f"trail does not alternate sides at {v}")
 
     @property
-    def intermediate_count(self) -> int:
-        """Number of intermediate Y vertices (the i in y_i)."""
-        return (len(self.vertices) - 3) // 2
-
-    @property
     def edge_count(self) -> int:
         return len(self.vertices) - 1
-
-    def edges(self) -> list[tuple[Vertex, Vertex]]:
-        return list(zip(self.vertices, self.vertices[1:]))
-
-    def non_factor_edges(self) -> list[tuple[Vertex, Vertex]]:
-        """The y_{j-1} x_j edges, outside the factor before rewiring."""
-        return self.edges()[0::2]
-
-    def factor_edges(self) -> list[tuple[Vertex, Vertex]]:
-        """The x_j y_j edges, inside the factor before rewiring."""
-        return self.edges()[1::2]
 
     def __repr__(self) -> str:
         return "AugmentingTrail(" + " ".join(map(str, self.vertices)) + ")"

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import GenerationError
-from .graph import Bigraph, check_biregular
+from .graph import Bigraph
 
 if TYPE_CHECKING:
     import numpy as np
 
 MAX_ATTEMPTS = 20
+MAX_REPAIR_ROUNDS = 1000  # swap tries per attempt
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,13 @@ class GenConfig:
 
     k: int
     seed: int
-    max_repair_rounds: int = 1000
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.max_repair_rounds < 0:
-            raise ValueError("max_repair_rounds must be non-negative")
 
 
-def generate(config: GenConfig, *, checked: bool = False) -> Bigraph:
+def generate(config: GenConfig) -> Bigraph:
     """Generate a simple (3,4)-biregular bigraph with |Y| = 4k, |X| = 3k.
 
     Deterministic per config.  Raises GenerationError if every attempt
@@ -53,13 +51,9 @@ def generate(config: GenConfig, *, checked: bool = False) -> Bigraph:
         rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, attempt)))
         edges = _pair_stubs(config.k, rng)
-        repaired = _repair_duplicates(edges, config.max_repair_rounds,
-                                      rng, checked)
+        repaired = _repair_duplicates(edges, rng)
         if repaired is not None:
-            g = Bigraph(4 * config.k, 3 * config.k, repaired)
-            if checked:
-                assert g.simple and check_biregular(g) == config.k
-            return g
+            return Bigraph(4 * config.k, 3 * config.k, repaired)
     raise GenerationError(
         f"could not produce a simple instance for k={config.k} "
         f"seed={config.seed} within {MAX_ATTEMPTS} attempts")
@@ -72,9 +66,8 @@ def _pair_stubs(k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     return [(y_stubs[t], x_stubs[perm[t]]) for t in range(len(y_stubs))]
 
 
-def _repair_duplicates(edges: list[tuple[int, int]], budget: int,
-                       rng: np.random.Generator,
-                       checked: bool) -> list[tuple[int, int]] | None:
+def _repair_duplicates(edges: list[tuple[int, int]], rng: np.random.Generator
+                       ) -> list[tuple[int, int]] | None:
     """Remove duplicate pairs by double edge swaps; None if out of budget.
 
     Each round swaps one occurrence of the least duplicated pair with a
@@ -84,10 +77,7 @@ def _repair_duplicates(edges: list[tuple[int, int]], budget: int,
     """
     counts = Counter(edges)
     dupes = {pair for pair, c in counts.items() if c > 1}
-    if checked:
-        y_deg = Counter(y for y, _ in edges)
-        x_deg = Counter(x for _, x in edges)
-    for _ in range(budget):
+    for _ in range(MAX_REPAIR_ROUNDS):
         if not dupes:
             return edges
         target = min(dupes)
@@ -109,9 +99,6 @@ def _repair_duplicates(edges: list[tuple[int, int]], budget: int,
             if counts[new] > 1:
                 dupes.add(new)
         edges[i], edges[t] = new_a, new_b
-        if checked:
-            assert Counter(y for y, _ in edges) == y_deg
-            assert Counter(x for _, x in edges) == x_deg
     return edges if not dupes else None
 
 

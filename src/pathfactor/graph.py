@@ -128,11 +128,6 @@ class Bigraph:
         y, x = self.edges[eid]
         return Vertex.y(y), Vertex.x(x)
 
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        """Neighbors in ascending order, repeated per edge multiplicity."""
-        return tuple(self.endpoints(eid)[1 - v.side]
-                     for eid in self.incident_edge_ids(v))
-
     def edge_id_between(self, a: Vertex, b: Vertex) -> int:
         """The unique occurrence id joining a and b; an error if the pair
         is absent or has multiplicity greater than one."""
@@ -184,20 +179,8 @@ class EdgeSubgraph:
         self.x_deg = [0] * parent.x_count
         self._count = 0
 
-    @classmethod
-    def from_pairs(cls, parent: Bigraph,
-                   pairs: Iterable[tuple[Vertex, Vertex]]) -> "EdgeSubgraph":
-        """Build a subgraph from vertex pairs; parent must be simple enough
-        for each pair to name a unique occurrence."""
-        sub = cls(parent)
-        for a, b in pairs:
-            sub.add(parent.edge_id_between(a, b))
-        return sub
-
     def has(self, eid: int) -> bool:
         return bool(self._member[eid])
-
-    __contains__ = has
 
     def add(self, eid: int) -> None:
         if self._member[eid]:
@@ -226,9 +209,6 @@ class EdgeSubgraph:
 
     def edge_ids(self) -> Iterator[int]:
         return (eid for eid, m in enumerate(self._member) if m)
-
-    def member_pairs(self) -> list[tuple[Vertex, Vertex]]:
-        return [self.parent.endpoints(eid) for eid in self.edge_ids()]
 
     def member_incident(self, v: Vertex) -> list[int]:
         """Member occurrence ids at v, ascending."""

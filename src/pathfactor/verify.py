@@ -48,7 +48,7 @@ class ValidationReport:
                        for v in self.violations)
 
 
-def _walk(sub: EdgeSubgraph, v: int) -> tuple[list[int], int]:
+def walk_component(sub: EdgeSubgraph, v: int) -> tuple[list[int], int]:
     """The component of sub through vertex id v: its vertex ids and its
     edge count, in time proportional to the component.  The collection
     starts where a walk away from v first meets a vertex of degree other
@@ -78,21 +78,8 @@ def _walk(sub: EdgeSubgraph, v: int) -> tuple[list[int], int]:
     return list(comp), edges // 2
 
 
-def walk_component(sub: EdgeSubgraph,
-                   v: Vertex) -> tuple[list[Vertex], int]:
-    """_walk from v, in Vertex form."""
-    comp, edges = _walk(sub, sub.parent.vertex_id(v))
-    return list(map(sub.parent.vertex, comp)), edges
-
-
 def _names(g: Bigraph, ids: Iterable[int]) -> str:
     return " ".join(str(g.vertex(u)) for u in ids)
-
-
-def audit_paths(factor: PseudoPathFactor,
-                vertices: Iterable[Vertex]) -> Optional[str]:
-    """audit_ids through the ids of the given vertices."""
-    return audit_ids(factor, map(factor.graph.vertex_id, vertices))
 
 
 def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
@@ -107,7 +94,7 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
     for v in ids:
         if v in seen:
             continue
-        comp, edges = _walk(sub, v)
+        comp, edges = walk_component(sub, v)
         seen.update(comp)
         branch = [u for u in comp
                   if (sub.y_deg[u] if u < ny else sub.x_deg[u - ny]) >= 3]
@@ -150,7 +137,7 @@ def validate_pseudo_factor(g: Bigraph, sub: EdgeSubgraph) -> ValidationReport:
     for v, d in enumerate(sub.y_deg + sub.x_deg):  # by vertex id
         if v in seen or d == 0:
             continue
-        comp, edges = _walk(sub, v)
+        comp, edges = walk_component(sub, v)
         seen.update(comp)
         comp = sorted(map(g.vertex, comp))
         names = " ".join(map(str, comp))
@@ -297,8 +284,8 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
             sub.add(eid)
     # the search kept every Y degree in {1, 2} and F acyclic, so each
     # component is a path, met here once from each of its two ends
-    paths = {orient_path(walk_component(sub, v)[0])
-             for v in g.vertices() if sub.degree(v) == 1}
+    paths = {orient_path([g.vertex(u) for u in walk_component(sub, v)[0]])
+             for v, d in enumerate(sub.y_deg + sub.x_deg) if d == 1}
     return PathFactor(g, tuple(sorted(paths)))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from pathfactor import Bigraph, PseudoPathFactor, Vertex
+from pathfactor import Bigraph, EdgeSubgraph, PseudoPathFactor, Vertex
 
 
 def _ypath(*indices):
@@ -33,6 +33,18 @@ def _factor_from_paths(y_count, x_count, f_paths, extra_edges):
     for y, x in f_pairs:
         factor.add_edge(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
     return g, factor
+
+
+@pytest.fixture
+def subgraph_of():
+    """Build an EdgeSubgraph of g from (Vertex, Vertex) pairs, each naming
+    a unique edge occurrence."""
+    def build(g, pairs):
+        sub = EdgeSubgraph(g)
+        for a, b in pairs:
+            sub.add(g.edge_id_between(a, b))
+        return sub
+    return build
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ def test_k2_trail_is_golden(k2_pseudo):
     assert factor.uncovered_ys() == [Vertex.y(0)]
     trail = find_trail(factor, Vertex.y(0))
     assert trail.vertices == _ypath(0, 0, 2)
-    assert trail.intermediate_count == 0
     assert trail.edge_count == 2
 
 
@@ -55,13 +54,15 @@ def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     trail = find_trail(factor, Vertex.y(0))
 
     def pairs(f):
-        return {(y.index, x.index) for y, x in f.subgraph.member_pairs()}
+        return {g.edges[eid] for eid in f.subgraph.edge_ids()}
 
     before_pairs = pairs(factor)
     before_count = factor.subgraph.edge_count
     rewire(factor, trail)
-    dropped = {(y.index, x.index) for x, y in trail.factor_edges()}
-    adopted = {(y.index, x.index) for y, x in trail.non_factor_edges()}
+    # the trail alternates y x y ...: edges y_{j-1} x_j join F, x_j y_j leave
+    ys, xs = trail.vertices[0::2], trail.vertices[1::2]
+    adopted = {(y.index, x.index) for y, x in zip(ys, xs)}
+    dropped = {(y.index, x.index) for y, x in zip(ys[1:], xs)}
     assert pairs(factor) == (before_pairs - dropped) | adopted
     assert factor.subgraph.edge_count == before_count
 
@@ -70,7 +71,7 @@ def test_k3_trail_crosses_the_short_path(k3_pseudo):
     g, factor = k3_pseudo
     trail = find_trail(factor, Vertex.y(0))
     assert trail.vertices == _ypath(0, 0, 1, 1, 4)
-    assert trail.intermediate_count == 1
+    assert trail.edge_count == 4
     rewire(factor, trail, checked=True)
     assert factor.paths == (
         _ypath(0, 0, 2),

@@ -40,6 +40,14 @@ def test_generate_bad_k(capsys):
     assert run(capsys, "generate", "--k", "0")[0] == 2
     assert run(capsys, "generate", "--k", "two")[0] == 2
     assert run(capsys, "generate", "--k", "1", "--seed", "-1")[0] == 2
+    # integer arguments follow the file format's rule: ASCII digits only,
+    # so no non-ASCII digit, underscore or surrounding space
+    for argv in (("generate", "--k", "\u0663"),
+                 ("generate", "--k", "1", "--seed", "1_0"),
+                 ("experiment", "--k", "1", "--trials", " 3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"{argv[-1]!r} is not an integer" in err
 
 
 def test_solve_k34(tmp_path, capsys):
@@ -227,6 +235,41 @@ def test_experiment_jobs_do_not_change_output(capsys):
     a = run(capsys, "experiment", "--k", "2", "--trials", "8", "--seed", "5")
     b = run(capsys, "experiment", "--k", "2", "--trials", "8", "--seed", "5",
             "--jobs", "2")
+    assert a[0] == b[0] == 0
+    assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("trials, cpus, sizes", [
+    (1, 8, []),      # one trial: the serial path, no pool
+    (3, 8, [3]),     # no more workers than trials
+    (8, 4, [4]),     # no more workers than CPUs
+    (8, None, []),   # CPU count unknown: serial
+])
+def test_experiment_caps_the_pool(capsys, monkeypatch, trials, cpus, sizes):
+    # a fork-started pool starts all its workers at once, so --jobs must
+    # not ask for more than can be used; the fake pool starts no process
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    module = pathfactor.experiment
+    monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(module.os, "cpu_count", lambda: cpus)
+    argv = ("experiment", "--k", "1", "--trials", str(trials))
+    a = run(capsys, *argv, "--jobs", "100000")
+    assert seen == sizes
+    b = run(capsys, *argv)
     assert a[0] == b[0] == 0
     assert a[1] == b[1]
 

@@ -10,7 +10,7 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
                         make_policy, orient_path, rewire,
                         validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
-from pathfactor.verify import audit_paths, walk_component
+from pathfactor.verify import audit_ids, walk_component
 
 
 def _ypath(*indices):
@@ -29,7 +29,7 @@ def _k34_factor(*pairs):
 def test_add_edge_tracks_ends():
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1))
     assert factor.paths == (_ypath(0, 0, 1, 1),)
-    assert factor.same_path(Vertex.y(0), Vertex.x(1))
+    _assert_index_matches(factor)
     assert factor.component_length_at(Vertex.y(1)) == 3
     assert factor.component_length_at(Vertex.y(2)) == 0
     assert (factor.path_count, factor.max_path_length) == (1, 3)
@@ -77,11 +77,9 @@ def test_remove_edge_splits_an_inner_edge(y, x, pieces):
     assert factor.subgraph.edge_count == 5
     assert (factor.path_count, factor.max_path_length) == (2, 3)
     for piece in pieces:
-        assert all(factor.same_path(piece[0], v) for v in piece)
         assert all(factor.component_length_at(v) == len(piece) - 1
                    for v in piece)
-    assert not factor.same_path(pieces[0][0], pieces[1][0])
-    _assert_index_matches(factor)
+    _assert_index_matches(factor)  # also: one index entry per piece
 
 
 @pytest.mark.parametrize("y, x", [(0, 0), (3, 2)])
@@ -90,7 +88,7 @@ def test_remove_edge_splits_off_an_end(y, x):
     _remove(g, factor, y, x)
     assert (factor.path_count, factor.max_path_length) == (1, 5)
     assert factor.component_length_at(Vertex.y(y)) == 0
-    assert not factor.same_path(Vertex.y(y), Vertex.y(y))  # unindexed
+    assert factor._path_of[g.vertex_id(Vertex.y(y))] is None  # unindexed
     assert factor.component_length_at(Vertex.x(x)) == 5
     _assert_index_matches(factor)
 
@@ -104,7 +102,7 @@ def test_remove_edge_empties_a_2_path():
     assert (factor.path_count, factor.max_path_length) == (1, 2)
     for v in (Vertex.y(0), Vertex.y(1), Vertex.x(0)):
         assert factor.component_length_at(v) == 0
-        assert not factor.same_path(v, v)
+        assert factor._path_of[g.vertex_id(v)] is None
     _assert_index_matches(factor)
 
 
@@ -119,11 +117,11 @@ def test_remove_edge_rejects_an_edge_outside_f():
 
 def _assert_index_matches(factor):
     # a fresh walk of F from each path end is the reference
-    sub = factor.subgraph
-    walked = sorted({orient_path(walk_component(sub, v)[0])
-                     for v in factor.graph.vertices() if sub.degree(v) == 1})
+    g, sub = factor.graph, factor.subgraph
+    walked = sorted({orient_path(map(g.vertex, walk_component(sub, v)[0]))
+                     for v, d in enumerate(sub.y_deg + sub.x_deg) if d == 1})
     assert factor.paths == tuple(walked)
-    assert audit_paths(factor, factor.graph.vertices()) is None
+    assert audit_ids(factor, range(g.y_count + g.x_count)) is None
     lengths = [len(p) - 1 for p in walked]
     assert factor.path_count == len(lengths)
     assert factor.max_path_length == max(lengths, default=0)

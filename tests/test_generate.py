@@ -20,7 +20,7 @@ def test_generation_is_deterministic():
 def test_generated_graphs_are_simple_and_biregular():
     for k in (1, 2, 3, 7, 20):
         for seed in (0, 1, 99):
-            g = generate(GenConfig(k=k, seed=seed), checked=True)
+            g = generate(GenConfig(k=k, seed=seed))
             assert g.simple
             assert check_biregular(g) == k
 
@@ -40,8 +40,6 @@ def test_seeds_vary_the_instance():
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         GenConfig(k=0, seed=1)
-    with pytest.raises(ValueError, match="non-negative"):
-        GenConfig(k=1, seed=1, max_repair_rounds=-1)
 
 
 def test_generation_error_when_repair_always_fails(monkeypatch):

@@ -1,0 +1,63 @@
+"""The public surface, pinned name by name.
+
+A change that adds or removes a public name has to edit the lists below,
+so every change to the surface is a deliberate one.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import pathfactor
+from pathfactor import (AugmentingTrail, EdgeSubgraph, GenConfig,
+                        PseudoPathFactor, Vertex, fixture)
+
+ALL = {
+    "AlgorithmDefectError", "AugmentingTrail", "Bigraph", "EdgeSubgraph",
+    "ExperimentSummary", "GenConfig", "GenerationError", "GraphFormatError",
+    "LexicographicPolicy", "NotBiregularError", "NotSimpleError",
+    "OracleSizeError", "PathFactor", "PathFactorError", "PseudoPathFactor",
+    "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
+    "Violation", "brute_force_factor", "brute_force_trails",
+    "build_pseudo_factor", "check_biregular", "find_trail", "fixture",
+    "format_factor", "generate", "make_policy", "orient_path", "parse_factor",
+    "parse_graph", "rewire", "run_experiment", "serialize_graph", "solve",
+    "validate_path_factor", "validate_pseudo_factor",
+}
+
+
+def test_package_exports():
+    assert set(pathfactor.__all__) == ALL
+    assert len(pathfactor.__all__) == len(ALL)  # no name listed twice
+
+
+def _instances():
+    g = fixture("k34")
+    return {
+        "Bigraph": g,
+        "EdgeSubgraph": EdgeSubgraph(g),
+        "PseudoPathFactor": PseudoPathFactor(g),
+        "AugmentingTrail": AugmentingTrail(
+            (Vertex.y(0), Vertex.x(0), Vertex.y(1))),
+        "GenConfig": GenConfig(k=1, seed=0),
+    }
+
+
+@pytest.mark.parametrize("name, public", [
+    ("Bigraph", {"degree", "edge_count", "edge_id_between", "edges",
+                 "endpoints", "incident_edge_ids", "simple", "vertex",
+                 "vertex_id", "vertices", "x_count", "y_count"}),
+    ("EdgeSubgraph", {"add", "degree", "edge_count", "edge_ids", "has",
+                      "member_incident", "parent", "remove", "x_deg",
+                      "y_deg"}),
+    ("PseudoPathFactor", {"add_edge", "component_length_at", "graph",
+                          "long_component_count", "max_path_length",
+                          "path_count", "paths", "remove_edge", "subgraph",
+                          "uncovered_ys"}),
+    ("AugmentingTrail", {"edge_count", "vertices"}),
+    ("GenConfig", {"k", "seed"}),
+])
+def test_class_public_attributes(name, public):
+    # an instance, so that attributes set in __init__ count as well
+    obj = _instances()[name]
+    assert {a for a in dir(obj) if not a.startswith("_")} == public

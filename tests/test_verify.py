@@ -39,9 +39,9 @@ def test_pseudo_validator_extra_edge():
     assert "max-degree" in rules and "cycle" in rules
 
 
-def test_pseudo_validator_pure_cycle():
+def test_pseudo_validator_pure_cycle(subgraph_of):
     g = fixture("k34")
-    sub = EdgeSubgraph.from_pairs(g, [
+    sub = subgraph_of(g, [
         (Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
         (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))])
     rules = _rules(validate_pseudo_factor(g, sub))
