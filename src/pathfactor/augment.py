@@ -41,19 +41,20 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     g, sub = factor.graph, factor.subgraph
     if not y0.is_y or sub.degree(y0) != 0:
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
-    # on ids: trail holds y and x indices alternately (side = position % 2)
+    # on ids: spent holds the trail's edge ids in order, as an ordered set
     ends, inc, member, ny = g.edges, g._inc, sub._member, g.y_count
 
-    def so_far() -> str:
-        return " ".join(f"{'yx'[t % 2]}{i}" for t, i in enumerate(trail))
+    def so_far() -> str:  # the vertices the spent edges pass through
+        return " ".join([str(y0)] + [f"y{ends[eid][0]}" if t % 2 else
+                                     f"x{ends[eid][1]}"
+                                     for t, eid in enumerate(spent)])
 
-    trail = [y0.index]
-    used: set[int] = set()
-    seen_ys = {y0.index}
+    tip = y0.index
+    spent: dict[int, None] = {}
+    seen_ys = {tip}
     for _ in range(ny + 1):
-        tip = trail[-1]
         non_factor = [eid for eid in inc[tip] if not member[eid]]
-        fresh = {ends[eid][1]: eid for eid in non_factor if eid not in used}
+        fresh = {ends[eid][1]: eid for eid in non_factor if eid not in spent}
         if len(fresh) != len(non_factor):
             raise AlgorithmDefectError(
                 f"non-factor edge at trail tip y{tip} was already used; "
@@ -62,11 +63,10 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
             raise AlgorithmDefectError(
                 f"no non-factor edge available at trail tip y{tip}")
         x_idx = policy.pick(fresh)
-        used.add(fresh[x_idx])
-        trail.append(x_idx)
+        spent[fresh[x_idx]] = None
 
         f_all = [eid for eid in inc[ny + x_idx] if member[eid]]
-        f_eids = [eid for eid in f_all if eid not in used]
+        f_eids = [eid for eid in f_all if eid not in spent]
         path = factor._path_of[ny + x_idx]
         length = 0 if path is None else len(path) - 1
         if length == 2:
@@ -79,13 +79,12 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
                     f"no unused factor edge at 2-path middle x{x_idx}; "
                     f"trail so far: {so_far()}")
             choices = {ends[eid][0]: eid for eid in f_eids}
-            y_idx = policy.pick(choices)
-            if y_idx in seen_ys:
+            tip = policy.pick(choices)
+            if tip in seen_ys:
                 raise AlgorithmDefectError(
-                    f"trail revisited y{y_idx}; trail so far: {so_far()}")
-            used.add(choices[y_idx])
-            seen_ys.add(y_idx)
-            trail.append(y_idx)
+                    f"trail revisited y{tip}; trail so far: {so_far()}")
+            spent[choices[tip]] = None
+            seen_ys.add(tip)
             continue
         # Long component: stop at an interior Y vertex.  Factor edges used
         # so far all lie on 2-paths, so none here can be spent.
@@ -99,9 +98,8 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
             raise AlgorithmDefectError(
                 f"no interior Y vertex reachable at x{x_idx} on a component "
                 f"of length {length}")
-        trail.append(policy.pick(interior))
-        return AugmentingTrail(tuple(Vertex(t % 2, i)
-                                     for t, i in enumerate(trail)))
+        spent[interior[policy.pick(interior)]] = None
+        return AugmentingTrail(g, tuple(spent))
     raise AlgorithmDefectError(
         f"trail search from {y0} did not terminate within |Y| extensions")
 
@@ -113,46 +111,47 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     Afterwards the factor covers exactly one more Y vertex (the trail
     origin), its edge count is unchanged and its maximum path length has
     not grown.  Raises ValueError, before changing anything, unless the
-    trail is one find_trail could build: the origin is uncovered, the
-    edges alternate outside and inside F, no Y vertex repeats (so no
-    edge does), every interior X vertex lies on a 2-path, the terminal
-    X vertex lies on a path of length >= 4 and the terminal Y vertex has
-    factor degree 2.
+    trail is one find_trail could build: it is on F's graph, the origin
+    is uncovered, the edges alternate outside and inside F, no Y vertex
+    repeats (so no edge does), every interior X vertex lies on a 2-path,
+    the terminal X vertex lies on a path of length >= 4 and the terminal
+    Y vertex has factor degree 2.
 
     F changes only through PseudoPathFactor.remove_edge and add_edge, so
     a rewire takes time proportional to the trail length plus the
     shorter piece of each path it splits.  checked=True also holds a
     fresh walk of F through every trail vertex against the path index.
     """
-    g, sub = factor.graph, factor.subgraph
-    y0, vertices = trail.vertices[0], trail.vertices
-    if sub.degree(y0) != 0:
-        raise ValueError(f"trail origin {y0} is already covered")
-    # edges alternate outside F (y_{j-1} x_j) and inside it (x_j y_j)
-    eids = [g.edge_id_between(a, b) for a, b in zip(vertices, vertices[1:])]
-    drop, adopt = eids[1::2], eids[0::2]
+    g, sub, index = factor.graph, factor.subgraph, factor._path_of
+    if trail.graph is not g:  # edge ids name edges of one graph only
+        raise ValueError(f"{trail} is on another graph than F")
+    # vertex ids y0, x1, y1, ...; the edges alternate outside F
+    # (y_{j-1} x_j) and inside it (x_j y_j)
+    ids, ny = trail._vertex_ids(), g.y_count
+    drop, adopt = trail.edges[1::2], trail.edges[0::2]
+    xs = ids[1::2]
+    lengths = [len(index[x] or (x,)) - 1 for x in xs]  # of x's component
+    if sub.y_deg[ids[0]] != 0:
+        raise ValueError(f"trail origin y{ids[0]} is already covered")
     if not all(sub.has(eid) for eid in drop):
         raise ValueError(f"{trail} has a factor edge outside F")
     if any(sub.has(eid) for eid in adopt):
         raise ValueError(f"{trail} has a non-factor edge inside F")
     # the factor edges end at distinct Y vertices, and so do the
     # non-factor ones, so this also rules out a repeated edge
-    ys = vertices[0::2]
+    ys = ids[0::2]
     if len(set(ys)) != len(ys):
         raise ValueError(f"{trail} repeats a Y vertex")
-    for x in vertices[1:-2:2]:
-        if factor.component_length_at(x) != 2:
-            raise ValueError(
-                f"{trail} crosses {x} on a component of length "
-                f"{factor.component_length_at(x)}, want 2")
-    terminal_x, terminal_y = vertices[-2], vertices[-1]
-    if factor.component_length_at(terminal_x) < 4:
-        raise ValueError(
-            f"{trail} ends on a component of length "
-            f"{factor.component_length_at(terminal_x)}, want >= 4")
-    if sub.degree(terminal_y) != 2:
-        raise ValueError(f"{trail} ends at {terminal_y} of factor degree "
-                         f"{sub.degree(terminal_y)}, want 2")
+    for x, n in zip(xs[:-1], lengths):
+        if n != 2:
+            raise ValueError(f"{trail} crosses {g.vertex(x)} on a component "
+                             f"of length {n}, want 2")
+    if lengths[-1] < 4:
+        raise ValueError(f"{trail} ends on a component of length "
+                         f"{lengths[-1]}, want >= 4")
+    if sub.y_deg[ids[-1]] != 2:
+        raise ValueError(f"{trail} ends at y{ids[-1]} of factor degree "
+                         f"{sub.y_deg[ids[-1]]}, want 2")
 
     old_max = factor.max_path_length
     try:
@@ -167,12 +166,12 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     # Every path that changed holds a trail vertex, and all trail Y
     # vertices but y0 were covered before, so this checks that exactly
     # one more vertex, y0, is now covered and every changed path is even.
-    for v in vertices:
-        if v.is_y and sub.y_deg[v.index] == 0:
+    for v in ids:
+        if v < ny and sub.y_deg[v] == 0:
             raise AlgorithmDefectError(
-                f"rewiring along {trail} left {v} uncovered")
-        path = factor._path_of[g.vertex_id(v)] or (g.vertex_id(v),)
-        if not (path[0] < g.y_count and path[-1] < g.y_count):
+                f"rewiring along {trail} left y{v} uncovered")
+        path = index[v] or (v,)
+        if not (path[0] < ny and path[-1] < ny):
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
                 f"{' '.join(str(g.vertex(u)) for u in path)}")
@@ -185,7 +184,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         # a fresh walk of F through every trail vertex reaches every path
         # the rewire changed; with the Y ends checked above, it also shows
         # that every trail X vertex kept factor degree 2
-        problem = audit_ids(factor, map(g.vertex_id, vertices))
+        problem = audit_ids(factor, ids)
         if problem:
             raise AlgorithmDefectError(
                 f"after rewiring along {trail}: {problem}")

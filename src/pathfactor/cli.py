@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from .augment import solve
 from .errors import AlgorithmDefectError, OracleSizeError, PathFactorError
 from .experiment import run_experiment
-from .factors import PathFactor
 from .generate import GenConfig, generate
 from .graph import (_is_count, format_factor, parse_factor, parse_graph,
                     serialize_graph)
@@ -148,8 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stdout.write("FACTOR EXISTS\n")
             sys.stdout.write(format_factor(factor.paths))
         return 0
-    paths = parse_factor(args.factor.read_text())
-    report = validate_path_factor(g, PathFactor(g, tuple(paths)))
+    report = validate_path_factor(g, parse_factor(args.factor.read_text()))
     sys.stdout.write(report.render())
     return 0 if report.valid else 1
 

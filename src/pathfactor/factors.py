@@ -161,27 +161,45 @@ class PseudoPathFactor:
 
 @dataclass(frozen=True)
 class AugmentingTrail:
-    """An alternating trail y0, x1, y1, ..., x_{i+1}, y_{i+1}.
+    """An alternating trail y0, x1, y1, ..., x_{i+1}, y_{i+1}, held as the
+    occurrence ids of its edges in graph, in order from the origin y0.
 
     Edges at even positions (y_{j-1} to x_j) lie outside the factor, edges
     at odd positions (x_j to y_j) inside it.  X vertices may repeat along
     the trail; Y vertices may not.  Rewiring swaps the two edge sets,
-    which absorbs the uncovered origin y0.
+    which absorbs the uncovered origin y0.  An id names one copy of a
+    parallel edge, so a trail is exact on multigraphs too.
     """
 
-    vertices: tuple[Vertex, ...]
+    graph: Bigraph
+    edges: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.vertices)
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"trail needs odd length >= 3, got {n} vertices")
-        for t, v in enumerate(self.vertices):
-            if v.is_y != (t % 2 == 0):
-                raise ValueError(f"trail does not alternate sides at {v}")
+        n, ends = len(self.edges), self.graph.edges
+        if n < 2 or n % 2:
+            raise ValueError(f"trail needs an even edge count >= 2, got {n}")
+        pairs = [ends[eid] for eid in self.edges]
+        for t, (a, b) in enumerate(zip(pairs, pairs[1:]), 1):
+            if a[t % 2] != b[t % 2]:  # odd t meet at x_j, even t at y_j
+                raise ValueError(f"trail edge y{b[0]}x{b[1]} does not meet "
+                                 f"the edge y{a[0]}x{a[1]} before it")
+
+    def _vertex_ids(self) -> list[int]:
+        """The vertex ids of y0, x1, y1, ..., y_{i+1}, from the edges."""
+        ends, ny = self.graph.edges, self.graph.y_count
+        ids = [ends[self.edges[0]][0]]
+        for t, eid in enumerate(self.edges):
+            y, x = ends[eid]
+            ids.append(y if t % 2 else ny + x)
+        return ids
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(self.graph.vertex, self._vertex_ids()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.edges)
 
     def __repr__(self) -> str:
         return "AugmentingTrail(" + " ".join(map(str, self.vertices)) + ")"

@@ -117,9 +117,6 @@ class Bigraph:
         ny = self.y_count
         return Vertex(Y_SIDE, vid) if vid < ny else Vertex(X_SIDE, vid - ny)
 
-    def degree(self, v: Vertex) -> int:
-        return len(self._inc[self.vertex_id(v)])
-
     def incident_edge_ids(self, v: Vertex) -> Sequence[int]:
         return self._inc[self.vertex_id(v)]
 
@@ -127,16 +124,6 @@ class Bigraph:
         """The (y, x) endpoint pair of an edge occurrence."""
         y, x = self.edges[eid]
         return Vertex.y(y), Vertex.x(x)
-
-    def edge_id_between(self, a: Vertex, b: Vertex) -> int:
-        """The unique occurrence id joining a and b; an error if the pair
-        is absent or has multiplicity greater than one."""
-        y, x = (a, b) if a.side == Y_SIDE else (b, a)
-        ids = [eid for eid in self._inc[y.index]
-               if self.edges[eid][1] == x.index]
-        if len(ids) != 1:
-            raise ValueError(f"edge {y}{x} has multiplicity {len(ids)}")
-        return ids[0]
 
     def vertices(self) -> Iterator[Vertex]:
         """Every vertex in Vertex order, which is vertex id order."""

@@ -309,26 +309,23 @@ def brute_force_trails(factor: PseudoPathFactor,
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
     found: list[AugmentingTrail] = []
 
-    def extend(trail: list[Vertex], used: frozenset[int],
+    def extend(tip: Vertex, edges: tuple[int, ...],
                seen_ys: frozenset[Vertex]) -> None:
-        tip = trail[-1]
         for eid in g.incident_edge_ids(tip):
-            if sub.has(eid) or eid in used:
+            if sub.has(eid) or eid in edges:
                 continue
             x_next = Vertex.x(g.edges[eid][1])
             long_comp = factor.component_length_at(x_next) >= 4
             for feid in sub.member_incident(x_next):
-                if feid in used or feid == eid:
+                if feid in edges:
                     continue
                 y_next = Vertex.y(g.edges[feid][0])
                 if long_comp:
                     if sub.degree(y_next) == 2:
-                        found.append(AugmentingTrail(
-                            tuple(trail + [x_next, y_next])))
+                        found.append(AugmentingTrail(g, edges + (eid, feid)))
                 elif y_next not in seen_ys:
-                    extend(trail + [x_next, y_next],
-                           used | {eid, feid}, seen_ys | {y_next})
+                    extend(y_next, edges + (eid, feid), seen_ys | {y_next})
 
-    extend([y0], frozenset(), frozenset({y0}))
+    extend(y0, (), frozenset({y0}))
     found.sort(key=lambda t: t.vertices)
     return found

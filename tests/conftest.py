@@ -9,7 +9,26 @@ from __future__ import annotations
 
 import pytest
 
-from pathfactor import Bigraph, EdgeSubgraph, PseudoPathFactor, Vertex
+from pathfactor import (AugmentingTrail, Bigraph, EdgeSubgraph,
+                        PseudoPathFactor, Vertex)
+
+
+def edge_id(g, a, b):
+    """The occurrence id of the edge joining Vertex a and Vertex b, in
+    either order; ValueError unless exactly one occurrence joins them."""
+    y, x = (a, b) if a.is_y else (b, a)
+    ids = [eid for eid in g.incident_edge_ids(y)
+           if g.edges[eid][1] == x.index]
+    if len(ids) != 1:
+        raise ValueError(f"edge {y}{x} has multiplicity {len(ids)}")
+    return ids[0]
+
+
+def trail_of(g, *walks):
+    """The AugmentingTrail on the edges of the given vertex walks, one
+    walk after another; each consecutive pair names a unique edge."""
+    return AugmentingTrail(g, tuple(edge_id(g, a, b) for w in walks
+                                    for a, b in zip(w, w[1:])))
 
 
 def _ypath(*indices):
@@ -31,7 +50,7 @@ def _factor_from_paths(y_count, x_count, f_paths, extra_edges):
     g = Bigraph(y_count, x_count, edges)
     factor = PseudoPathFactor(g)
     for y, x in f_pairs:
-        factor.add_edge(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+        factor.add_edge(edge_id(g, Vertex.y(y), Vertex.x(x)))
     return g, factor
 
 
@@ -42,7 +61,7 @@ def subgraph_of():
     def build(g, pairs):
         sub = EdgeSubgraph(g)
         for a, b in pairs:
-            sub.add(g.edge_id_between(a, b))
+            sub.add(edge_id(g, a, b))
         return sub
     return build
 

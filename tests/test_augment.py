@@ -72,6 +72,7 @@ def test_k3_trail_crosses_the_short_path(k3_pseudo):
     trail = find_trail(factor, Vertex.y(0))
     assert trail.vertices == _ypath(0, 0, 1, 1, 4)
     assert trail.edge_count == 4
+    assert repr(trail) == "AugmentingTrail(y0 x0 y1 x1 y4)"
     rewire(factor, trail, checked=True)
     assert factor.paths == (
         _ypath(0, 0, 2),
@@ -93,7 +94,8 @@ def test_solve_reports_a_rejected_trail_as_a_defect(monkeypatch):
     # a trail search that returns y0 x y0 hands rewire a factor edge
     # outside F; solve must not pass that off as the caller's error
     def bad_find_trail(factor, y0, policy):
-        return AugmentingTrail((y0, find_trail(factor, y0).vertices[1], y0))
+        first = find_trail(factor, y0).edges[0]
+        return AugmentingTrail(factor.graph, (first, first))
 
     monkeypatch.setattr("pathfactor.augment.find_trail", bad_find_trail)
     g = generate(GenConfig(k=3, seed=0))  # the scan leaves one Y uncovered

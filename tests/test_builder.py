@@ -10,6 +10,7 @@ from pathfactor import (AlgorithmDefectError, GenConfig, NotBiregularError,
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
                                 step_i, step_zero)
 from pathfactor.policy import LexicographicPolicy
+from conftest import edge_id
 
 K34_TRACE = [
     "step 0 case 0 y0 F:[y0x2 y0x0] U:[y0x1]",
@@ -55,7 +56,7 @@ def _forced_3b_state():
     g = fixture("k34")
     state = FactorState.initial(g)
     for y, x in [(0, 0), (0, 1), (2, 2)]:
-        _grow_f(state, g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+        _grow_f(state, edge_id(g, Vertex.y(y), Vertex.x(x)))
     state.scanned[0] = state.scanned[2] = True
     state.current = 0  # x0
     state.step_no = 2
@@ -93,11 +94,11 @@ def test_grow_f_reports_a_non_path_as_a_defect(pairs, match):
     with pytest.raises(AlgorithmDefectError,
                        match=f"family of paths: .*{match}"):
         for y, x in pairs:
-            _grow_f(state, g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+            _grow_f(state, edge_id(g, Vertex.y(y), Vertex.x(x)))
 
 
 def _edge(g, y, x):
-    return g.edge_id_between(Vertex.y(y), Vertex.x(x))
+    return edge_id(g, Vertex.y(y), Vertex.x(x))
 
 
 def _add_f_at_unscanned_y(g, state):

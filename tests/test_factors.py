@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
-                        PseudoPathFactor, Vertex, brute_force_trails,
+from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
+                        EdgeSubgraph, GenConfig, PseudoPathFactor, Vertex,
+                        brute_force_trails,
                         build_pseudo_factor, find_trail, fixture, generate,
                         make_policy, orient_path, rewire,
                         validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 from pathfactor.verify import audit_ids, walk_component
+from conftest import edge_id, trail_of
 
 
 def _ypath(*indices):
@@ -22,7 +26,7 @@ def _k34_factor(*pairs):
     g = fixture("k34")  # complete: every (y, x) pair is an edge
     factor = PseudoPathFactor(g)
     for y, x in pairs:
-        factor.add_edge(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+        factor.add_edge(edge_id(g, Vertex.y(y), Vertex.x(x)))
     return g, factor
 
 
@@ -38,7 +42,7 @@ def test_add_edge_tracks_ends():
 def test_add_edge_rejects_cycle():
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1))
     with pytest.raises(ValueError, match="cycle"):
-        factor.add_edge(g.edge_id_between(Vertex.y(0), Vertex.x(1)))
+        factor.add_edge(edge_id(g, Vertex.y(0), Vertex.x(1)))
     assert factor.subgraph.edge_count == 3
     assert factor.paths == (_ypath(0, 0, 1, 1),)
 
@@ -46,7 +50,7 @@ def test_add_edge_rejects_cycle():
 def test_add_edge_rejects_interior():
     g, factor = _k34_factor((0, 0), (1, 0))
     with pytest.raises(ValueError, match="interior"):
-        factor.add_edge(g.edge_id_between(Vertex.y(2), Vertex.x(0)))
+        factor.add_edge(edge_id(g, Vertex.y(2), Vertex.x(0)))
     assert factor.subgraph.edge_count == 2
     assert factor.paths == (_ypath(0, 0, 1),)
 
@@ -59,7 +63,7 @@ def test_add_edge_merges_two_paths():
 
 
 def _remove(g, factor, y, x):
-    factor.remove_edge(g.edge_id_between(Vertex.y(y), Vertex.x(x)))
+    factor.remove_edge(edge_id(g, Vertex.y(y), Vertex.x(x)))
 
 
 # the 6-path y0 x0 y1 x1 y2 x2 y3, built edge by edge
@@ -152,10 +156,13 @@ def test_index_matches_fresh_decomposition(k, policy_kind):
         assert not factor.uncovered_ys(), (k, seed, spec)
 
 
-def _assert_rejected(factor, vertices, match):
+def _assert_rejected(factor, vertices, match, graph=None):
+    # vertices: one walk, or a tuple of walks whose edges are concatenated;
+    # the trail is built on graph, F's own by default
+    walks = (vertices,) if isinstance(vertices[0], Vertex) else vertices
     paths, eids = factor.paths, list(factor.subgraph.edge_ids())
     with pytest.raises(ValueError, match=match):
-        rewire(factor, AugmentingTrail(vertices))
+        rewire(factor, trail_of(graph or factor.graph, *walks))
     assert factor.paths == paths
     assert list(factor.subgraph.edge_ids()) == eids
 
@@ -166,7 +173,8 @@ def _assert_rejected(factor, vertices, match):
     (_ypath(0, 0, 0), "factor edge outside F"),
     (_ypath(0, 0, 1, 0, 1), "non-factor edge inside F"),
     (_ypath(0, 0, 1, 3, 4, 0, 1), "repeats a Y vertex"),
-    (_ypath(0, 0, 3), "multiplicity 0"),  # y3x0 is no edge at all
+    # y2x1 leaves x1, but y0x0 arrived at x0
+    ((_ypath(0, 0), _ypath(2, 1)), "does not meet"),
     # x0 and x1 lie inside the 12-path, not on 2-paths
     (_ypath(0, 0, 2, 5, 7), "crosses x0 on a component of length 12"),
     (_ypath(0, 1, 2, 5, 7), "crosses x1 on a component of length 12"),
@@ -198,7 +206,7 @@ def test_rewire_reports_a_broken_rewire_as_a_defect(k2_pseudo):
         factor._path_of[g.vertex_id(Vertex.y(1))]
     with pytest.raises(AlgorithmDefectError,
                        match="broke the path structure: .*interior"):
-        rewire(factor, AugmentingTrail(_ypath(0, 0, 2)))
+        rewire(factor, trail_of(g, _ypath(0, 0, 2)))
 
 
 def test_rewire_checks_the_ends_of_changed_paths():
@@ -206,7 +214,7 @@ def test_rewire_checks_the_ends_of_changed_paths():
     # leaves that end on a piece through the trail vertex y1.
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1), (2, 1), (2, 2))
     with pytest.raises(AlgorithmDefectError, match="non-even component"):
-        rewire(factor, AugmentingTrail(_ypath(3, 0, 1)))
+        rewire(factor, trail_of(g, _ypath(3, 0, 1)))
 
 
 def test_rewire_checks_the_maximum_path_length():
@@ -234,8 +242,9 @@ def test_rewire_every_short_trail(k2_pseudo):
             for eid in f_eids:
                 factor.add_edge(eid)
             paths = factor.paths
-            trail = AugmentingTrail((Vertex.y(0),) + rest)
             try:
+                # a vertex pair that is no edge is rejected here
+                trail = trail_of(g, (Vertex.y(0),) + rest)
                 rewire(factor, trail)
             except ValueError:
                 assert factor.paths == paths
@@ -249,3 +258,74 @@ def test_rewire_every_short_trail(k2_pseudo):
     legal = brute_force_trails(k2_pseudo[1], Vertex.y(0))
     assert {t.vertices for t in accepted} == {t.vertices for t in legal}
     assert len(accepted) == 5
+
+
+@pytest.mark.parametrize("edges, match", [
+    ((), "even edge count >= 2, got 0"),
+    ((0,), "even edge count >= 2, got 1"),
+    ((0, 3, 4), "even edge count >= 2, got 3"),
+    ((0, 4), "y1x1 does not meet the edge y0x0"),      # x0, then x1
+    ((0, 3, 1, 4), "y0x1 does not meet the edge y1x0"),  # y1, then y0
+])
+def test_trail_rejects_a_malformed_edge_sequence(edges, match):
+    g = fixture("k34")  # edge id 3y + x joins y and x
+    with pytest.raises(ValueError, match=match):
+        AugmentingTrail(g, edges)
+
+
+def test_rewire_rejects_a_trail_on_another_graph(k2_pseudo):
+    # an equal graph is not enough: edge ids are only read in F's own
+    g, factor = k2_pseudo
+    twin = Bigraph(g.y_count, g.x_count, g.edges)
+    assert twin == g
+    _assert_rejected(factor, _ypath(0, 0, 2), "on another graph", twin)
+    rewire(factor, trail_of(g, _ypath(0, 0, 2)))  # the same trail on g
+
+
+def _k2_stub_pairing(rng):
+    # 3 stubs per Y vertex matched to 4 per X vertex; parallel edges stay
+    xs = [x for x in range(6) for _ in range(4)]
+    rng.shuffle(xs)
+    return Bigraph(8, 6, zip([y for y in range(8) for _ in range(3)], xs))
+
+
+def _random_pseudo_factor_eids(g, rng):
+    # two random edges at every X vertex, kept if they make a pseudo path
+    # factor that misses some Y vertex
+    sub = EdgeSubgraph(g)
+    for j in range(g.x_count):
+        for eid in rng.sample(g.incident_edge_ids(Vertex.x(j)), 2):
+            sub.add(eid)
+    if validate_pseudo_factor(g, sub).valid and 0 in sub.y_deg:
+        return list(sub.edge_ids())
+    return None
+
+
+def _pseudo_factor(g, eids):
+    factor = PseudoPathFactor(g)
+    for eid in eids:
+        factor.add_edge(eid)
+    return factor
+
+
+def test_rewire_accepts_every_oracle_trail_on_multigraphs():
+    # an edge id names one copy of a parallel edge, so every trail the
+    # oracle finds on a multigraph can be applied
+    rng = random.Random(5)
+    trails = parallel = 0
+    for _ in range(1500):
+        g = _k2_stub_pairing(rng)
+        f_eids = _random_pseudo_factor_eids(g, rng)
+        if g.simple or f_eids is None:
+            continue
+        multiplicity = Counter(g.edges)
+        for y0 in _pseudo_factor(g, f_eids).uncovered_ys():
+            for trail in brute_force_trails(_pseudo_factor(g, f_eids), y0):
+                factor = _pseudo_factor(g, f_eids)
+                rewire(factor, trail, checked=True)
+                assert validate_pseudo_factor(g, factor.subgraph).valid
+                assert factor.subgraph.degree(y0) == 1
+                trails += 1
+                parallel += any(multiplicity[g.edges[eid]] > 1
+                                for eid in trail.edges)
+    assert trails > 200 and parallel > 50, (trails, parallel)

@@ -10,7 +10,7 @@ import pytest
 
 import pathfactor
 from pathfactor import (AugmentingTrail, EdgeSubgraph, GenConfig,
-                        PseudoPathFactor, Vertex, fixture)
+                        PseudoPathFactor, fixture)
 
 ALL = {
     "AlgorithmDefectError", "AugmentingTrail", "Bigraph", "EdgeSubgraph",
@@ -37,16 +37,15 @@ def _instances():
         "Bigraph": g,
         "EdgeSubgraph": EdgeSubgraph(g),
         "PseudoPathFactor": PseudoPathFactor(g),
-        "AugmentingTrail": AugmentingTrail(
-            (Vertex.y(0), Vertex.x(0), Vertex.y(1))),
+        "AugmentingTrail": AugmentingTrail(g, (0, 3)),  # y0 x0 y1
         "GenConfig": GenConfig(k=1, seed=0),
     }
 
 
 @pytest.mark.parametrize("name, public", [
-    ("Bigraph", {"degree", "edge_count", "edge_id_between", "edges",
-                 "endpoints", "incident_edge_ids", "simple", "vertex",
-                 "vertex_id", "vertices", "x_count", "y_count"}),
+    ("Bigraph", {"edge_count", "edges", "endpoints", "incident_edge_ids",
+                 "simple", "vertex", "vertex_id", "vertices", "x_count",
+                 "y_count"}),
     ("EdgeSubgraph", {"add", "degree", "edge_count", "edge_ids", "has",
                       "member_incident", "parent", "remove", "x_deg",
                       "y_deg"}),
@@ -54,7 +53,7 @@ def _instances():
                           "long_component_count", "max_path_length",
                           "path_count", "paths", "remove_edge", "subgraph",
                           "uncovered_ys"}),
-    ("AugmentingTrail", {"edge_count", "vertices"}),
+    ("AugmentingTrail", {"edge_count", "edges", "graph", "vertices"}),
     ("GenConfig", {"k", "seed"}),
 ])
 def test_class_public_attributes(name, public):

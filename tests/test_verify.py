@@ -7,6 +7,7 @@ from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, OracleSizeError,
                         brute_force_trails, build_pseudo_factor, fixture,
                         format_factor, generate, solve, validate_path_factor,
                         validate_pseudo_factor)
+from conftest import edge_id
 
 
 def _rules(report):
@@ -27,14 +28,14 @@ def test_pseudo_validator_accepts_builder_output():
 
 def test_pseudo_validator_missing_edge():
     g, sub = _k34_f()
-    sub.remove(g.edge_id_between(Vertex.y(0), Vertex.x(0)))
+    sub.remove(edge_id(g, Vertex.y(0), Vertex.x(0)))
     rules = _rules(validate_pseudo_factor(g, sub))
     assert "x-degree" in rules and "odd-length" in rules
 
 
 def test_pseudo_validator_extra_edge():
     g, sub = _k34_f()
-    sub.add(g.edge_id_between(Vertex.y(2), Vertex.x(0)))
+    sub.add(edge_id(g, Vertex.y(2), Vertex.x(0)))
     rules = _rules(validate_pseudo_factor(g, sub))
     assert "max-degree" in rules and "cycle" in rules
 
