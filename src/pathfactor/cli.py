@@ -133,7 +133,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not report.valid:
         raise AlgorithmDefectError(
             f"solve produced an invalid factor:\n{report.render()}")
-    _emit(format_factor(factor.paths), args.out)
+    _emit(format_factor(factor), args.out)
     return 0
 
 
@@ -145,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             sys.stdout.write("NO FACTOR EXISTS\n")
         else:
             sys.stdout.write("FACTOR EXISTS\n")
-            sys.stdout.write(format_factor(factor.paths))
+            sys.stdout.write(format_factor(factor))
         return 0
     report = validate_path_factor(g, parse_factor(args.factor.read_text()))
     sys.stdout.write(report.render())

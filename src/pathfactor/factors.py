@@ -118,17 +118,19 @@ class PseudoPathFactor:
 
     # -- queries ------------------------------------------------------------
 
+    def _id_paths(self) -> tuple[tuple[int, ...], ...]:
+        """All component paths as vertex ids, canonically oriented and
+        sorted (ids sort in Vertex order)."""
+        oriented = (p if p[0] < p[-1] else reversed(p)
+                    for v, p in enumerate(self._path_of)
+                    if p is not None and p[0] == v)
+        return tuple(sorted([tuple(p) for p in oriented]))
+
     @property
     def paths(self) -> tuple[tuple[Vertex, ...], ...]:
         """All component paths, canonically oriented and sorted."""
-        # ids sort in Vertex order.  Each tuple is built from a list, so at
-        # its final size: tuple(map(...)) resizes it, and freed resized
-        # tuples pile up on free lists that no later call draws from.
-        names = tuple(self.graph.vertices())
-        oriented = (p if p[0] <= p[-1] else reversed(p)
-                    for v, p in enumerate(self._path_of)
-                    if p is not None and p[0] == v)
-        return tuple(sorted(tuple([names[u] for u in p]) for p in oriented))
+        return tuple([tuple(map(self.graph.vertex, p))
+                      for p in self._id_paths()])
 
     def component_length_at(self, v: Vertex) -> int:
         """Edge count of v's component; 0 for an isolated vertex."""
@@ -178,6 +180,9 @@ class AugmentingTrail:
         n, ends = len(self.edges), self.graph.edges
         if n < 2 or n % 2:
             raise ValueError(f"trail needs an even edge count >= 2, got {n}")
+        if min(self.edges) < 0 or max(self.edges) >= len(ends):
+            raise ValueError(f"trail edge ids {self.edges} are not all in "
+                             f"range({len(ends)})")
         pairs = [ends[eid] for eid in self.edges]
         for t, (a, b) in enumerate(zip(pairs, pairs[1:]), 1):
             if a[t % 2] != b[t % 2]:  # odd t meet at x_j, even t at y_j
@@ -207,10 +212,12 @@ class AugmentingTrail:
 
 @dataclass(frozen=True)
 class PathFactor:
-    """Vertex-disjoint even paths spanning the graph, endpoints in Y."""
+    """Vertex-disjoint even paths spanning the graph, endpoints in Y, held
+    as vertex id tuples (y_i -> i, x_j -> |Y| + j); paths is their Vertex
+    view."""
 
     graph: Bigraph
-    paths: tuple[tuple[Vertex, ...], ...]
+    ids: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_pseudo(cls, factor: PseudoPathFactor) -> "PathFactor":
@@ -218,8 +225,12 @@ class PathFactor:
         if uncovered:
             raise ValueError(
                 f"not spanning: {' '.join(map(str, uncovered))} uncovered")
-        return cls(factor.graph, factor.paths)
+        return cls(factor.graph, factor._id_paths())
+
+    @property
+    def paths(self) -> tuple[tuple[Vertex, ...], ...]:
+        return tuple([tuple(map(self.graph.vertex, p)) for p in self.ids])
 
     def lengths(self) -> tuple[int, ...]:
         """Path edge counts, ascending."""
-        return tuple(sorted(len(p) - 1 for p in self.paths))
+        return tuple(sorted([len(p) - 1 for p in self.ids]))

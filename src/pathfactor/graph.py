@@ -21,11 +21,13 @@ vertex names; ``c`` comments are allowed there as well.
 from __future__ import annotations
 
 import re
-from functools import partial
-from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .errors import GraphFormatError, NotBiregularError
+
+if TYPE_CHECKING:
+    from .factors import PathFactor
 
 Y_SIDE = 0
 X_SIDE = 1
@@ -127,10 +129,7 @@ class Bigraph:
 
     def vertices(self) -> Iterator[Vertex]:
         """Every vertex in Vertex order, which is vertex id order."""
-        # tuple.__new__ skips Vertex.__new__, a Python-level call per vertex
-        return map(partial(tuple.__new__, Vertex),
-                   chain(zip(repeat(Y_SIDE), range(self.y_count)),
-                         zip(repeat(X_SIDE), range(self.x_count))))
+        return map(self.vertex, range(self.y_count + self.x_count))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bigraph):
@@ -321,9 +320,18 @@ def parse_factor(text: str) -> list[tuple[Vertex, ...]]:
     return paths
 
 
-def format_factor(paths: Iterable[Sequence[Vertex]]) -> str:
+def format_factor(
+        paths: Union[PathFactor, Iterable[Sequence[Vertex]]]) -> str:
     """Canonical factor text: each path oriented smaller-endpoint-first,
-    lines sorted by first vertex."""
-    # the names Vertex.__repr__ gives, without a method call per vertex
-    return "".join(" ".join([f"{'yx'[s]}{i}" for s, i in p]) + "\n"
-                   for p in sorted(map(orient_path, paths)))
+    lines sorted by first vertex.  Takes a PathFactor or Vertex paths."""
+    from .factors import PathFactor  # that module imports this one
+    if isinstance(paths, PathFactor):
+        g = paths.graph
+        names = ([f"y{i}" for i in range(g.y_count)]
+                 + [f"x{j}" for j in range(g.x_count)])
+        lines = [p if p[0] <= p[-1] else p[::-1] for p in paths.ids]
+    else:  # the names Vertex.__repr__ gives, without a call per vertex
+        lines = list(map(orient_path, paths))
+        names = {v: f"{'yx'[v[0]]}{v[1]}" for p in lines for v in p}
+    return "".join(" ".join([names[u] for u in p]) + "\n"
+                   for p in sorted(lines))

@@ -12,14 +12,14 @@ the non-existence of a path factor.  It is deliberately capped at k <= 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .dsu import RollbackUnionFind
 from .errors import OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import (Bigraph, EdgeSubgraph, Vertex, X_SIDE, Y_SIDE,
-                    check_biregular, orient_path)
+                    check_biregular)
 
 ORACLE_MAX_K = 2
 
@@ -157,74 +157,98 @@ def validate_pseudo_factor(g: Bigraph, sub: EdgeSubgraph) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-PathsLike = Union[PathFactor, Sequence[Sequence[Vertex]]]
-
-
-def validate_path_factor(g: Bigraph, factor: PathsLike) -> ValidationReport:
+def validate_path_factor(
+        g: Bigraph, factor: Union[PathFactor, Sequence[Sequence[Vertex]]]
+        ) -> ValidationReport:
     """Check the spanning path factor conditions.
 
     Rules, in order: "graph-shape" (g itself must be (3,4)-biregular for
     the path-count rule), "not-a-path" (each line is a simple path in g),
     "endpoint-degree" (both ends of each path in Y), "odd-length",
     "disjoint" (no vertex on two paths), "spanning" (every vertex on some
-    path), "path-count" (exactly k paths).
+    path), "path-count" (exactly k paths).  Both forms are checked on
+    vertex ids; a Vertex is built only to name a violation.
     """
-    paths = factor.paths if isinstance(factor, PathFactor) else factor
     violations: list[Violation] = []
     k: Optional[int] = None
     try:
         k = check_biregular(g)
     except Exception as exc:
         violations.append(Violation("graph-shape", (), str(exc)))
-    edge_pairs = set(g.edges)
-    seen: dict[Vertex, int] = {}
+    ny, nx, n = g.y_count, g.x_count, g.y_count + g.x_count
+    if isinstance(factor, PathFactor):
+        lines, extra = factor.ids, []
+    else:  # a Vertex not of g, such as y25 when |Y| = 20, gets an id >= n
+        other: dict[Vertex, int] = {}
+        lines = [tuple([i if side == Y_SIDE and 0 <= i < ny
+                        else ny + i if side == X_SIDE and 0 <= i < nx
+                        else other.setdefault(Vertex(side, i), n + len(other))
+                        for side, i in seq]) for seq in factor]
+        extra = list(other)
+    # in an edge, a Vertex of a side other than Y or X stands for the X
+    # vertex of its index; other ids >= n stand for none
+    alias = {u: ny + i for u, (side, i) in enumerate(extra, n)
+             if side not in (Y_SIDE, X_SIDE) and 0 <= i < nx}
 
-    def line(idx: int, seq: Sequence[Vertex]) -> str:  # for a violation only
-        return f"line {idx + 1} [{' '.join(map(str, seq))}]"
-    for idx, seq in enumerate(paths):
-        seq = tuple(seq)
-        ok_path = len(seq) >= 2 and len(set(seq)) == len(seq)
-        if ok_path:
-            for a, b in zip(seq, seq[1:]):
-                y, x = (a, b) if a.side == Y_SIDE else (b, a)
-                if (a.side == b.side
-                        or (y.index, x.index) not in edge_pairs):
-                    ok_path = False
-                    break
-        if not ok_path:
+    def vertex(u: int) -> Vertex:
+        return extra[u - n] if n <= u < n + len(extra) else g.vertex(u)
+
+    def line(idx: int, p: Sequence[int]) -> str:  # for a violation only
+        return f"line {idx + 1} [{' '.join(map(str, map(vertex, p)))}]"
+
+    pairs = set(g.edges)
+    covered = bytearray(n + len(extra))
+    passed: list[int] = []  # the lines that are paths, in order
+    first: dict[int, int] = {}  # vertex -> first of passed[:filled] on it
+    filled = 0  # built only when a disjoint message needs it
+    for idx, p in enumerate(lines):
+        ok = len(p) >= 2 and len(set(p)) == len(p)
+        if ok:
+            # q: p as vertices of g, -1 for none.  Each step of q must be
+            # a (y, x) pair of g.edges; an id out of range or on the wrong
+            # side makes a pair that is none.
+            q = p if max(p) < n else [u if u < n else alias.get(u, -1)
+                                      for u in p]
+            y0 = q[0] < ny  # whether the Y ids are at the even places
+            ys, xs = q[1 - y0::2], [u - ny for u in q[y0::2]]
+            ok = (pairs.issuperset(zip(ys, xs))
+                  and pairs.issuperset(zip(ys[y0:], xs[1 - y0:])))
+        if not ok:
             violations.append(Violation(
-                "not-a-path", tuple(seq),
-                f"{line(idx, seq)} is not a simple path in the graph"))
+                "not-a-path", tuple(map(vertex, p)),
+                f"{line(idx, p)} is not a simple path in the graph"))
             continue
-        for end in (seq[0], seq[-1]):
-            if not end.is_y:
+        for u in (p[0], p[-1]):
+            if u >= ny:  # an X, or an id >= n that passed as one
+                v = vertex(u)
                 violations.append(Violation(
-                    "endpoint-degree", (end,),
-                    f"endpoint {end} is on the degree-4 side, want Y"))
-        if (len(seq) - 1) % 2 == 1:
+                    "endpoint-degree", (v,),
+                    f"endpoint {v} is on the degree-4 side, want Y"))
+        if len(p) % 2 == 0:
             violations.append(Violation(
-                "odd-length", tuple(seq),
-                f"{line(idx, seq)} has odd length {len(seq) - 1}"))
-        for v in seq:
-            if v in seen:
-                violations.append(Violation(
-                    "disjoint", (v,),
-                    f"{v} appears on lines {seen[v] + 1} and {idx + 1}"))
-            else:
-                seen[v] = idx
-    # Each key of seen lies on a path that passed the edge check.  If every
-    # key has side Y or X, each stood for itself in an edge of g, so |V|
-    # keys cover g; only otherwise list the vertices missing.
-    if (len(seen) != g.y_count + g.x_count
-            or not {side for side, _ in seen} <= {Y_SIDE, X_SIDE}):
-        missing = [v for v in g.vertices() if v not in seen]
-        if missing:
+                "odd-length", tuple(map(vertex, p)),
+                f"{line(idx, p)} has odd length {len(p) - 1}"))
+        for u in p:
+            if not covered[u]:
+                covered[u] = 1
+                continue
+            for i in passed[filled:]:
+                for w in lines[i]:
+                    first.setdefault(w, i)
+            filled = len(passed)
+            v = vertex(u)
             violations.append(Violation(
-                "spanning", tuple(missing),
-                f"uncovered: {' '.join(map(str, missing))}"))
-    if k is not None and len(paths) != k:
+                "disjoint", (v,),
+                f"{v} appears on lines {first[u] + 1} and {idx + 1}"))
+        passed.append(idx)
+    if covered.find(0, 0, n) >= 0:
+        missing = [vertex(u) for u in range(n) if not covered[u]]
         violations.append(Violation(
-            "path-count", (), f"{len(paths)} paths, want k = {k}"))
+            "spanning", tuple(missing),
+            f"uncovered: {' '.join(map(str, missing))}"))
+    if k is not None and len(lines) != k:
+        violations.append(Violation(
+            "path-count", (), f"{len(lines)} paths, want k = {k}"))
     return ValidationReport(tuple(violations))
 
 
@@ -278,15 +302,12 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
 
     if not search(0):
         return None
-    sub = EdgeSubgraph(g)
-    for pair in chosen:
-        for eid in pair:
-            sub.add(eid)
-    # the search kept every Y degree in {1, 2} and F acyclic, so each
-    # component is a path, met here once from each of its two ends
-    paths = {orient_path([g.vertex(u) for u in walk_component(sub, v)[0]])
-             for v, d in enumerate(sub.y_deg + sub.x_deg) if d == 1}
-    return PathFactor(g, tuple(sorted(paths)))
+    # the search kept every Y degree in {1, 2} and F acyclic, so F is a
+    # spanning path factor and no add_edge can fail
+    factor = PseudoPathFactor(g)
+    for eid in chain.from_iterable(chosen):
+        factor.add_edge(eid)
+    return PathFactor.from_pseudo(factor)
 
 
 def brute_force_trails(factor: PseudoPathFactor,

@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
-                        EdgeSubgraph, GenConfig, PseudoPathFactor, Vertex,
-                        brute_force_trails,
+                        EdgeSubgraph, GenConfig, PathFactor,
+                        PseudoPathFactor, Vertex, brute_force_trails,
                         build_pseudo_factor, find_trail, fixture, generate,
                         make_policy, orient_path, rewire,
                         validate_pseudo_factor)
@@ -271,6 +271,51 @@ def test_trail_rejects_a_malformed_edge_sequence(edges, match):
     g = fixture("k34")  # edge id 3y + x joins y and x
     with pytest.raises(ValueError, match=match):
         AugmentingTrail(g, edges)
+
+
+@pytest.mark.parametrize("edges", [(-24, -18), (0, 24), (24, 30)])
+def test_trail_rejects_edge_ids_outside_the_graph(k2_pseudo, edges):
+    # -24 and -18 would wrap to the edges 0 and 6 of y0 x0 y2, a trail
+    # that would compare unequal to AugmentingTrail(g, (0, 6)); 24 is |E|
+    g, _ = k2_pseudo
+    assert AugmentingTrail(g, (0, 6)).vertices == _ypath(0, 0, 2)
+    with pytest.raises(ValueError, match=r"not all in range\(24\)"):
+        AugmentingTrail(g, edges)
+
+
+def test_from_pseudo_rejects_a_factor_that_misses_y():
+    # the scan leaves y8 and y11 uncovered here, named in vertex order
+    factor = build_pseudo_factor(generate(GenConfig(k=3, seed=1)))
+    with pytest.raises(ValueError, match="^not spanning: y8 y11 uncovered$"):
+        PathFactor.from_pseudo(factor)
+
+
+class _CountingList(list):
+    """A list that counts its item assignments."""
+
+    writes = 0
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
+def test_add_edge_copies_the_shorter_path():
+    # One path grows edge by edge, each edge joining its end to a fresh
+    # 2-vertex path y_{i+1} x_{i+1}.  Copying the shorter path onto the
+    # longer writes 2 index entries per edge; copying the longer onto the
+    # shorter would write the whole growing path each time, about m^2.
+    m = 400
+    g = Bigraph(m, m, [(i, i) for i in range(m)]
+                + [(i + 1, i) for i in range(m - 1)])
+    factor = PseudoPathFactor(g)
+    for i in range(m):
+        factor.add_edge(edge_id(g, Vertex.y(i), Vertex.x(i)))
+    factor._path_of = index = _CountingList(factor._path_of)
+    for i in range(m - 1):
+        factor.add_edge(edge_id(g, Vertex.y(i + 1), Vertex.x(i)))
+    assert factor.max_path_length == 2 * m - 1
+    assert index.writes == 2 * (m - 1)
 
 
 def test_rewire_rejects_a_trail_on_another_graph(k2_pseudo):

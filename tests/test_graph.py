@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, GraphFormatError,
-                        NotBiregularError, PseudoPathFactor, Vertex,
-                        check_biregular, fixture, format_factor, generate,
-                        orient_path, parse_factor, parse_graph,
+                        NotBiregularError, PathFactor, PseudoPathFactor,
+                        Vertex, check_biregular, fixture, format_factor,
+                        generate, orient_path, parse_factor, parse_graph,
                         serialize_graph)
 from pathfactor.verify import audit_ids, walk_component
 from conftest import edge_id
@@ -424,6 +424,16 @@ def test_factor_file_round_trip():
     assert format_factor(parse_factor(text)) == text
     with_comments = "c paths below\n\n" + text
     assert format_factor(parse_factor(with_comments)) == text
+
+
+def test_format_factor_renders_a_path_factor_canonically():
+    # ids in any orientation and order give the canonical text, the same
+    # as the Vertex view's; y_i -> i and x_j -> 4 + j on k34
+    g = fixture("k34")
+    factor = PathFactor(g, ((1, 5, 2), (3, 4, 0)))
+    assert format_factor(factor) == "y0 x0 y3\ny1 x1 y2\n"
+    assert format_factor(factor.paths) == format_factor(factor)
+    assert format_factor(PathFactor(g, ())) == ""
 
 
 def test_parse_factor_bad_token():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 import pathfactor
-from pathfactor import (AugmentingTrail, EdgeSubgraph, GenConfig,
+from pathfactor import (AugmentingTrail, EdgeSubgraph, GenConfig, PathFactor,
                         PseudoPathFactor, fixture)
 
 ALL = {
@@ -38,6 +38,7 @@ def _instances():
         "EdgeSubgraph": EdgeSubgraph(g),
         "PseudoPathFactor": PseudoPathFactor(g),
         "AugmentingTrail": AugmentingTrail(g, (0, 3)),  # y0 x0 y1
+        "PathFactor": PathFactor(g, ((2, 6, 0, 4, 1, 5, 3),)),
         "GenConfig": GenConfig(k=1, seed=0),
     }
 
@@ -55,6 +56,7 @@ def _instances():
                           "uncovered_ys"}),
     ("AugmentingTrail", {"edge_count", "edges", "graph", "vertices"}),
     ("GenConfig", {"k", "seed"}),
+    ("PathFactor", {"from_pseudo", "graph", "ids", "lengths", "paths"}),
 ])
 def test_class_public_attributes(name, public):
     # an instance, so that attributes set in __init__ count as well

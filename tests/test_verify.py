@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 
 from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, OracleSizeError,
-                        Vertex, Violation, brute_force_factor,
+                        PathFactor, Vertex, Violation, brute_force_factor,
                         brute_force_trails, build_pseudo_factor, fixture,
-                        format_factor, generate, solve, validate_path_factor,
-                        validate_pseudo_factor)
+                        format_factor, generate, parse_factor, solve,
+                        validate_path_factor, validate_pseudo_factor)
 from conftest import edge_id
 
 
@@ -97,6 +97,127 @@ def test_path_validator_rule_ids(mutate, expected):
     g = fixture("k34")
     report = validate_path_factor(g, mutate(_k34_paths()))
     assert set(_rules(report)) == expected
+
+
+_K5 = ["y2 x12 y14 x10 y5 x2 y13", "y3 x0 y4 x5 y10",
+       "y6 x13 y7 x6 y0 x4 y8 x9 y11 x11 y16 x14 y12", "y9 x7 y18",
+       "y17 x1 y15 x3 y1 x8 y19"]  # solve(generate(GenConfig(5, 0)))
+
+
+def _k5_with(i, line):
+    return _K5[:i] + [line] + _K5[i + 1:]
+
+
+_K34 = "y2 x2 y0 x0 y1 x1 y3"
+_K5_SPANNED = ("y0 y1 y2 y5 y6 y7 y8 y10 y11 y12 y13 y14 y15 y16 y17 y19 "
+               "x1 x2 x3 x4 x5 x6 x8 x9 x10 x11 x12 x13 x14")
+
+
+# One broken factor per rule: the graph, the factor lines and each
+# violation's FAIL text and subjects, as the Vertex-keyed validator that
+# the id core replaced reported them.
+@pytest.mark.parametrize("graph, lines, expected", [
+    pytest.param("4x4", [_K34], [
+        ("graph-shape |X| = 4, want 3k = 3 to match |Y| = 4", ""),
+        ("spanning uncovered: x3", "x3")], id="graph-shape"),
+    pytest.param("k5", _k5_with(3, "y9 x0 y18"), [
+        ("not-a-path line 4 [y9 x0 y18] is not a simple path in the graph",
+         "y9 x0 y18"),
+        ("spanning uncovered: y9 y18 x7", "y9 y18 x7")], id="non-edge"),
+    pytest.param("k34", ["y0 x0 y0"], [
+        ("not-a-path line 1 [y0 x0 y0] is not a simple path in the graph",
+         "y0 x0 y0"),
+        ("spanning uncovered: y0 y1 y2 y3 x0 x1 x2",
+         "y0 y1 y2 y3 x0 x1 x2")], id="repeated-vertex"),
+    pytest.param("k5", _k5_with(3, "y99999 x7 y18"), [
+        ("not-a-path line 4 [y99999 x7 y18] is not a simple path in the "
+         "graph", "y99999 x7 y18"),
+        ("spanning uncovered: y9 y18 x7", "y9 y18 x7")], id="y99999"),
+    # y25 is index 25 = |Y| + 5, where a naive id would read x5
+    pytest.param("k5", _k5_with(1, "y3 x0 y4 y25 y10"), [
+        ("not-a-path line 2 [y3 x0 y4 y25 y10] is not a simple path in "
+         "the graph", "y3 x0 y4 y25 y10"),
+        ("spanning uncovered: y3 y4 y10 x0 x5", "y3 y4 y10 x0 x5")],
+        id="y25-aliasing-x5"),
+    # x15 is out of range on the X side, next to another unknown vertex
+    pytest.param("k5", _k5_with(3, "y9 x15 y25"), [
+        ("not-a-path line 4 [y9 x15 y25] is not a simple path in the graph",
+         "y9 x15 y25"),
+        ("spanning uncovered: y9 y18 x7", "y9 y18 x7")], id="x-beyond-X"),
+    pytest.param("k34", [_K34, "y3"], [
+        ("not-a-path line 2 [y3] is not a simple path in the graph", "y3"),
+        ("path-count 2 paths, want k = 1", "")], id="single-vertex"),
+    # y2 is out of range on the Y side, though an X index could be 2
+    pytest.param("2x3", ["y0 y2 y1"], [
+        ("graph-shape |Y| = 2 is not a multiple of 4", ""),
+        ("not-a-path line 1 [y0 y2 y1] is not a simple path in the graph",
+         "y0 y2 y1"),
+        ("spanning uncovered: y0 y1 x0 x1 x2", "y0 y1 x0 x1 x2")],
+        id="y-beyond-Y"),
+    pytest.param("k34", ["x0 y0 x2 y1 x1"], [
+        ("endpoint-degree endpoint x0 is on the degree-4 side, want Y",
+         "x0"),
+        ("endpoint-degree endpoint x1 is on the degree-4 side, want Y",
+         "x1"),
+        ("spanning uncovered: y2 y3", "y2 y3")], id="endpoint-degree"),
+    pytest.param("k34", ["y2 x2 y0 x0 y1 x1"], [
+        ("endpoint-degree endpoint x1 is on the degree-4 side, want Y",
+         "x1"),
+        ("odd-length line 1 [y2 x2 y0 x0 y1 x1] has odd length 5",
+         "y2 x2 y0 x0 y1 x1"),
+        ("spanning uncovered: y3", "y3")], id="odd-length"),
+    pytest.param("k34", [_K34, "y1 x2 y3"], [
+        ("disjoint y1 appears on lines 1 and 2", "y1"),
+        ("disjoint x2 appears on lines 1 and 2", "x2"),
+        ("disjoint y3 appears on lines 1 and 2", "y3"),
+        ("path-count 2 paths, want k = 1", "")], id="disjoint"),
+    pytest.param("k5", ["y9 x7 y18", "y9 x7 y18", "y3 x0 y4", "y3 x0 y4",
+                        "y9 x7 y18"], [
+        ("disjoint y9 appears on lines 1 and 2", "y9"),
+        ("disjoint x7 appears on lines 1 and 2", "x7"),
+        ("disjoint y18 appears on lines 1 and 2", "y18"),
+        ("disjoint y3 appears on lines 3 and 4", "y3"),
+        ("disjoint x0 appears on lines 3 and 4", "x0"),
+        ("disjoint y4 appears on lines 3 and 4", "y4"),
+        ("disjoint y9 appears on lines 1 and 5", "y9"),
+        ("disjoint x7 appears on lines 1 and 5", "x7"),
+        ("disjoint y18 appears on lines 1 and 5", "y18"),
+        (f"spanning uncovered: {_K5_SPANNED}", _K5_SPANNED)],
+        id="disjoint-thrice"),
+    pytest.param("k34", ["y2 x2 y0 x0 y1"], [
+        ("spanning uncovered: y3 x1", "y3 x1")], id="spanning"),
+    pytest.param("k34", [], [
+        ("spanning uncovered: y0 y1 y2 y3 x0 x1 x2",
+         "y0 y1 y2 y3 x0 x1 x2"),
+        ("path-count 0 paths, want k = 1", "")], id="path-count"),
+])
+def test_path_validator_pins_every_rule(graph, lines, expected):
+    g = {"k34": fixture("k34"), "k5": generate(GenConfig(k=5, seed=0)),
+         "4x4": Bigraph(4, 4, [(i, j) for i in range(4) for j in range(4)]),
+         "2x3": Bigraph(2, 3, [(i, j) for i in range(2) for j in range(3)]),
+         }[graph]
+    paths = parse_factor("\n".join(lines))
+    report = validate_path_factor(g, paths)
+    assert report.render() == "".join(f"FAIL {text}\n"
+                                      for text, _ in expected)
+    assert [v.subjects for v in report.violations] == [
+        tuple(map(Vertex.parse, names.split())) for _, names in expected]
+    vertices = set(g.vertices())
+    if all(v in vertices for p in paths for v in p):  # the fault fits ids
+        ids = tuple(tuple(map(g.vertex_id, p)) for p in paths)
+        assert validate_path_factor(g, PathFactor(g, ids)) == report
+
+
+@pytest.mark.parametrize("line, names", [
+    ((3, 55, 4), "y3 x35 y4"),  # 55 >= |V| = 35
+    ((-1, 20, 4), "y-1 x0 y4"),
+])
+def test_path_validator_rejects_ids_outside_the_graph(line, names):
+    g = generate(GenConfig(k=5, seed=0))
+    report = validate_path_factor(g, PathFactor(g, (line,)))
+    assert report.violations[0] == Violation(
+        "not-a-path", tuple(map(g.vertex, line)),
+        f"line 1 [{names}] is not a simple path in the graph")
 
 
 def test_path_validator_graph_shape():
