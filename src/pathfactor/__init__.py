@@ -19,9 +19,8 @@ from .errors import (AlgorithmDefectError, GenerationError, GraphFormatError,
 from .experiment import ExperimentSummary, run_experiment
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .generate import GenConfig, fixture, generate
-from .graph import (Bigraph, EdgeSubgraph, Vertex, check_biregular,
-                    format_factor, orient_path, parse_factor, parse_graph,
-                    serialize_graph)
+from .graph import (Bigraph, Vertex, check_biregular, format_factor,
+                    orient_path, parse_factor, parse_graph, serialize_graph)
 from .policy import (LexicographicPolicy, RandomPolicy, TieBreakPolicy,
                      make_policy)
 from .verify import (ValidationReport, Violation, brute_force_factor,
@@ -31,7 +30,7 @@ from .verify import (ValidationReport, Violation, brute_force_factor,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmDefectError", "AugmentingTrail", "Bigraph", "EdgeSubgraph",
+    "AlgorithmDefectError", "AugmentingTrail", "Bigraph",
     "ExperimentSummary", "GenConfig", "GenerationError", "GraphFormatError",
     "LexicographicPolicy", "NotBiregularError", "NotSimpleError",
     "OracleSizeError", "PathFactor", "PathFactorError", "PseudoPathFactor",

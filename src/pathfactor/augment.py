@@ -38,11 +38,11 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     """
     if policy is None:
         policy = LexicographicPolicy()
-    g, sub = factor.graph, factor.subgraph
-    if not y0.is_y or sub.degree(y0) != 0:
+    g, y_deg = factor.graph, factor.y_deg
+    if not y0.is_y or y_deg[y0.index] != 0:
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
     # on ids: spent holds the trail's edge ids in order, as an ordered set
-    ends, inc, member, ny = g.edges, g._inc, sub._member, g.y_count
+    ends, inc, member, ny = g.edges, g._inc, factor._member, g.y_count
 
     def so_far() -> str:  # the vertices the spent edges pass through
         return " ".join([str(y0)] + [f"y{ends[eid][0]}" if t % 2 else
@@ -93,7 +93,7 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
                 f"factor edge on the long component at x{x_idx} was "
                 f"already used; trail so far: {so_far()}")
         interior = {ends[eid][0]: eid for eid in f_eids
-                    if sub.y_deg[ends[eid][0]] == 2}
+                    if y_deg[ends[eid][0]] == 2}
         if not interior:
             raise AlgorithmDefectError(
                 f"no interior Y vertex reachable at x{x_idx} on a component "
@@ -122,7 +122,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     shorter piece of each path it splits.  checked=True also holds a
     fresh walk of F through every trail vertex against the path index.
     """
-    g, sub, index = factor.graph, factor.subgraph, factor._path_of
+    g, index, y_deg = factor.graph, factor._path_of, factor.y_deg
     if trail.graph is not g:  # edge ids name edges of one graph only
         raise ValueError(f"{trail} is on another graph than F")
     # vertex ids y0, x1, y1, ...; the edges alternate outside F
@@ -131,11 +131,11 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     drop, adopt = trail.edges[1::2], trail.edges[0::2]
     xs = ids[1::2]
     lengths = [len(index[x] or (x,)) - 1 for x in xs]  # of x's component
-    if sub.y_deg[ids[0]] != 0:
+    if y_deg[ids[0]] != 0:
         raise ValueError(f"trail origin y{ids[0]} is already covered")
-    if not all(sub.has(eid) for eid in drop):
+    if not all(factor._member[eid] for eid in drop):
         raise ValueError(f"{trail} has a factor edge outside F")
-    if any(sub.has(eid) for eid in adopt):
+    if any(factor._member[eid] for eid in adopt):
         raise ValueError(f"{trail} has a non-factor edge inside F")
     # the factor edges end at distinct Y vertices, and so do the
     # non-factor ones, so this also rules out a repeated edge
@@ -149,9 +149,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     if lengths[-1] < 4:
         raise ValueError(f"{trail} ends on a component of length "
                          f"{lengths[-1]}, want >= 4")
-    if sub.y_deg[ids[-1]] != 2:
+    if y_deg[ids[-1]] != 2:
         raise ValueError(f"{trail} ends at y{ids[-1]} of factor degree "
-                         f"{sub.y_deg[ids[-1]]}, want 2")
+                         f"{y_deg[ids[-1]]}, want 2")
 
     old_max = factor.max_path_length
     try:
@@ -167,7 +167,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     # vertices but y0 were covered before, so this checks that exactly
     # one more vertex, y0, is now covered and every changed path is even.
     for v in ids:
-        if v < ny and sub.y_deg[v] == 0:
+        if v < ny and y_deg[v] == 0:
             raise AlgorithmDefectError(
                 f"rewiring along {trail} left y{v} uncovered")
         path = index[v] or (v,)
@@ -209,7 +209,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
     # stays exact by popping each origin; from_pseudo re-checks the end.
     uncovered = factor.uncovered_ys()
     while uncovered:
-        if factor.long_component_count == 0:
+        if factor.max_path_length < 4:
             raise AlgorithmDefectError(
                 "factor misses a Y vertex yet has no component of "
                 "length >= 4")
@@ -225,7 +225,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
                   f"max_path {factor.max_path_length}")
     if checked:  # the result is read off the index; F gets its own check
         from .verify import validate_pseudo_factor
-        report = validate_pseudo_factor(g, factor.subgraph)
+        report = validate_pseudo_factor(g, factor.edge_ids())
         if not report.valid:
             raise AlgorithmDefectError(
                 f"validator rejected the augmented factor:\n"

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .errors import AlgorithmDefectError, NotSimpleError
 from .factors import PseudoPathFactor
-from .graph import Bigraph, EdgeSubgraph, check_biregular
+from .graph import Bigraph, check_biregular
 from .policy import LexicographicPolicy, TieBreakPolicy
 from .verify import audit_ids
 
@@ -29,7 +29,7 @@ TraceFn = Callable[[str], None]
 class FactorState:
     """Mutable scan state.
 
-    factor holds F with its path index, and f is F's edge set.  The reject
+    factor holds F: its edge set, F-degrees and path index.  The reject
     set U is derived, not stored: it is the edges at scanned Y vertices
     that are not in F.  current is the index j of the current X vertex
     x_j, None before the first step and after the last.  pending_x is
@@ -53,19 +53,15 @@ class FactorState:
                    scanned=[False] * g.y_count, current=None, step_no=0,
                    pending_x=list(range(g.x_count)))
 
-    @property
-    def f(self) -> EdgeSubgraph:
-        return self.factor.subgraph
-
     def is_initial(self) -> bool:
         return (self.step_no == 0 and self.current is None
-                and self.f.edge_count == 0 and not any(self.scanned))
+                and self.factor.edge_count == 0 and not any(self.scanned))
 
     def dump(self) -> str:
-        g, f = self.graph, self.f
+        g, f = self.graph, self.factor
         f_edges = " ".join(_edge_str(g, e) for e in f.edge_ids())
         u_edges = " ".join(_edge_str(g, e) for e in range(g.edge_count)
-                           if self.scanned[g.edges[e][0]] and not f.has(e))
+                           if self.scanned[g.edges[e][0]] and not f._member[e])
         done = " ".join(f"y{i}" for i, s in enumerate(self.scanned) if s)
         current = "None" if self.current is None else f"x{self.current}"
         return (f"step={self.step_no} current={current} "
@@ -89,7 +85,7 @@ def _grow_f(state: FactorState, eid: int) -> None:
     except ValueError as exc:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
     x = state.graph.edges[eid][1]
-    if state.f.x_deg[x] == 2:
+    if state.factor.x_deg[x] == 2:
         pending = state.pending_x
         at = bisect_left(pending, x)
         if at == len(pending) or pending[at] != x:
@@ -103,8 +99,8 @@ def check_state_invariants(state: FactorState) -> None:
 
     Raises AlgorithmDefectError on the first breach.
     """
-    g, f, scanned = state.graph, state.f, state.scanned
-    problem = audit_ids(state.factor, range(g.y_count + g.x_count))
+    g, f, scanned = state.graph, state.factor, state.scanned
+    problem = audit_ids(f, range(g.y_count + g.x_count))
     if problem:
         raise _defect(problem, state)
     for i in range(g.y_count):
@@ -124,14 +120,14 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
     # Local audit after a checked step: a step changes F only at the
     # scanned y_i and its three X neighbours and moves the current X, so
     # only those are checked, in time proportional to their paths.
-    g, f = state.graph, state.f
+    g, f = state.graph, state.factor
     if f.y_deg[y_idx] != f_added:
         raise _defect(f"unscanned y{y_idx} had F-degree "
                       f"{f.y_deg[y_idx] - f_added}", state)
     xs = [g.edges[eid][1] for eid in g._inc[y_idx]]
     if state.current is not None:
         xs.append(state.current)
-    problem = audit_ids(state.factor, [y_idx] + [g.y_count + j for j in xs])
+    problem = audit_ids(f, [y_idx] + [g.y_count + j for j in xs])
     if problem:
         raise _defect(problem, state)
     pending = state.pending_x
@@ -144,7 +140,7 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
 
 
 def _check_rejected(state: FactorState, j: int) -> None:
-    g, f = state.graph, state.f
+    g, f = state.graph, state.factor
     if f.x_deg[j] <= 1:
         rejected = sum(state.scanned[g.edges[eid][0]] for eid in
                        g._inc[g.y_count + j]) - f.x_deg[j]
@@ -156,7 +152,7 @@ def _check_rejected(state: FactorState, j: int) -> None:
 def _check_growth(state: FactorState) -> None:
     # every F edge is at a scanned Y, so the rest of the three edges at
     # each of the step_no scanned Y make up U
-    f_count = state.f.edge_count
+    f_count = state.factor.edge_count
     u_count = 3 * state.step_no - f_count
     prev_f, prev_u = state._seen_counts
     if f_count < prev_f or u_count < prev_u:
@@ -207,7 +203,7 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
                            reject the other, which becomes current.
     """
     g, j, scanned = state.graph, state.current, state.scanned
-    ends, inc, x_deg = g.edges, g._inc, state.factor.subgraph.x_deg
+    ends, inc, x_deg = g.edges, g._inc, state.factor.x_deg
     if j is None:
         raise _defect("current vertex None is not an X vertex", state)
     if x_deg[j] > 1:
@@ -297,12 +293,12 @@ def build_pseudo_factor(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
     # add_edge kept F a family of paths; with every X vertex interior,
     # each path ends in Y at both ends and so has even length.
     for j in range(g.x_count):
-        if state.f.x_deg[j] != 2:
+        if state.factor.x_deg[j] != 2:
             raise _defect(f"scan stopped with deg_F(x{j}) = "
-                          f"{state.f.x_deg[j]}", state)
+                          f"{state.factor.x_deg[j]}", state)
     if checked:
         from .verify import validate_pseudo_factor
-        report = validate_pseudo_factor(g, state.f)
+        report = validate_pseudo_factor(g, state.factor.edge_ids())
         if not report.valid:
             raise _defect(f"validator rejected the built factor:\n"
                           f"{report.render()}", state)

@@ -13,26 +13,29 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Bigraph, EdgeSubgraph, Vertex
+from .graph import Bigraph, Vertex
 
 
 class PseudoPathFactor:
     """A factor F of a graph with an incrementally maintained path index.
 
-    F is kept as an EdgeSubgraph, a list from each integer vertex id
+    F is kept as its edge set, a membership byte per edge occurrence (so
+    parallel edges are independent members) with the F-degree of every Y
+    and X vertex in y_deg and x_deg; a list from each integer vertex id
     (y_i -> i, x_j -> |Y| + j) to the deque of ids of the path it lies on
-    (None while isolated), and a histogram of path lengths with no zero
+    (None while isolated); and a histogram of path lengths with no zero
     counts, so its largest key is the longest path.  F changes only
     through add_edge and remove_edge: the scan grows it edge by edge, and
     rewiring removes a trail's factor edges and adds its non-factor ones.
     Per-vertex component lookup is O(1); the maximum path length and the
-    count of components of length >= 4 are read off the histogram.  Every
-    public method takes and returns Vertex.
+    edge count are read off the histogram.
     """
 
     def __init__(self, graph: Bigraph):
         self.graph = graph
-        self.subgraph = EdgeSubgraph(graph)
+        self._member = bytearray(graph.edge_count)
+        self.y_deg = [0] * graph.y_count
+        self.x_deg = [0] * graph.x_count
         self._path_of: list[deque[int] | None] = \
             [None] * (graph.y_count + graph.x_count)
         self._len_counts: dict[int, int] = {}  # length -> path count
@@ -43,8 +46,9 @@ class PseudoPathFactor:
         """Add an edge to F, joining the paths that end at its endpoints.
 
         Raises ValueError, leaving F unchanged, if the edge would close a
-        cycle or attach to a path interior.  The shorter path is copied
-        onto the longer, so growing F edge by edge costs O(n log n).
+        cycle or attach to a path interior; an edge already in F has both
+        ends on one path, so it is refused as a cycle.  The shorter path is
+        copied onto the longer, so growing F edge by edge costs O(n log n).
         """
         yi, xj = self.graph.edges[eid]
         y, x = yi, self.graph.y_count + xj
@@ -55,7 +59,9 @@ class PseudoPathFactor:
         if (a is not None and a[0] != y != a[-1]
                 or b is not None and b[0] != x != b[-1]):
             raise ValueError(f"edge y{yi}-x{xj} attaches to a path interior")
-        self.subgraph.add(eid)
+        self._member[eid] = 1
+        self.y_deg[yi] += 1
+        self.x_deg[xj] += 1
         if b is not None and (a is None or len(a) < len(b)):
             a, b, y, x = b, a, x, y  # a: the longer path, or the only one
         if a is None:
@@ -88,10 +94,12 @@ class PseudoPathFactor:
         The shorter piece is moved to a new path, so a split costs
         O(shorter piece); a piece of one vertex leaves the index.
         """
-        if not self.subgraph.has(eid):
+        if not self._member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
-        self.subgraph.remove(eid)
+        self._member[eid] = 0
         y, x = self.graph.edges[eid]
+        self.y_deg[y] -= 1
+        self.x_deg[x] -= 1
         ends = (y, self.graph.y_count + x)
         path, counts = self._path_of[y], self._len_counts
         n = len(path) - 1
@@ -142,20 +150,23 @@ class PseudoPathFactor:
         return max(self._len_counts, default=0)
 
     @property
-    def long_component_count(self) -> int:
-        """Components of length >= 4."""
-        return sum(c for length, c in self._len_counts.items() if length >= 4)
-
-    @property
     def path_count(self) -> int:
         return sum(self._len_counts.values())
 
+    @property
+    def edge_count(self) -> int:
+        return sum(n * c for n, c in self._len_counts.items())
+
+    def edge_ids(self) -> list[int]:
+        """The occurrence ids of F's edges, ascending."""
+        return [eid for eid, m in enumerate(self._member) if m]
+
     def uncovered_ys(self) -> list[Vertex]:
         return [Vertex.y(i) for i in range(self.graph.y_count)
-                if self.subgraph.y_deg[i] == 0]
+                if self.y_deg[i] == 0]
 
     def __repr__(self) -> str:
-        covered = sum(1 for d in self.subgraph.y_deg if d)
+        covered = sum(1 for d in self.y_deg if d)
         return (f"PseudoPathFactor({self.path_count} paths, "
                 f"{covered}/{self.graph.y_count} Y covered, "
                 f"max length {self.max_path_length})")

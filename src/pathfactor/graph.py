@@ -70,7 +70,9 @@ class Vertex(NamedTuple):
         return self.side == Y_SIDE
 
     def __repr__(self) -> str:
-        return f"{'yx'[self.side]}{self.index}"
+        if self.side in (Y_SIDE, X_SIDE):
+            return f"{'yx'[self.side]}{self.index}"
+        return f"Vertex({self.side!r}, {self.index!r})"  # not of any graph
 
     __str__ = __repr__
 
@@ -144,65 +146,6 @@ class Bigraph:
         kind = "simple" if self.simple else "multi"
         return (f"Bigraph(|Y|={self.y_count}, |X|={self.x_count}, "
                 f"|E|={self.edge_count}, {kind})")
-
-
-class EdgeSubgraph:
-    """A mutable edge subset of a parent Bigraph with degree bookkeeping.
-
-    Membership is tracked per edge occurrence, so parallel edges of a
-    multigraph are independent members.  Degree counters are maintained on
-    every add/remove; the sum of Y degrees, the sum of X degrees and the
-    member count always agree.  Single-writer: instances are not safe to
-    share between threads while being mutated.
-    """
-
-    __slots__ = ("parent", "y_deg", "x_deg", "_member", "_count")
-
-    def __init__(self, parent: Bigraph):
-        self.parent = parent
-        self._member = bytearray(parent.edge_count)
-        self.y_deg = [0] * parent.y_count
-        self.x_deg = [0] * parent.x_count
-        self._count = 0
-
-    def has(self, eid: int) -> bool:
-        return bool(self._member[eid])
-
-    def add(self, eid: int) -> None:
-        if self._member[eid]:
-            raise ValueError(f"edge occurrence {eid} already a member")
-        self._member[eid] = 1
-        y, x = self.parent.edges[eid]
-        self.y_deg[y] += 1
-        self.x_deg[x] += 1
-        self._count += 1
-
-    def remove(self, eid: int) -> None:
-        if not self._member[eid]:
-            raise ValueError(f"edge occurrence {eid} not a member")
-        self._member[eid] = 0
-        y, x = self.parent.edges[eid]
-        self.y_deg[y] -= 1
-        self.x_deg[x] -= 1
-        self._count -= 1
-
-    def degree(self, v: Vertex) -> int:
-        return (self.y_deg if v.side == Y_SIDE else self.x_deg)[v.index]
-
-    @property
-    def edge_count(self) -> int:
-        return self._count
-
-    def edge_ids(self) -> Iterator[int]:
-        return (eid for eid, m in enumerate(self._member) if m)
-
-    def member_incident(self, v: Vertex) -> list[int]:
-        """Member occurrence ids at v, ascending."""
-        return [eid for eid in self.parent.incident_edge_ids(v)
-                if self._member[eid]]
-
-    def __repr__(self) -> str:
-        return f"EdgeSubgraph({self._count} of {self.parent.edge_count} edges)"
 
 
 def check_biregular(g: Bigraph) -> int:

@@ -1,8 +1,8 @@
 """Independent validators and exhaustive oracles.
 
-The validators re-derive every structural claim from the raw subgraph or
+The validators re-derive every structural claim from the raw edge ids or
 path list; they share no bookkeeping with the solver.  The checked-mode
-audit walks the subgraph the same way and holds the solver's path index
+audit walks F's edge set the same way and holds the solver's path index
 against that walk.  The oracle
 enumerates all ways to keep exactly 2 of the 4 edges at every X vertex
 (6 per vertex, 6^(3k) total), so it can certify both the existence and
@@ -18,8 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .dsu import RollbackUnionFind
 from .errors import OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import (Bigraph, EdgeSubgraph, Vertex, X_SIDE, Y_SIDE,
-                    check_biregular)
+from .graph import Bigraph, Vertex, X_SIDE, Y_SIDE, check_biregular
 
 ORACLE_MAX_K = 2
 
@@ -48,13 +47,14 @@ class ValidationReport:
                        for v in self.violations)
 
 
-def walk_component(sub: EdgeSubgraph, v: int) -> tuple[list[int], int]:
-    """The component of sub through vertex id v: its vertex ids and its
-    edge count, in time proportional to the component.  The collection
-    starts where a walk away from v first meets a vertex of degree other
-    than 2, or v again on a cycle, so a path comes out in order."""
-    g = sub.parent
-    inc, ends, member, ny = g._inc, g.edges, sub._member, g.y_count
+def walk_component(g: Bigraph, member: Sequence[int],
+                   v: int) -> tuple[list[int], int]:
+    """The component through vertex id v of the edges of g whose member
+    entry is 1: its vertex ids and its edge count, in time proportional
+    to the component.  The collection starts where a walk away from v
+    first meets a vertex of degree other than 2, or v again on a cycle,
+    so a path comes out in order."""
+    inc, ends, ny = g._inc, g.edges, g.y_count
     start, prev_eid = v, -1
     while len(eids := [eid for eid in inc[start] if member[eid]]) == 2:
         prev_eid = eids[eids[0] == prev_eid]
@@ -89,15 +89,15 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
     one path index entry holding that path in either orientation (none
     for an isolated vertex).  Returns the first fault found, or None.
     """
-    g, sub, index = factor.graph, factor.subgraph, factor._path_of
-    ny, seen = g.y_count, set()
+    g, index, member = factor.graph, factor._path_of, factor._member
+    y_deg, x_deg, ny, seen = factor.y_deg, factor.x_deg, g.y_count, set()
     for v in ids:
         if v in seen:
             continue
-        comp, edges = walk_component(sub, v)
+        comp, edges = walk_component(g, member, v)
         seen.update(comp)
         branch = [u for u in comp
-                  if (sub.y_deg[u] if u < ny else sub.x_deg[u - ny]) >= 3]
+                  if (y_deg[u] if u < ny else x_deg[u - ny]) >= 3]
         if branch:
             return f"F has a branch-vertex at {g.vertex(min(branch))}"
         if edges >= len(comp):
@@ -115,45 +115,57 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
     return None
 
 
-def validate_pseudo_factor(g: Bigraph, sub: EdgeSubgraph) -> ValidationReport:
-    """Check the pseudo path factor conditions.
+def validate_pseudo_factor(g: Bigraph,
+                           eids: Iterable[int]) -> ValidationReport:
+    """Check the pseudo path factor conditions on an edge set of g, given
+    as occurrence ids.
 
-    Rules, in order: "subgraph" (edge set belongs to g), "max-degree"
-    (no vertex of degree >= 3), "cycle" (no cyclic component),
-    "odd-length" (every path component has an even edge count),
-    "x-degree" (every X vertex has degree exactly 2).
+    Rules, in order: "subgraph" (every id names an edge of g, and no id
+    repeats), "max-degree" (no vertex of degree >= 3), "cycle" (no cyclic
+    component), "odd-length" (every path component has an even edge
+    count), "x-degree" (every X vertex has degree exactly 2).
     """
     violations: list[Violation] = []
-    if sub.parent != g:
-        violations.append(Violation(
-            "subgraph", (), "edge set does not belong to the given graph"))
+    m, ny = g.edge_count, g.y_count
+    member, deg = bytearray(m), [0] * (ny + g.x_count)  # deg by vertex id
+    for eid in eids:
+        if 0 <= eid < m and not member[eid]:
+            member[eid] = 1
+            y, x = g.edges[eid]
+            deg[y] += 1
+            deg[ny + x] += 1
+        else:
+            why = "repeated" if 0 <= eid < m else f"not in range({m})"
+            violations.append(Violation(
+                "subgraph", (), f"edge id {eid} is {why}"))
+    if violations:
         return ValidationReport(tuple(violations))
-    for v in g.vertices():
-        d = sub.degree(v)
+    for v, d in enumerate(deg):
         if d >= 3:
             violations.append(Violation(
-                "max-degree", (v,), f"deg({v}) = {d}, want <= 2"))
+                "max-degree", (g.vertex(v),),
+                f"deg({g.vertex(v)}) = {d}, want <= 2"))
     seen: set[int] = set()
-    for v, d in enumerate(sub.y_deg + sub.x_deg):  # by vertex id
+    for v, d in enumerate(deg):
         if v in seen or d == 0:
             continue
-        comp, edges = walk_component(sub, v)
+        comp, edges = walk_component(g, member, v)
         seen.update(comp)
+        path = all(deg[u] <= 2 for u in comp)
         comp = sorted(map(g.vertex, comp))
         names = " ".join(map(str, comp))
         if edges >= len(comp):
             violations.append(Violation(
                 "cycle", tuple(comp), f"component {{{names}}} has {edges} "
                 f"edges on {len(comp)} vertices"))
-        elif all(sub.degree(u) <= 2 for u in comp) and edges % 2 == 1:
+        elif path and edges % 2 == 1:
             violations.append(Violation(
                 "odd-length", tuple(comp),
                 f"path component {{{names}}} has odd length {edges}"))
-    for j in range(g.x_count):
-        if sub.x_deg[j] != 2:
+    for j, d in enumerate(deg[ny:]):
+        if d != 2:
             violations.append(Violation(
-                "x-degree", (Vertex.x(j),),
-                f"deg(x{j}) = {sub.x_deg[j]}, want 2"))
+                "x-degree", (Vertex.x(j),), f"deg(x{j}) = {d}, want 2"))
     return ValidationReport(tuple(violations))
 
 
@@ -185,10 +197,6 @@ def validate_path_factor(
                         else other.setdefault(Vertex(side, i), n + len(other))
                         for side, i in seq]) for seq in factor]
         extra = list(other)
-    # in an edge, a Vertex of a side other than Y or X stands for the X
-    # vertex of its index; other ids >= n stand for none
-    alias = {u: ny + i for u, (side, i) in enumerate(extra, n)
-             if side not in (Y_SIDE, X_SIDE) and 0 <= i < nx}
 
     def vertex(u: int) -> Vertex:
         return extra[u - n] if n <= u < n + len(extra) else g.vertex(u)
@@ -207,8 +215,7 @@ def validate_path_factor(
             # q: p as vertices of g, -1 for none.  Each step of q must be
             # a (y, x) pair of g.edges; an id out of range or on the wrong
             # side makes a pair that is none.
-            q = p if max(p) < n else [u if u < n else alias.get(u, -1)
-                                      for u in p]
+            q = p if max(p) < n else [u if u < n else -1 for u in p]
             y0 = q[0] < ny  # whether the Y ids are at the even places
             ys, xs = q[1 - y0::2], [u - ny for u in q[y0::2]]
             ok = (pairs.issuperset(zip(ys, xs))
@@ -219,7 +226,7 @@ def validate_path_factor(
                 f"{line(idx, p)} is not a simple path in the graph"))
             continue
         for u in (p[0], p[-1]):
-            if u >= ny:  # an X, or an id >= n that passed as one
+            if u >= ny:
                 v = vertex(u)
                 violations.append(Violation(
                     "endpoint-degree", (v,),
@@ -320,29 +327,29 @@ def brute_force_trails(factor: PseudoPathFactor,
     vertices.  Sorted by vertex sequence.  Raises OracleSizeError for
     k > 2 and ValueError when y0 is already covered.
     """
-    g, sub = factor.graph, factor.subgraph
+    g, member, y_deg = factor.graph, factor._member, factor.y_deg
     k = check_biregular(g)
     if k > ORACLE_MAX_K:
         raise OracleSizeError(
             f"exhaustive trail search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    if not y0.is_y or sub.degree(y0) != 0:
+    if not y0.is_y or y_deg[y0.index] != 0:
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
     found: list[AugmentingTrail] = []
 
     def extend(tip: Vertex, edges: tuple[int, ...],
                seen_ys: frozenset[Vertex]) -> None:
         for eid in g.incident_edge_ids(tip):
-            if sub.has(eid) or eid in edges:
+            if member[eid] or eid in edges:
                 continue
             x_next = Vertex.x(g.edges[eid][1])
             long_comp = factor.component_length_at(x_next) >= 4
-            for feid in sub.member_incident(x_next):
-                if feid in edges:
+            for feid in g.incident_edge_ids(x_next):
+                if not member[feid] or feid in edges:
                     continue
                 y_next = Vertex.y(g.edges[feid][0])
                 if long_comp:
-                    if sub.degree(y_next) == 2:
+                    if y_deg[y_next.index] == 2:
                         found.append(AugmentingTrail(g, edges + (eid, feid)))
                 elif y_next not in seen_ys:
                     extend(y_next, edges + (eid, feid), seen_ys | {y_next})

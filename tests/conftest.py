@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from pathfactor import (AugmentingTrail, Bigraph, EdgeSubgraph,
-                        PseudoPathFactor, Vertex)
+from pathfactor import AugmentingTrail, Bigraph, PseudoPathFactor, Vertex
 
 
 def edge_id(g, a, b):
@@ -22,6 +21,25 @@ def edge_id(g, a, b):
     if len(ids) != 1:
         raise ValueError(f"edge {y}{x} has multiplicity {len(ids)}")
     return ids[0]
+
+
+def flip_behind_index(factor, eid):
+    """Put edge eid into F's edge set, or take it out, with both its
+    degree counts, but leave the path index as it is: a corruption for
+    the checks to find."""
+    y, x = factor.graph.edges[eid]
+    step = -1 if factor._member[eid] else 1
+    factor._member[eid] ^= 1
+    factor.y_deg[y] += step
+    factor.x_deg[x] += step
+
+
+def k2_stub_pairing(rng):
+    """A k=2 (3,4)-biregular multigraph: 3 stubs per Y vertex matched to
+    4 per X vertex by rng.shuffle; parallel edges stay."""
+    xs = [x for x in range(6) for _ in range(4)]
+    rng.shuffle(xs)
+    return Bigraph(8, 6, zip([y for y in range(8) for _ in range(3)], xs))
 
 
 def trail_of(g, *walks):
@@ -56,13 +74,10 @@ def _factor_from_paths(y_count, x_count, f_paths, extra_edges):
 
 @pytest.fixture
 def subgraph_of():
-    """Build an EdgeSubgraph of g from (Vertex, Vertex) pairs, each naming
-    a unique edge occurrence."""
+    """The edge ids of g named by (Vertex, Vertex) pairs, each naming a
+    unique edge occurrence."""
     def build(g, pairs):
-        sub = EdgeSubgraph(g)
-        for a, b in pairs:
-            sub.add(edge_id(g, a, b))
-        return sub
+        return [edge_id(g, a, b) for a, b in pairs]
     return build
 
 

@@ -11,6 +11,7 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
                         Vertex, brute_force_trails, build_pseudo_factor,
                         find_trail, fixture, format_factor, generate,
                         make_policy, rewire, solve, validate_path_factor)
+from conftest import flip_behind_index
 
 
 def _ypath(*indices):
@@ -54,17 +55,17 @@ def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     trail = find_trail(factor, Vertex.y(0))
 
     def pairs(f):
-        return {g.edges[eid] for eid in f.subgraph.edge_ids()}
+        return {g.edges[eid] for eid in f.edge_ids()}
 
     before_pairs = pairs(factor)
-    before_count = factor.subgraph.edge_count
+    before_count = factor.edge_count
     rewire(factor, trail)
     # the trail alternates y x y ...: edges y_{j-1} x_j join F, x_j y_j leave
     ys, xs = trail.vertices[0::2], trail.vertices[1::2]
     adopted = {(y.index, x.index) for y, x in zip(ys, xs)}
     dropped = {(y.index, x.index) for y, x in zip(ys[1:], xs)}
     assert pairs(factor) == (before_pairs - dropped) | adopted
-    assert factor.subgraph.edge_count == before_count
+    assert factor.edge_count == before_count
 
 
 def test_k3_trail_crosses_the_short_path(k3_pseudo):
@@ -271,7 +272,7 @@ def test_checked_rewire_catches_f_disagreeing_with_the_index(
 
     def keeps_the_edge(self, eid):
         original(self, eid)
-        self.subgraph.add(eid)
+        flip_behind_index(self, eid)
 
     monkeypatch.setattr(PseudoPathFactor, "remove_edge", keeps_the_edge)
     with pytest.raises(AlgorithmDefectError,
@@ -293,11 +294,10 @@ def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
         rewire(factor, trail, checked=checked)
         calls.append(1)
         if len(calls) == rounds:
-            sub = factor.subgraph
-            eid = next(eid for eid in sub.edge_ids()
-                       if sub.y_deg[g.edges[eid][0]] == 2
+            eid = next(eid for eid in factor.edge_ids()
+                       if factor.y_deg[g.edges[eid][0]] == 2
                        and not set(g.endpoints(eid)) & set(trail.vertices))
-            sub.remove(eid)
+            flip_behind_index(factor, eid)
 
     monkeypatch.setattr("pathfactor.augment.rewire", corrupting_rewire)
     assert validate_path_factor(g, solve(g)).valid

@@ -10,7 +10,7 @@ from pathfactor import (AlgorithmDefectError, GenConfig, NotBiregularError,
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
                                 step_i, step_zero)
 from pathfactor.policy import LexicographicPolicy
-from conftest import edge_id
+from conftest import edge_id, flip_behind_index
 
 K34_TRACE = [
     "step 0 case 0 y0 F:[y0x2 y0x0] U:[y0x1]",
@@ -72,7 +72,7 @@ def test_case_3b_avoids_the_cycle():
     # factor must extend through x2 even though x1 sorts first
     assert lines == ["step 2 case 3b y1 F:[y1x0 y1x2] U:[y1x1]"]
     assert state.current == 1  # x1
-    f_pairs = {g.edges[eid] for eid in state.f.edge_ids()}
+    f_pairs = {g.edges[eid] for eid in state.factor.edge_ids()}
     assert (1, 2) in f_pairs and (1, 1) not in f_pairs
 
 
@@ -81,8 +81,8 @@ def test_forced_3b_state_completes():
     policy = LexicographicPolicy()
     while state.current is not None:
         step_i(state, policy, checked=True)
-    assert all(d == 2 for d in state.f.x_deg)
-    assert validate_pseudo_factor(g, state.f).valid
+    assert all(d == 2 for d in state.factor.x_deg)
+    assert validate_pseudo_factor(g, state.factor.edge_ids()).valid
 
 
 @pytest.mark.parametrize("pairs, match", [
@@ -114,12 +114,12 @@ def _drop_f_edge(g, state):
 
 
 def _add_branch(g, state):
-    state.f.add(_edge(g, 0, 2))  # y0 already has F-degree 2
+    flip_behind_index(state.factor, _edge(g, 0, 2))  # y0 has F-degree 2
 
 
 def _add_cycle(g, state):
-    state.f.add(_edge(g, 1, 0))  # y1 closes x0 y0 x1
-    state.f.add(_edge(g, 1, 1))
+    flip_behind_index(state.factor, _edge(g, 1, 0))  # y1 closes x0 y0 x1
+    flip_behind_index(state.factor, _edge(g, 1, 1))
 
 
 def _reject_every_edge_at_x(g, state):
@@ -174,8 +174,8 @@ def test_checked_scan_catches_a_corrupted_state(corrupt):
 def test_checked_build_validates(k, seed):
     g = generate(GenConfig(k=k, seed=seed))
     factor = build_pseudo_factor(g, checked=True)
-    assert validate_pseudo_factor(g, factor.subgraph).valid
-    assert factor.subgraph.edge_count == 2 * g.x_count
+    assert validate_pseudo_factor(g, factor.edge_ids()).valid
+    assert factor.edge_count == 2 * g.x_count
     for p in factor.paths:
         assert (len(p) - 1) % 2 == 0
         assert p[0].is_y and p[-1].is_y
@@ -187,7 +187,7 @@ def test_checked_build_validates(k, seed):
 def test_random_policy_build_validates(k, seed, pseed):
     g = generate(GenConfig(k=k, seed=seed))
     factor = build_pseudo_factor(g, RandomPolicy(pseed), checked=True)
-    assert validate_pseudo_factor(g, factor.subgraph).valid
+    assert validate_pseudo_factor(g, factor.edge_ids()).valid
 
 
 @pytest.mark.parametrize("policy", [LexicographicPolicy,
@@ -224,7 +224,7 @@ def test_commit_split_is_half_and_half():
     # all 12k edges into 6k factor edges and 6k rejected ones
     g = generate(GenConfig(k=5, seed=2))
     factor = build_pseudo_factor(g)
-    assert factor.subgraph.edge_count == 6 * 5
+    assert factor.edge_count == 6 * 5
 
 
 def test_scan_constructs_in_at_most_y_steps():

@@ -7,14 +7,14 @@ from collections import Counter
 import pytest
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
-                        EdgeSubgraph, GenConfig, PathFactor,
+                        GenConfig, PathFactor,
                         PseudoPathFactor, Vertex, brute_force_trails,
                         build_pseudo_factor, find_trail, fixture, generate,
                         make_policy, orient_path, rewire,
                         validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 from pathfactor.verify import audit_ids, walk_component
-from conftest import edge_id, trail_of
+from conftest import edge_id, k2_stub_pairing, trail_of
 
 
 def _ypath(*indices):
@@ -43,7 +43,7 @@ def test_add_edge_rejects_cycle():
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1))
     with pytest.raises(ValueError, match="cycle"):
         factor.add_edge(edge_id(g, Vertex.y(0), Vertex.x(1)))
-    assert factor.subgraph.edge_count == 3
+    assert factor.edge_count == 3
     assert factor.paths == (_ypath(0, 0, 1, 1),)
 
 
@@ -51,7 +51,7 @@ def test_add_edge_rejects_interior():
     g, factor = _k34_factor((0, 0), (1, 0))
     with pytest.raises(ValueError, match="interior"):
         factor.add_edge(edge_id(g, Vertex.y(2), Vertex.x(0)))
-    assert factor.subgraph.edge_count == 2
+    assert factor.edge_count == 2
     assert factor.paths == (_ypath(0, 0, 1),)
 
 
@@ -59,7 +59,6 @@ def test_add_edge_merges_two_paths():
     g, factor = _k34_factor((0, 0), (1, 1), (2, 1), (1, 0))
     assert factor.paths == (_ypath(0, 0, 1, 1, 2),)
     assert (factor.path_count, factor.max_path_length) == (1, 4)
-    assert factor.long_component_count == 1
 
 
 def _remove(g, factor, y, x):
@@ -78,7 +77,7 @@ def test_remove_edge_splits_an_inner_edge(y, x, pieces):
     g, factor = _k34_factor(*_SIX_PATH)
     _remove(g, factor, y, x)
     assert factor.paths == tuple(sorted(orient_path(p) for p in pieces))
-    assert factor.subgraph.edge_count == 5
+    assert factor.edge_count == 5
     assert (factor.path_count, factor.max_path_length) == (2, 3)
     for piece in pieces:
         assert all(factor.component_length_at(v) == len(piece) - 1
@@ -114,22 +113,24 @@ def test_remove_edge_rejects_an_edge_outside_f():
     g, factor = _k34_factor(*_SIX_PATH)
     with pytest.raises(ValueError, match="not in F"):
         _remove(g, factor, 0, 1)
-    assert factor.subgraph.edge_count == 6
+    assert factor.edge_count == 6
     assert factor.paths == (_ypath(0, 0, 1, 1, 2, 2, 3),)
     _assert_index_matches(factor)
 
 
 def _assert_index_matches(factor):
     # a fresh walk of F from each path end is the reference
-    g, sub = factor.graph, factor.subgraph
-    walked = sorted({orient_path(map(g.vertex, walk_component(sub, v)[0]))
-                     for v, d in enumerate(sub.y_deg + sub.x_deg) if d == 1})
+    g, member = factor.graph, factor._member
+    walked = sorted({orient_path(map(g.vertex,
+                                     walk_component(g, member, v)[0]))
+                     for v, d in enumerate(factor.y_deg + factor.x_deg)
+                     if d == 1})
     assert factor.paths == tuple(walked)
     assert audit_ids(factor, range(g.y_count + g.x_count)) is None
     lengths = [len(p) - 1 for p in walked]
     assert factor.path_count == len(lengths)
     assert factor.max_path_length == max(lengths, default=0)
-    assert factor.long_component_count == sum(n >= 4 for n in lengths)
+    assert factor.edge_count == sum(lengths) == len(factor.edge_ids())
     length_at = {v: len(p) - 1 for p in walked for v in p}
     for v in factor.graph.vertices():
         assert factor.component_length_at(v) == length_at.get(v, 0), v
@@ -160,11 +161,11 @@ def _assert_rejected(factor, vertices, match, graph=None):
     # vertices: one walk, or a tuple of walks whose edges are concatenated;
     # the trail is built on graph, F's own by default
     walks = (vertices,) if isinstance(vertices[0], Vertex) else vertices
-    paths, eids = factor.paths, list(factor.subgraph.edge_ids())
+    paths, eids = factor.paths, list(factor.edge_ids())
     with pytest.raises(ValueError, match=match):
         rewire(factor, trail_of(graph or factor.graph, *walks))
     assert factor.paths == paths
-    assert list(factor.subgraph.edge_ids()) == eids
+    assert list(factor.edge_ids()) == eids
 
 
 @pytest.mark.parametrize("vertices, match", [
@@ -232,7 +233,7 @@ def test_rewire_every_short_trail(k2_pseudo):
     # every alternating vertex sequence of 3 or 5 vertices from y0: rewire
     # accepts exactly the augmenting trails, and never fails midway
     g, factor = k2_pseudo
-    f_eids = list(factor.subgraph.edge_ids())
+    f_eids = list(factor.edge_ids())
     ys = [Vertex.y(i) for i in range(g.y_count)]
     xs = [Vertex.x(j) for j in range(g.x_count)]
     accepted, rejected = [], 0
@@ -248,10 +249,10 @@ def test_rewire_every_short_trail(k2_pseudo):
                 rewire(factor, trail)
             except ValueError:
                 assert factor.paths == paths
-                assert list(factor.subgraph.edge_ids()) == f_eids
+                assert list(factor.edge_ids()) == f_eids
                 rejected += 1
                 continue
-            assert validate_pseudo_factor(g, factor.subgraph).valid
+            assert validate_pseudo_factor(g, factor.edge_ids()).valid
             _assert_index_matches(factor)
             accepted.append(trail)
     assert rejected == 2347
@@ -327,22 +328,14 @@ def test_rewire_rejects_a_trail_on_another_graph(k2_pseudo):
     rewire(factor, trail_of(g, _ypath(0, 0, 2)))  # the same trail on g
 
 
-def _k2_stub_pairing(rng):
-    # 3 stubs per Y vertex matched to 4 per X vertex; parallel edges stay
-    xs = [x for x in range(6) for _ in range(4)]
-    rng.shuffle(xs)
-    return Bigraph(8, 6, zip([y for y in range(8) for _ in range(3)], xs))
-
-
 def _random_pseudo_factor_eids(g, rng):
     # two random edges at every X vertex, kept if they make a pseudo path
     # factor that misses some Y vertex
-    sub = EdgeSubgraph(g)
-    for j in range(g.x_count):
-        for eid in rng.sample(g.incident_edge_ids(Vertex.x(j)), 2):
-            sub.add(eid)
-    if validate_pseudo_factor(g, sub).valid and 0 in sub.y_deg:
-        return list(sub.edge_ids())
+    eids = [eid for j in range(g.x_count)
+            for eid in rng.sample(g.incident_edge_ids(Vertex.x(j)), 2)]
+    if validate_pseudo_factor(g, eids).valid and len(
+            {g.edges[eid][0] for eid in eids}) < g.y_count:
+        return sorted(eids)
     return None
 
 
@@ -359,7 +352,7 @@ def test_rewire_accepts_every_oracle_trail_on_multigraphs():
     rng = random.Random(5)
     trails = parallel = 0
     for _ in range(1500):
-        g = _k2_stub_pairing(rng)
+        g = k2_stub_pairing(rng)
         f_eids = _random_pseudo_factor_eids(g, rng)
         if g.simple or f_eids is None:
             continue
@@ -368,8 +361,8 @@ def test_rewire_accepts_every_oracle_trail_on_multigraphs():
             for trail in brute_force_trails(_pseudo_factor(g, f_eids), y0):
                 factor = _pseudo_factor(g, f_eids)
                 rewire(factor, trail, checked=True)
-                assert validate_pseudo_factor(g, factor.subgraph).valid
-                assert factor.subgraph.degree(y0) == 1
+                assert validate_pseudo_factor(g, factor.edge_ids()).valid
+                assert factor.y_deg[y0.index] == 1
                 trails += 1
                 parallel += any(multiplicity[g.edges[eid]] > 1
                                 for eid in trail.edges)

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, GraphFormatError,
+from pathfactor import (Bigraph, GenConfig, GraphFormatError,
                         NotBiregularError, PathFactor, PseudoPathFactor,
                         Vertex, check_biregular, fixture, format_factor,
                         generate, orient_path, parse_factor, parse_graph,
                         serialize_graph)
 from pathfactor.verify import audit_ids, walk_component
-from conftest import edge_id
+from conftest import edge_id, flip_behind_index, k2_stub_pairing
 
 K34_TEXT = """\
 p bbg 4 3 12
@@ -33,6 +35,9 @@ def test_vertex_order_and_parse():
     assert Vertex.y(3) < Vertex.x(0)  # every y sorts before every x
     assert Vertex.x(1) < Vertex.x(2)
     assert str(Vertex.y(7)) == "y7"
+    # a side other than Y or X gets a name no real vertex has
+    assert str(Vertex(2, 0)) == "Vertex(2, 0)"
+    assert str(Vertex(-1, 0)) == "Vertex(-1, 0)"
     assert Vertex.parse("x12") == Vertex.x(12)
     for bad in ("z3", "y", "x-1", "y1.5", "", "y\u00b2", "x\u0661"):
         with pytest.raises(GraphFormatError):
@@ -126,40 +131,69 @@ def test_bigraph_rejects_a_non_int_endpoint(bad):
 
 
 def test_edge_subgraph_bookkeeping():
+    # F's edge set, degrees and edge count move with add_edge and
+    # remove_edge; an edge already in F is refused as a cycle
     g = fixture("k34")
-    sub = EdgeSubgraph(g)
-    assert sub.edge_count == 0
+    factor = PseudoPathFactor(g)
+    assert (factor.edge_count, factor.edge_ids()) == (0, [])
     eid = edge_id(g, Vertex.y(1), Vertex.x(2))
-    sub.add(eid)
-    assert sub.has(eid)
-    assert sub.degree(Vertex.y(1)) == 1
-    assert sub.degree(Vertex.x(2)) == 1
-    with pytest.raises(ValueError, match="already a member"):
-        sub.add(eid)
-    sub.remove(eid)
-    assert sub.edge_count == 0
-    with pytest.raises(ValueError, match="not a member"):
-        sub.remove(eid)
+    factor.add_edge(eid)
+    assert (factor.edge_count, factor.edge_ids()) == (1, [eid])
+    assert (factor.y_deg, factor.x_deg) == ([0, 1, 0, 0], [0, 0, 1])
+    with pytest.raises(ValueError, match="would close a cycle"):
+        factor.add_edge(eid)
+    assert (factor.y_deg, factor.x_deg) == ([0, 1, 0, 0], [0, 0, 1])
+    factor.remove_edge(eid)
+    assert (factor.edge_count, factor.edge_ids()) == (0, [])
+    assert (factor.y_deg, factor.x_deg) == ([0] * 4, [0] * 3)
+    with pytest.raises(ValueError, match="not in F"):
+        factor.remove_edge(eid)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10**6), data=st.data())
-def test_subgraph_degree_sums_agree(seed, data):
-    g = generate(GenConfig(k=2, seed=seed))
-    members = data.draw(st.sets(st.integers(0, g.edge_count - 1)))
-    sub = EdgeSubgraph(g)
-    for eid in members:
-        sub.add(eid)
-    assert sum(sub.y_deg) == sum(sub.x_deg) == sub.edge_count == len(members)
+def _edge_set_state(factor):
+    return (bytes(factor._member), list(factor.y_deg), list(factor.x_deg),
+            factor.paths, dict(factor._len_counts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), multi=st.booleans(), data=st.data())
+def test_subgraph_degree_sums_agree(seed, multi, data):
+    # any sequence of add_edge and remove_edge calls: a refused call
+    # changes nothing, and the degrees always recount from F's edge set
+    g = (k2_stub_pairing(random.Random(seed)) if multi
+         else generate(GenConfig(k=2, seed=seed)))
+    factor = PseudoPathFactor(g)
+    calls = st.tuples(st.integers(0, g.edge_count - 1), st.booleans())
+    for eid, toggle in data.draw(st.lists(calls, max_size=60)):
+        # toggle: add a non-member or remove a member; else the reverse,
+        # which add_edge and remove_edge must refuse
+        add = bool(factor._member[eid]) != toggle
+        before = _edge_set_state(factor)
+        try:
+            (factor.add_edge if add else factor.remove_edge)(eid)
+        except ValueError:
+            assert _edge_set_state(factor) == before
+        y_deg, x_deg = [0] * g.y_count, [0] * g.x_count
+        for y, x in (g.edges[e] for e in factor.edge_ids()):
+            y_deg[y] += 1
+            x_deg[x] += 1
+        assert (factor.y_deg, factor.x_deg) == (y_deg, x_deg)
+        assert (sum(y_deg) == sum(x_deg) == factor.edge_count
+                == len(factor.edge_ids()))
+        assert audit_ids(factor, range(g.y_count + g.x_count)) is None
+
+
+def _member(g, eids):
+    return [eid in eids for eid in range(g.edge_count)]
 
 
 def test_components_single_edges_and_empty(subgraph_of):
     g = fixture("k34")
-    assert walk_component(EdgeSubgraph(g), 0) == ([0], 0)
-    sub = subgraph_of(g, [(Vertex.y(2), Vertex.x(1))])
+    assert walk_component(g, bytearray(g.edge_count), 0) == ([0], 0)
+    member = _member(g, subgraph_of(g, [(Vertex.y(2), Vertex.x(1))]))
     ends = (g.vertex_id(Vertex.y(2)), g.vertex_id(Vertex.x(1)))
     for v in ends:
-        comp, edges = walk_component(sub, v)
+        comp, edges = walk_component(g, member, v)
         assert edges == 1
         assert orient_path(comp) == ends
 
@@ -168,15 +202,15 @@ def test_components_detect_cycle(subgraph_of):
     g = fixture("k34")
     cycle = [(Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
              (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))]
-    sub = subgraph_of(g, cycle)
-    comp, edges = walk_component(sub, g.vertex_id(Vertex.x(1)))
+    member = _member(g, subgraph_of(g, cycle))
+    comp, edges = walk_component(g, member, g.vertex_id(Vertex.x(1)))
     assert sorted(map(g.vertex, comp)) == [Vertex.y(0), Vertex.y(1),
                                            Vertex.x(0), Vertex.x(1)]
     assert edges == 4
     factor = PseudoPathFactor(g)
     for a, b in cycle[:3]:
         factor.add_edge(edge_id(g, a, b))
-    factor.subgraph.add(edge_id(g, *cycle[3]))
+    flip_behind_index(factor, edge_id(g, *cycle[3]))
     ids = map(g.vertex_id, [Vertex.y(3), Vertex.x(0)])
     assert audit_ids(factor, ids) == "F has a cycle at y0 y1 x0 x1"
 
@@ -184,15 +218,15 @@ def test_components_detect_cycle(subgraph_of):
 def test_components_detect_branch(subgraph_of):
     g = fixture("k34")
     star = [(Vertex.y(0), Vertex.x(j)) for j in range(3)]
-    sub = subgraph_of(g, star)
-    comp, edges = walk_component(sub, g.vertex_id(Vertex.x(2)))
+    member = _member(g, subgraph_of(g, star))
+    comp, edges = walk_component(g, member, g.vertex_id(Vertex.x(2)))
     assert (sorted(map(g.vertex, comp))
             == [Vertex.y(0)] + [Vertex.x(j) for j in range(3)])
     assert edges == 3
     factor = PseudoPathFactor(g)
     for a, b in star[:2]:
         factor.add_edge(edge_id(g, a, b))
-    factor.subgraph.add(edge_id(g, *star[2]))
+    flip_behind_index(factor, edge_id(g, *star[2]))
     assert (audit_ids(factor, [g.vertex_id(Vertex.x(1))])
             == "F has a branch-vertex at y0")
 
@@ -202,19 +236,23 @@ def test_components_orientation_and_sort(subgraph_of):
     # starts from
     g = fixture("k34")
     path = (Vertex.y(3), Vertex.x(1), Vertex.y(1), Vertex.x(2), Vertex.y(0))
-    sub = subgraph_of(g, zip(path, path[1:]))
+    member = _member(g, subgraph_of(g, zip(path, path[1:])))
     for v in path:
-        comp, edges = walk_component(sub, g.vertex_id(v))
+        comp, edges = walk_component(g, member, g.vertex_id(v))
         assert tuple(map(g.vertex, comp)) in (path, path[::-1])
         assert edges == 4
 
 
-def _flood(sub, v):
+def _member_incident(g, member, v):
+    return [eid for eid in g.incident_edge_ids(v) if member[eid]]
+
+
+def _flood(g, member, v):
     comp, stack = {v}, [v]
     while stack:
         u = stack.pop()
-        for eid in sub.member_incident(u):
-            w = sub.parent.endpoints(eid)[1 - u.side]
+        for eid in _member_incident(g, member, u):
+            w = g.endpoints(eid)[1 - u.side]
             if w not in comp:
                 comp.add(w)
                 stack.append(w)
@@ -227,19 +265,23 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
     # any edge subset, parallel edges included: branches, cycles,
     # lollipops and 2-cycles must all end the walk with the whole component
     g = fixture("counterexample") if multi else generate(GenConfig(2, seed))
-    sub = EdgeSubgraph(g)
+    member = bytearray(g.edge_count)
     for eid in data.draw(st.sets(st.integers(0, g.edge_count - 1))):
-        sub.add(eid)
+        member[eid] = 1
+
+    def degree(u):
+        return len(_member_incident(g, member, u))
+
     for v in g.vertices():
-        comp, edges = walk_component(sub, g.vertex_id(v))
+        comp, edges = walk_component(g, member, g.vertex_id(v))
         comp = list(map(g.vertex, comp))
         assert len(comp) == len(set(comp))
-        assert set(comp) == _flood(sub, v)
-        assert edges == sum(sub.degree(u) for u in comp) // 2
-        if edges == len(comp) - 1 and all(sub.degree(u) <= 2 for u in comp):
+        assert set(comp) == _flood(g, member, v)
+        assert edges == sum(map(degree, comp)) // 2
+        if edges == len(comp) - 1 and all(degree(u) <= 2 for u in comp):
             for a, b in zip(comp, comp[1:]):  # a path, in order
                 assert any(g.endpoints(eid)[1 - a.side] == b
-                           for eid in sub.member_incident(a))
+                           for eid in _member_incident(g, member, a))
 
 
 def test_orient_path():

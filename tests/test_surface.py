@@ -9,11 +9,11 @@ from __future__ import annotations
 import pytest
 
 import pathfactor
-from pathfactor import (AugmentingTrail, EdgeSubgraph, GenConfig, PathFactor,
-                        PseudoPathFactor, fixture)
+from pathfactor import (AugmentingTrail, GenConfig, PathFactor,
+                        PseudoPathFactor, ValidationReport, fixture)
 
 ALL = {
-    "AlgorithmDefectError", "AugmentingTrail", "Bigraph", "EdgeSubgraph",
+    "AlgorithmDefectError", "AugmentingTrail", "Bigraph",
     "ExperimentSummary", "GenConfig", "GenerationError", "GraphFormatError",
     "LexicographicPolicy", "NotBiregularError", "NotSimpleError",
     "OracleSizeError", "PathFactor", "PathFactorError", "PseudoPathFactor",
@@ -35,7 +35,7 @@ def _instances():
     g = fixture("k34")
     return {
         "Bigraph": g,
-        "EdgeSubgraph": EdgeSubgraph(g),
+        "ValidationReport": ValidationReport(()),
         "PseudoPathFactor": PseudoPathFactor(g),
         "AugmentingTrail": AugmentingTrail(g, (0, 3)),  # y0 x0 y1
         "PathFactor": PathFactor(g, ((2, 6, 0, 4, 1, 5, 3),)),
@@ -47,13 +47,11 @@ def _instances():
     ("Bigraph", {"edge_count", "edges", "endpoints", "incident_edge_ids",
                  "simple", "vertex", "vertex_id", "vertices", "x_count",
                  "y_count"}),
-    ("EdgeSubgraph", {"add", "degree", "edge_count", "edge_ids", "has",
-                      "member_incident", "parent", "remove", "x_deg",
-                      "y_deg"}),
-    ("PseudoPathFactor", {"add_edge", "component_length_at", "graph",
-                          "long_component_count", "max_path_length",
-                          "path_count", "paths", "remove_edge", "subgraph",
-                          "uncovered_ys"}),
+    ("ValidationReport", {"render", "valid", "violations"}),
+    ("PseudoPathFactor", {"add_edge", "component_length_at", "edge_count",
+                          "edge_ids", "graph", "max_path_length",
+                          "path_count", "paths", "remove_edge",
+                          "uncovered_ys", "x_deg", "y_deg"}),
     ("AugmentingTrail", {"edge_count", "edges", "graph", "vertices"}),
     ("GenConfig", {"k", "seed"}),
     ("PathFactor", {"from_pseudo", "graph", "ids", "lengths", "paths"}),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pathfactor import (Bigraph, EdgeSubgraph, GenConfig, OracleSizeError,
+from pathfactor import (Bigraph, GenConfig, OracleSizeError,
                         PathFactor, Vertex, Violation, brute_force_factor,
                         brute_force_trails, build_pseudo_factor, fixture,
                         format_factor, generate, parse_factor, solve,
@@ -16,44 +16,49 @@ def _rules(report):
 
 def _k34_f():
     g = fixture("k34")
-    return g, build_pseudo_factor(g).subgraph
+    return g, build_pseudo_factor(g).edge_ids()
 
 
 def test_pseudo_validator_accepts_builder_output():
-    g, sub = _k34_f()
-    report = validate_pseudo_factor(g, sub)
+    g, eids = _k34_f()
+    report = validate_pseudo_factor(g, eids)
     assert report.valid
     assert report.render() == "OK\n"
 
 
 def test_pseudo_validator_missing_edge():
-    g, sub = _k34_f()
-    sub.remove(edge_id(g, Vertex.y(0), Vertex.x(0)))
-    rules = _rules(validate_pseudo_factor(g, sub))
+    g, eids = _k34_f()
+    eids.remove(edge_id(g, Vertex.y(0), Vertex.x(0)))
+    rules = _rules(validate_pseudo_factor(g, eids))
     assert "x-degree" in rules and "odd-length" in rules
 
 
 def test_pseudo_validator_extra_edge():
-    g, sub = _k34_f()
-    sub.add(edge_id(g, Vertex.y(2), Vertex.x(0)))
-    rules = _rules(validate_pseudo_factor(g, sub))
+    g, eids = _k34_f()
+    eids.append(edge_id(g, Vertex.y(2), Vertex.x(0)))
+    rules = _rules(validate_pseudo_factor(g, eids))
     assert "max-degree" in rules and "cycle" in rules
 
 
 def test_pseudo_validator_pure_cycle(subgraph_of):
     g = fixture("k34")
-    sub = subgraph_of(g, [
+    eids = subgraph_of(g, [
         (Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
         (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))])
-    rules = _rules(validate_pseudo_factor(g, sub))
+    rules = _rules(validate_pseudo_factor(g, eids))
     assert "cycle" in rules and "x-degree" in rules
 
 
 def test_pseudo_validator_foreign_subgraph():
-    g = fixture("k34")
-    other = generate(GenConfig(k=2, seed=0))
-    report = validate_pseudo_factor(g, EdgeSubgraph(other))
-    assert _rules(report) == ["subgraph"]
+    # a valid edge set plus one id that names no edge of g (12 is |E|), or
+    # one edge a second time, is not an edge set of g: nothing else is
+    # checked then
+    g, eids = _k34_f()
+    for bad, why in [(12, "not in range(12)"), (-1, "not in range(12)"),
+                     (eids[0], "repeated")]:
+        report = validate_pseudo_factor(g, eids + [bad])
+        assert report.violations == (
+            Violation("subgraph", (), f"edge id {bad} is {why}"),)
 
 
 def test_path_validator_accepts_solver_output():
@@ -65,16 +70,23 @@ def test_path_validator_accepts_solver_output():
 
 
 def test_path_validator_spanning_counts_only_real_vertices():
-    # Vertex(2, j) passes the edge checks in place of x_j, so every path
-    # is still a path and |V| distinct vertices are named, yet x_j is not
+    # Vertex(2, j) in place of x_j is no vertex of g, so its line is no
+    # path: |V| distinct vertices are named, yet the real ones on that
+    # line are uncovered
     g = generate(GenConfig(k=3, seed=0))
     paths = list(solve(g).paths)
     first = paths[0]
     j = first[1].index
     paths[0] = (first[0], Vertex(2, j)) + first[2:]
     report = validate_path_factor(g, paths)
-    assert report.violations == (Violation(
-        "spanning", (Vertex.x(j),), f"uncovered: x{j}"),)
+    names = " ".join(map(str, paths[0]))
+    assert f" Vertex(2, {j}) " in names
+    real = tuple(sorted(first))
+    assert report.violations == (
+        Violation("not-a-path", paths[0],
+                  f"line 1 [{names}] is not a simple path in the graph"),
+        Violation("spanning", real,
+                  f"uncovered: {' '.join(map(str, real))}"))
 
 
 def _k34_paths():
@@ -91,6 +103,11 @@ def _k34_paths():
     (lambda ps: [(Vertex.y(0), Vertex.y(1))],
      {"not-a-path", "spanning"}),
     (lambda ps: [(Vertex.y(0), Vertex.x(9))],
+     {"not-a-path", "spanning"}),
+    # sides other than Y and X name no vertex of any graph
+    (lambda ps: [(Vertex(2, 0), Vertex.y(0))],
+     {"not-a-path", "spanning"}),
+    (lambda ps: [(Vertex(-1, 0), Vertex.y(0))],
      {"not-a-path", "spanning"}),
 ])
 def test_path_validator_rule_ids(mutate, expected):
