@@ -45,11 +45,15 @@ class PseudoPathFactor:
     def add_edge(self, eid: int) -> None:
         """Add an edge to F, joining the paths that end at its endpoints.
 
-        Raises ValueError, leaving F unchanged, if the edge would close a
-        cycle or attach to a path interior; an edge already in F has both
-        ends on one path, so it is refused as a cycle.  The shorter path is
-        copied onto the longer, so growing F edge by edge costs O(n log n).
+        Raises ValueError, leaving F unchanged, if the id is not in
+        range(|E|), or if the edge would close a cycle or attach to a path
+        interior; an edge already in F has both ends on one path, so it is
+        refused as a cycle.  The shorter path is copied onto the longer, so
+        growing F edge by edge costs O(n log n).
         """
+        if not 0 <= eid < len(self._member):
+            raise ValueError(
+                f"edge id {eid} is not in range({len(self._member)})")
         yi, xj = self.graph.edges[eid]
         y, x = yi, self.graph.y_count + xj
         index, counts = self._path_of, self._len_counts
@@ -90,10 +94,14 @@ class PseudoPathFactor:
     def remove_edge(self, eid: int) -> None:
         """Remove an edge from F, splitting its path in two.
 
-        Raises ValueError, leaving F unchanged, if the edge is not in F.
-        The shorter piece is moved to a new path, so a split costs
-        O(shorter piece); a piece of one vertex leaves the index.
+        Raises ValueError, leaving F unchanged, if the id is not in
+        range(|E|) or the edge is not in F.  The shorter piece is moved to
+        a new path, so a split costs O(shorter piece); a piece of one
+        vertex leaves the index.
         """
+        if not 0 <= eid < len(self._member):
+            raise ValueError(
+                f"edge id {eid} is not in range({len(self._member)})")
         if not self._member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
         self._member[eid] = 0

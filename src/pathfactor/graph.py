@@ -273,8 +273,8 @@ def format_factor(
         names = ([f"y{i}" for i in range(g.y_count)]
                  + [f"x{j}" for j in range(g.x_count)])
         lines = [p if p[0] <= p[-1] else p[::-1] for p in paths.ids]
-    else:  # the names Vertex.__repr__ gives, without a call per vertex
+    else:
         lines = list(map(orient_path, paths))
-        names = {v: f"{'yx'[v[0]]}{v[1]}" for p in lines for v in p}
+        names = {v: str(v) for p in lines for v in p}
     return "".join(" ".join([names[u] for u in p]) + "\n"
                    for p in sorted(lines))

@@ -13,6 +13,9 @@ from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
+# 32-bit words RandomPolicy takes from numpy per call
+BLOCK = 256
+
 
 class TieBreakPolicy:
     """pick() selects one candidate, order() ranks them all.
@@ -52,6 +55,14 @@ class LexicographicPolicy(TieBreakPolicy):
 class RandomPolicy(TieBreakPolicy):
     """Seeded random choices from a PCG64 stream.
 
+    The choices are exactly those numpy's ``Generator(PCG64(seed))`` would
+    make: pick_index(n) is ``integers(n)`` (Lemire's bounded rule), and
+    order() is ``permutation(len(pool))`` applied to the sorted pool
+    (Fisher-Yates with masked rejection).  Both consume the generator's
+    32-bit words, which are fetched BLOCK at a time, so numpy is called
+    once per block instead of once per choice.  A choice takes one or more
+    words; a pool of one takes none.
+
     Stateful: the stream advances on every call, so reuse of one instance
     across runs yields different (still reproducible) runs.  Construct a
     fresh instance per run for repeatable output.
@@ -61,17 +72,39 @@ class RandomPolicy(TieBreakPolicy):
         import numpy as np  # here, so that importing the package skips it
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._words: list[int] = []  # the rest of the block, next word last
+
+    def _word(self) -> int:
+        if not self._words:
+            block = self._rng.integers(0, 1 << 32, size=BLOCK, dtype="uint32")
+            self._words = block[::-1].tolist()
+        return self._words.pop()
 
     def pick(self, candidates: Iterable[T]) -> T:
         pool = sorted(candidates)
         return pool[self.pick_index(len(pool))]
 
     def pick_index(self, n: int) -> int:
-        return int(self._rng.integers(n))
+        if n == 1:
+            return 0
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"pick_index needs 1 <= n <= 2**32, got {n}")
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
 
     def order(self, candidates: Iterable[T]) -> Sequence[T]:
         pool = sorted(candidates)
-        return [pool[i] for i in self._rng.permutation(len(pool))]
+        for i in range(len(pool) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._word() & mask
+            while j > i:
+                j = self._word() & mask
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool
 
     def __repr__(self) -> str:
         return f"RandomPolicy(seed={self.seed})"

@@ -218,7 +218,9 @@ def test_solve_matches_rescanning_reference(k, spec):
 # from the set-based scan and per-round rescan this package had before it
 # kept both pools as lists, and pin the case-1 pick, which the rescanning
 # reference above shares; the k = 200 ones come from the solver that still
-# keyed F's path index by Vertex.
+# keyed F's path index by Vertex; the random:0, random:2, random:5 and
+# random:123456789 ones from the RandomPolicy that made one numpy call per
+# choice, and pin its stream.
 PINNED_DIGESTS = {
     (5, 0, "lex"): "f7c3135cc855bd00",
     (5, 0, "random:7"): "fbf487888e7b0e57",
@@ -230,6 +232,12 @@ PINNED_DIGESTS = {
     (50, 1, "random:7"): "08eb5ae7fa13459c",
     (200, 1, "lex"): "4c2248ea2d893e0a",
     (200, 1, "random:3"): "607fb721552ccda4",
+    (1, 0, "random:0"): "3f09619257a6ec08",
+    (3, 2, "random:123456789"): "fc380779793c7c53",
+    (20, 1, "random:5"): "0fe35bf9841dcf1f",
+    (100, 4, "random:123456789"): "1b771d3586be55fd",
+    (300, 3, "random:2"): "2ccfc20697f93be8",
+    (300, 0, "random:123456789"): "39b1d40d50470ee3",
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pathfactor
-from pathfactor import fixture, serialize_graph
+from pathfactor import GenConfig, fixture, generate, serialize_graph
 from pathfactor.cli import main
 
 K34 = serialize_graph(fixture("k34"))
@@ -66,6 +67,19 @@ def test_solve_trace_goes_to_stderr(tmp_path, capsys):
     assert code == 0
     assert out == "y2 x2 y0 x0 y1 x1 y3\n"
     assert "step 0 case 0 y0" in err
+
+
+def test_solve_random_trace_is_pinned(tmp_path, capsys):
+    # recorded from the RandomPolicy that made one numpy call per choice
+    f = tmp_path / "g.bbg"
+    f.write_text(serialize_graph(generate(GenConfig(20, 3))))
+    code, out, err = run(capsys, "solve", str(f), "--policy",
+                         "random:123456789", "--trace")
+    assert code == 0 and len(err.splitlines()) == 80
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "ff57ab9724eba94106991f229b781965ffd548f9a06ed2725677a70d72511b3a")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1eaf2e0f3a97df19b92b4e62c1a2010dfc7640c5e1c103bb47cad987be52f830")
 
 
 def test_solve_writes_file_and_verify_accepts_it(tmp_path, capsys):

@@ -118,6 +118,18 @@ def test_remove_edge_rejects_an_edge_outside_f():
     _assert_index_matches(factor)
 
 
+@pytest.mark.parametrize("method", ["add_edge", "remove_edge"])
+@pytest.mark.parametrize("eid", [-1, 12])
+def test_edge_ids_outside_the_graph_are_rejected(method, eid):
+    # k34 has edges 0..11; -1 must not wrap to edge 11 (y3 x2, in F here)
+    g, factor = _k34_factor(*_SIX_PATH)
+    with pytest.raises(ValueError, match=r"not in range\(12\)"):
+        getattr(factor, method)(eid)
+    assert factor.edge_count == 6
+    assert factor.paths == (_ypath(0, 0, 1, 1, 2, 2, 3),)
+    _assert_index_matches(factor)
+
+
 def _assert_index_matches(factor):
     # a fresh walk of F from each path end is the reference
     g, member = factor.graph, factor._member

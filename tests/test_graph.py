@@ -478,6 +478,12 @@ def test_format_factor_renders_a_path_factor_canonically():
     assert format_factor(PathFactor(g, ())) == ""
 
 
+def test_format_factor_names_a_foreign_vertex_as_its_repr():
+    # a side that is neither Y nor X is no vertex of any graph
+    assert (format_factor([(Vertex(2, 0), Vertex.y(0))])
+            == "y0 Vertex(2, 0)\n")
+
+
 def test_parse_factor_bad_token():
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_factor("y0 x0 y1\ny0 q7\n")

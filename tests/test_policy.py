@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathfactor import (LexicographicPolicy, RandomPolicy, TieBreakPolicy,
                         Vertex, make_policy)
+from pathfactor.policy import BLOCK
 
 
 def test_lex_policy():
@@ -56,3 +59,58 @@ def test_make_policy():
     for bad in ("", "rand", "random:", "random:x", "lex:1"):
         with pytest.raises(ValueError):
             make_policy(bad)
+
+
+# RandomPolicy must make the choices numpy's Generator(PCG64(seed)) makes
+# through integers(n) and permutation(n).  3 * 2**30 + 5 sends about a
+# quarter of Lemire's draws through the rejection loop; 2**32 is the
+# largest bound one 32-bit word serves.
+SIZES = (1, 2, 3, 4, 100, 16000, 3 * 2**30 + 5, 2**32)
+SMALL = tuple(n for n in SIZES if n <= 16000)  # pools that get built
+
+_calls = st.one_of(
+    st.tuples(st.just("pick_index"), st.sampled_from(SIZES)),
+    st.tuples(st.sampled_from(["pick", "order"]), st.sampled_from(SMALL)))
+
+
+def _pool(n):
+    return list(range(n, 0, -1))  # descending, so the policy must sort
+
+
+def _numpy_choice(ref, kind, n):
+    if kind == "pick_index":
+        return int(ref.integers(n))
+    pool = sorted(_pool(n))
+    if kind == "pick":
+        return pool[int(ref.integers(n))]
+    return [pool[i] for i in ref.permutation(n)]
+
+
+def _policy_choice(policy, kind, n):
+    if kind == "pick_index":
+        return policy.pick_index(n)
+    return getattr(policy, kind)(_pool(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=st.lists(_calls, max_size=12))
+def test_random_policy_makes_numpys_choices(seed, calls):
+    policy, ref = RandomPolicy(seed), np.random.Generator(np.random.PCG64(seed))
+    for kind, n in calls:
+        want = _numpy_choice(ref, kind, n)
+        assert _policy_choice(policy, kind, n) == want, (kind, n)
+
+
+def test_random_policy_stream_crosses_blocks():
+    policy, ref = RandomPolicy(99), np.random.Generator(np.random.PCG64(99))
+    for t in range(3 * BLOCK):
+        kind, n = ("pick_index", 3 * 2**30 + 5) if t % 3 else ("order", 4)
+        assert _policy_choice(policy, kind, n) == _numpy_choice(ref, kind, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+def test_pick_index_rejects_an_unservable_bound(n):
+    policy, ref = RandomPolicy(5), np.random.Generator(np.random.PCG64(5))
+    with pytest.raises(ValueError):
+        policy.pick_index(n)
+    assert policy.pick_index(100) == int(ref.integers(100))  # nothing spent
