@@ -39,7 +39,7 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     if policy is None:
         policy = LexicographicPolicy()
     g, y_deg = factor.graph, factor.y_deg
-    if not y0.is_y or y_deg[y0.index] != 0:
+    if not (y0.is_y and 0 <= y0.index < g.y_count and y_deg[y0.index] == 0):
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
     # on ids: spent holds the trail's edge ids in order, as an ordered set
     ends, inc, member, ny = g.edges, g._inc, factor._member, g.y_count

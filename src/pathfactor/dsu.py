@@ -2,31 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Hashable
-
 
 class RollbackUnionFind:
-    """Union by size without path compression, so unions can be undone in
-    LIFO order.  Used by backtracking searches."""
+    """Union by size without path compression over the ids 0..n-1, so
+    unions can be undone in LIFO order.  Used by backtracking searches."""
 
-    def __init__(self):
-        self._parent: dict = {}
-        self._size: dict = {}
-        self._trail: list = []
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+        self._size = [1] * n
+        self._trail: list[tuple[int, int]] = []
 
-    def _ensure(self, v) -> None:
-        if v not in self._parent:
-            self._parent[v] = v
-            self._size[v] = 1
-
-    def find(self, v: Hashable):
-        self._ensure(v)
+    def find(self, v: int) -> int:
         while self._parent[v] != v:
             v = self._parent[v]
         return v
 
-    def union(self, a, b) -> bool:
-        """Merge the components of a and b; False iff already connected."""
+    def union(self, a: int, b: int) -> bool:
+        """Merge the components of a and b; False iff already connected.
+        On a tie in size, a's root stays the root."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False

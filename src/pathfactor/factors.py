@@ -148,11 +148,6 @@ class PseudoPathFactor:
         return tuple([tuple(map(self.graph.vertex, p))
                       for p in self._id_paths()])
 
-    def component_length_at(self, v: Vertex) -> int:
-        """Edge count of v's component; 0 for an isolated vertex."""
-        path = self._path_of[self.graph.vertex_id(v)]
-        return 0 if path is None else len(path) - 1
-
     @property
     def max_path_length(self) -> int:
         return max(self._len_counts, default=0)

@@ -21,8 +21,8 @@ vertex names; ``c`` comments are allowed there as well.
 from __future__ import annotations
 
 import re
-from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import (TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence,
+                    Union)
 
 from .errors import GraphFormatError, NotBiregularError
 
@@ -120,18 +120,6 @@ class Bigraph:
         """The inverse of vertex_id."""
         ny = self.y_count
         return Vertex(Y_SIDE, vid) if vid < ny else Vertex(X_SIDE, vid - ny)
-
-    def incident_edge_ids(self, v: Vertex) -> Sequence[int]:
-        return self._inc[self.vertex_id(v)]
-
-    def endpoints(self, eid: int) -> tuple[Vertex, Vertex]:
-        """The (y, x) endpoint pair of an edge occurrence."""
-        y, x = self.edges[eid]
-        return Vertex.y(y), Vertex.x(x)
-
-    def vertices(self) -> Iterator[Vertex]:
-        """Every vertex in Vertex order, which is vertex id order."""
-        return map(self.vertex, range(self.y_count + self.x_count))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bigraph):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, TypeVar
 
+from .graph import _is_count
+
 T = TypeVar("T")
 
 # 32-bit words RandomPolicy takes from numpy per call
@@ -111,12 +113,12 @@ class RandomPolicy(TieBreakPolicy):
 
 
 def make_policy(spec: str) -> TieBreakPolicy:
-    """Parse a policy spec: ``lex`` or ``random:<seed>``."""
+    """Parse a policy spec: ``lex`` or ``random:<seed>``, the seed in
+    ASCII digits."""
     if spec == "lex":
         return LexicographicPolicy()
-    if spec.startswith("random:"):
-        try:
-            return RandomPolicy(int(spec.split(":", 1)[1]))
-        except ValueError:
-            pass
-    raise ValueError(f"unknown policy spec {spec!r}; want lex or random:<seed>")
+    seed = spec.removeprefix("random:")
+    if seed != spec and _is_count(seed):
+        return RandomPolicy(int(seed))
+    raise ValueError(
+        f"unknown policy spec {spec!r}; want lex or random:<seed>")

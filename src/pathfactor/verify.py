@@ -272,29 +272,29 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
         raise OracleSizeError(
             f"exhaustive factor search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    per_x = [list(combinations(g.incident_edge_ids(Vertex.x(j)), 2))
-             for j in range(g.x_count)]
-    y_deg = [0] * g.y_count
-    dsu = RollbackUnionFind()
+    ny, nx, inc, ends = g.y_count, g.x_count, g._inc, g.edges
+    per_x = [list(combinations(inc[ny + j], 2)) for j in range(nx)]
+    y_deg = [0] * ny
+    dsu = RollbackUnionFind(ny + nx)  # on vertex ids
     chosen: list[tuple[int, int]] = []
 
     def feasible(pair: tuple[int, int]) -> bool:
         applied = 0
         for eid in pair:
-            y, x = g.endpoints(eid)
-            if y_deg[y.index] == 2 or not dsu.union(y, x):
+            y, x = ends[eid]
+            if y_deg[y] == 2 or not dsu.union(y, ny + x):
                 break
-            y_deg[y.index] += 1
+            y_deg[y] += 1
             applied += 1
         if applied == 2:
             return True
         for eid in pair[:applied]:
-            y_deg[g.edges[eid][0]] -= 1
+            y_deg[ends[eid][0]] -= 1
         return False
 
     def search(j: int) -> bool:
-        if j == g.x_count:
-            return all(d >= 1 for d in y_deg)
+        if j == nx:
+            return all(y_deg)
         for pair in per_x[j]:
             mark = dsu.snapshot()
             if feasible(pair):
@@ -303,7 +303,7 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
                     return True
                 chosen.pop()
                 for eid in pair:
-                    y_deg[g.edges[eid][0]] -= 1
+                    y_deg[ends[eid][0]] -= 1
             dsu.rollback(mark)
         return False
 
@@ -325,7 +325,7 @@ def brute_force_trails(factor: PseudoPathFactor,
     component is crossed via an unused factor edge to a fresh Y vertex,
     and a longer component terminates the trail at any of its interior Y
     vertices.  Sorted by vertex sequence.  Raises OracleSizeError for
-    k > 2 and ValueError when y0 is already covered.
+    k > 2 and ValueError unless y0 is an uncovered Y vertex of the graph.
     """
     g, member, y_deg = factor.graph, factor._member, factor.y_deg
     k = check_biregular(g)
@@ -333,27 +333,28 @@ def brute_force_trails(factor: PseudoPathFactor,
         raise OracleSizeError(
             f"exhaustive trail search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    if not y0.is_y or y_deg[y0.index] != 0:
+    if not (y0.is_y and 0 <= y0.index < g.y_count and y_deg[y0.index] == 0):
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
+    inc, ends, index, ny = g._inc, g.edges, factor._path_of, g.y_count
     found: list[AugmentingTrail] = []
 
-    def extend(tip: Vertex, edges: tuple[int, ...],
-               seen_ys: frozenset[Vertex]) -> None:
-        for eid in g.incident_edge_ids(tip):
+    def extend(tip: int, edges: tuple[int, ...],
+               seen_ys: frozenset[int]) -> None:
+        for eid in inc[tip]:
             if member[eid] or eid in edges:
                 continue
-            x_next = Vertex.x(g.edges[eid][1])
-            long_comp = factor.component_length_at(x_next) >= 4
-            for feid in g.incident_edge_ids(x_next):
+            x_next = ny + ends[eid][1]
+            long_comp = len(index[x_next] or ()) >= 5  # 4+ edges
+            for feid in inc[x_next]:
                 if not member[feid] or feid in edges:
                     continue
-                y_next = Vertex.y(g.edges[feid][0])
+                y_next = ends[feid][0]
                 if long_comp:
-                    if y_deg[y_next.index] == 2:
+                    if y_deg[y_next] == 2:
                         found.append(AugmentingTrail(g, edges + (eid, feid)))
                 elif y_next not in seen_ys:
                     extend(y_next, edges + (eid, feid), seen_ys | {y_next})
 
-    extend(y0, (), frozenset({y0}))
-    found.sort(key=lambda t: t.vertices)
+    extend(y0.index, (), frozenset({y0.index}))
+    found.sort(key=lambda t: t._vertex_ids())
     return found

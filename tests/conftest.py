@@ -16,11 +16,18 @@ def edge_id(g, a, b):
     """The occurrence id of the edge joining Vertex a and Vertex b, in
     either order; ValueError unless exactly one occurrence joins them."""
     y, x = (a, b) if a.is_y else (b, a)
-    ids = [eid for eid in g.incident_edge_ids(y)
+    ids = [eid for eid in g._inc[g.vertex_id(y)]
            if g.edges[eid][1] == x.index]
     if len(ids) != 1:
         raise ValueError(f"edge {y}{x} has multiplicity {len(ids)}")
     return ids[0]
+
+
+def component_length(factor, v):
+    """The edge count of Vertex v's component in F; 0 when v is
+    isolated."""
+    path = factor._path_of[factor.graph.vertex_id(v)]
+    return 0 if path is None else len(path) - 1
 
 
 def flip_behind_index(factor, eid):

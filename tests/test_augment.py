@@ -91,6 +91,16 @@ def test_find_trail_rejects_covered_origin(k2_pseudo):
         find_trail(factor, Vertex.x(0))
 
 
+@pytest.mark.parametrize("search", [find_trail, brute_force_trails])
+@pytest.mark.parametrize("index", [-1, 99])
+def test_trail_origin_out_of_range_is_rejected(search, index):
+    # only y7 is uncovered; y-1 must not wrap to it, nor y99 overrun |Y|
+    factor = build_pseudo_factor(generate(GenConfig(2, 2)))
+    assert factor.uncovered_ys() == [Vertex.y(7)]
+    with pytest.raises(ValueError, match="must be an uncovered Y vertex"):
+        search(factor, Vertex.y(index))
+
+
 def test_solve_reports_a_rejected_trail_as_a_defect(monkeypatch):
     # a trail search that returns y0 x y0 hands rewire a factor edge
     # outside F; solve must not pass that off as the caller's error
@@ -302,9 +312,10 @@ def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
         rewire(factor, trail, checked=checked)
         calls.append(1)
         if len(calls) == rounds:
-            eid = next(eid for eid in factor.edge_ids()
-                       if factor.y_deg[g.edges[eid][0]] == 2
-                       and not set(g.endpoints(eid)) & set(trail.vertices))
+            on_trail = set(trail._vertex_ids())
+            eid = next(eid for eid, (y, x) in enumerate(g.edges)
+                       if factor._member[eid] and factor.y_deg[y] == 2
+                       and not {y, g.y_count + x} & on_trail)
             flip_behind_index(factor, eid)
 
     monkeypatch.setattr("pathfactor.augment.rewire", corrupting_rewire)

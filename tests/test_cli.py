@@ -104,7 +104,13 @@ def test_solve_random_policy_is_repeatable(tmp_path, capsys):
     a = run(capsys, "solve", str(graph_file), "--policy", "random:11")
     b = run(capsys, "solve", str(graph_file), "--policy", "random:11")
     assert a == b and a[0] == 0
-    assert run(capsys, "solve", str(graph_file), "--policy", "bogus")[0] == 2
+    # a seed takes ASCII digits only, as every integer argument does
+    for spec in ("bogus", "random:+5", "random: 5", "random:5_0",
+                 "random:\u0665"):
+        code, out, err = run(capsys, "solve", str(graph_file),
+                             "--policy", spec)
+        assert (code, out) == (2, ""), spec
+        assert "unknown policy spec" in err
 
 
 def test_solve_multigraph_exits_1(tmp_path, capsys):

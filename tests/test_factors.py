@@ -14,7 +14,7 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
                         validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 from pathfactor.verify import audit_ids, walk_component
-from conftest import edge_id, k2_stub_pairing, trail_of
+from conftest import component_length, edge_id, k2_stub_pairing, trail_of
 
 
 def _ypath(*indices):
@@ -34,8 +34,8 @@ def test_add_edge_tracks_ends():
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1))
     assert factor.paths == (_ypath(0, 0, 1, 1),)
     _assert_index_matches(factor)
-    assert factor.component_length_at(Vertex.y(1)) == 3
-    assert factor.component_length_at(Vertex.y(2)) == 0
+    assert component_length(factor, Vertex.y(1)) == 3
+    assert component_length(factor, Vertex.y(2)) == 0
     assert (factor.path_count, factor.max_path_length) == (1, 3)
 
 
@@ -80,7 +80,7 @@ def test_remove_edge_splits_an_inner_edge(y, x, pieces):
     assert factor.edge_count == 5
     assert (factor.path_count, factor.max_path_length) == (2, 3)
     for piece in pieces:
-        assert all(factor.component_length_at(v) == len(piece) - 1
+        assert all(component_length(factor, v) == len(piece) - 1
                    for v in piece)
     _assert_index_matches(factor)  # also: one index entry per piece
 
@@ -90,9 +90,9 @@ def test_remove_edge_splits_off_an_end(y, x):
     g, factor = _k34_factor(*_SIX_PATH)
     _remove(g, factor, y, x)
     assert (factor.path_count, factor.max_path_length) == (1, 5)
-    assert factor.component_length_at(Vertex.y(y)) == 0
+    assert component_length(factor, Vertex.y(y)) == 0
     assert factor._path_of[g.vertex_id(Vertex.y(y))] is None  # unindexed
-    assert factor.component_length_at(Vertex.x(x)) == 5
+    assert component_length(factor, Vertex.x(x)) == 5
     _assert_index_matches(factor)
 
 
@@ -104,7 +104,7 @@ def test_remove_edge_empties_a_2_path():
     assert factor.paths == (_ypath(2, 1, 3),)
     assert (factor.path_count, factor.max_path_length) == (1, 2)
     for v in (Vertex.y(0), Vertex.y(1), Vertex.x(0)):
-        assert factor.component_length_at(v) == 0
+        assert component_length(factor, v) == 0
         assert factor._path_of[g.vertex_id(v)] is None
     _assert_index_matches(factor)
 
@@ -144,8 +144,8 @@ def _assert_index_matches(factor):
     assert factor.max_path_length == max(lengths, default=0)
     assert factor.edge_count == sum(lengths) == len(factor.edge_ids())
     length_at = {v: len(p) - 1 for p in walked for v in p}
-    for v in factor.graph.vertices():
-        assert factor.component_length_at(v) == length_at.get(v, 0), v
+    for v in map(g.vertex, range(g.y_count + g.x_count)):
+        assert component_length(factor, v) == length_at.get(v, 0), v
 
 
 @pytest.mark.parametrize("policy_kind", ["lex", "random"])
@@ -344,7 +344,7 @@ def _random_pseudo_factor_eids(g, rng):
     # two random edges at every X vertex, kept if they make a pseudo path
     # factor that misses some Y vertex
     eids = [eid for j in range(g.x_count)
-            for eid in rng.sample(g.incident_edge_ids(Vertex.x(j)), 2)]
+            for eid in rng.sample(g._inc[g.vertex_id(Vertex.x(j))], 2)]
     if validate_pseudo_factor(g, eids).valid and len(
             {g.edges[eid][0] for eid in eids}) < g.y_count:
         return sorted(eids)

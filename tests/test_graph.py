@@ -49,10 +49,10 @@ def test_parse_k34():
     assert g == fixture("k34")
     assert g.simple
     assert g.edge_count == 12
-    assert len(g.incident_edge_ids(Vertex.y(0))) == 3
-    assert len(g.incident_edge_ids(Vertex.x(2))) == 4
-    assert ([g.endpoints(eid)[1] for eid in g.incident_edge_ids(Vertex.y(1))]
-            == [Vertex.x(0), Vertex.x(1), Vertex.x(2)])
+    assert len(g._inc[g.vertex_id(Vertex.y(0))]) == 3
+    assert len(g._inc[g.vertex_id(Vertex.x(2))]) == 4
+    assert [g.edges[eid] for eid in g._inc[g.vertex_id(Vertex.y(1))]] == [
+        (1, 0), (1, 1), (1, 2)]
 
 
 def test_serialize_round_trip_bytes():
@@ -244,7 +244,12 @@ def test_components_orientation_and_sort(subgraph_of):
 
 
 def _member_incident(g, member, v):
-    return [eid for eid in g.incident_edge_ids(v) if member[eid]]
+    return [eid for eid in g._inc[g.vertex_id(v)] if member[eid]]
+
+
+def _other_end(g, eid, v):
+    y, x = g.edges[eid]
+    return Vertex.x(x) if v.is_y else Vertex.y(y)
 
 
 def _flood(g, member, v):
@@ -252,7 +257,7 @@ def _flood(g, member, v):
     while stack:
         u = stack.pop()
         for eid in _member_incident(g, member, u):
-            w = g.endpoints(eid)[1 - u.side]
+            w = _other_end(g, eid, u)
             if w not in comp:
                 comp.add(w)
                 stack.append(w)
@@ -272,7 +277,7 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
     def degree(u):
         return len(_member_incident(g, member, u))
 
-    for v in g.vertices():
+    for v in map(g.vertex, range(g.y_count + g.x_count)):
         comp, edges = walk_component(g, member, g.vertex_id(v))
         comp = list(map(g.vertex, comp))
         assert len(comp) == len(set(comp))
@@ -280,7 +285,7 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
         assert edges == sum(map(degree, comp)) // 2
         if edges == len(comp) - 1 and all(degree(u) <= 2 for u in comp):
             for a, b in zip(comp, comp[1:]):  # a path, in order
-                assert any(g.endpoints(eid)[1 - a.side] == b
+                assert any(_other_end(g, eid, a) == b
                            for eid in _member_incident(g, member, a))
 
 

@@ -56,8 +56,12 @@ def test_make_policy():
     assert isinstance(make_policy("lex"), LexicographicPolicy)
     rp = make_policy("random:9")
     assert isinstance(rp, RandomPolicy) and rp.seed == 9
-    for bad in ("", "rand", "random:", "random:x", "lex:1"):
-        with pytest.raises(ValueError):
+    assert make_policy("random:0").seed == 0
+    assert make_policy("random:123456789").seed == 123456789
+    # a seed takes ASCII digits only, as every integer argument does
+    for bad in ("", "rand", "random:", "random:x", "lex:1", "random:+5",
+                "random: 5", "random:5_0", "random:\u0665"):
+        with pytest.raises(ValueError, match="unknown policy spec"):
             make_policy(bad)
 
 

@@ -44,14 +44,12 @@ def _instances():
 
 
 @pytest.mark.parametrize("name, public", [
-    ("Bigraph", {"edge_count", "edges", "endpoints", "incident_edge_ids",
-                 "simple", "vertex", "vertex_id", "vertices", "x_count",
-                 "y_count"}),
+    ("Bigraph", {"edge_count", "edges", "simple", "vertex", "vertex_id",
+                 "x_count", "y_count"}),
     ("ValidationReport", {"render", "valid", "violations"}),
-    ("PseudoPathFactor", {"add_edge", "component_length_at", "edge_count",
-                          "edge_ids", "graph", "max_path_length",
-                          "path_count", "paths", "remove_edge",
-                          "uncovered_ys", "x_deg", "y_deg"}),
+    ("PseudoPathFactor", {"add_edge", "edge_count", "edge_ids", "graph",
+                          "max_path_length", "path_count", "paths",
+                          "remove_edge", "uncovered_ys", "x_deg", "y_deg"}),
     ("AugmentingTrail", {"edge_count", "edges", "graph", "vertices"}),
     ("GenConfig", {"k", "seed"}),
     ("PathFactor", {"from_pseudo", "graph", "ids", "lengths", "paths"}),

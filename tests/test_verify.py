@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
-from pathfactor import (Bigraph, GenConfig, OracleSizeError,
-                        PathFactor, Vertex, Violation, brute_force_factor,
-                        brute_force_trails, build_pseudo_factor, fixture,
-                        format_factor, generate, parse_factor, solve,
+from pathfactor import (Bigraph, GenConfig, OracleSizeError, PathFactor,
+                        PseudoPathFactor, Vertex, Violation,
+                        brute_force_factor, brute_force_trails,
+                        build_pseudo_factor, fixture, format_factor,
+                        generate, make_policy, parse_factor, solve,
                         validate_path_factor, validate_pseudo_factor)
-from conftest import edge_id
+from conftest import edge_id, k2_stub_pairing
 
 
 def _rules(report):
@@ -219,7 +223,7 @@ def test_path_validator_pins_every_rule(graph, lines, expected):
                                       for text, _ in expected)
     assert [v.subjects for v in report.violations] == [
         tuple(map(Vertex.parse, names.split())) for _, names in expected]
-    vertices = set(g.vertices())
+    vertices = set(map(g.vertex, range(g.y_count + g.x_count)))
     if all(v in vertices for p in paths for v in p):  # the fault fits ids
         ids = tuple(tuple(map(g.vertex_id, p)) for p in paths)
         assert validate_path_factor(g, PathFactor(g, ids)) == report
@@ -250,6 +254,31 @@ def test_oracle_k34_witness_is_stable():
     assert validate_path_factor(fixture("k34"), factor).valid
 
 
+def _sha256(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def _witness_text(g):
+    factor = brute_force_factor(g)
+    return "NONE\n" if factor is None else format_factor(factor)
+
+
+# Digests of the oracle's witnesses, recorded before the oracle moved from
+# Vertex objects to vertex ids; the search order fixes every witness.
+@pytest.mark.parametrize("family, digest", [
+    ("k1",
+     "f5f7e90d711d22ce952a5c48f1b40b84bf50200552fd94691ecba078cc6bc0e2"),
+    ("k2",
+     "569fb12c7df18efac63b718bb728031b15125d5244eee710edf87e295dd00d0d"),
+    ("stub",  # multigraphs; none of 300 such seeds lacks a factor
+     "fe8b239da1e4945c6847d70f0b5f01121b6b91035bd365079ff2ac01bcd33b97"),
+])
+def test_oracle_witnesses_are_pinned(family, digest):
+    graphs = [k2_stub_pairing(random.Random(s)) if family == "stub"
+              else generate(GenConfig(int(family[1]), s)) for s in range(20)]
+    assert _sha256(map(_witness_text, graphs)) == digest
+
+
 def test_oracle_certifies_counterexample():
     assert brute_force_factor(fixture("counterexample")) is None
 
@@ -261,6 +290,62 @@ def test_oracle_agrees_with_solver_on_k2():
         assert witness is not None
         assert validate_path_factor(g, witness).valid
         assert validate_path_factor(g, solve(g)).valid
+
+
+def _random_path_forest(seed):
+    # 12 random edges of a k = 2 instance, each kept if F stays a path
+    # forest: unlike a scan's F, it has short and odd paths
+    rng = random.Random(seed)
+    factor = PseudoPathFactor(generate(GenConfig(2, seed)))
+    for eid in rng.sample(range(24), 12):
+        try:
+            factor.add_edge(eid)
+        except ValueError:
+            pass
+    return factor
+
+
+# Digests of every oracle trail list out of the Y vertices that F leaves
+# uncovered, recorded with the witnesses above.  A k = 1 scan covers every
+# Y vertex, and a k = 2 scan that does not leaves one 12-path, so the
+# random path forests are what reach the crossing of short paths.
+@pytest.mark.parametrize("family, digest", [
+    ("lex",  # 57 trails from 12 origins
+     "0d36aa05efa5c5fa00a9d5e4241f2fa8b9d064ff46c5650e0086aedc9063a76e"),
+    ("random:3",  # 72 trails from 15 origins
+     "f0248cf27e5eb3fcce2e51fb60ea846d7b56a70e60e197a7e3682df902c2b301"),
+    ("forest",  # 140 trails from 26 origins
+     "d38ca717d409a9ea9dda6e43ad0f7c95e68d56773a8ba8495477c57a23738d85"),
+])
+def test_oracle_trails_are_pinned(family, digest):
+    texts = []
+    for seed in range(20):
+        factor = (_random_path_forest(seed) if family == "forest" else
+                  build_pseudo_factor(generate(GenConfig(2, seed)),
+                                      make_policy(family)))
+        for y in factor.uncovered_ys():
+            texts.append(f"{y}:")
+            texts.extend(" ".join(map(str, t.vertices)) + "\n"
+                         for t in brute_force_trails(factor, y))
+    assert _sha256(texts) == digest
+
+
+def test_oracles_build_no_vertex(monkeypatch):
+    # the oracles run on vertex ids; Vertex is for the public API
+    g = generate(GenConfig(k=2, seed=0))
+    factor = build_pseudo_factor(g)
+    origins = factor.uncovered_ys()
+    made = []
+    original = Vertex.__new__
+
+    def counted(cls, *args):
+        made.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(Vertex, "__new__", staticmethod(counted))
+    assert brute_force_factor(g) is not None
+    assert all(brute_force_trails(factor, y) for y in origins)
+    assert made == []
 
 
 def test_oracle_size_cap():
