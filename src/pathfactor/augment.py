@@ -42,11 +42,11 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     if not (y0.is_y and 0 <= y0.index < g.y_count and y_deg[y0.index] == 0):
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
     # on ids: spent holds the trail's edge ids in order, as an ordered set
-    ends, inc, member, ny = g.edges, g._inc, factor._member, g.y_count
+    ey, ex, inc, member, ny = g._ey, g._ex, g._inc, factor._member, g.y_count
 
     def so_far() -> str:  # the vertices the spent edges pass through
-        return " ".join([str(y0)] + [f"y{ends[eid][0]}" if t % 2 else
-                                     f"x{ends[eid][1]}"
+        return " ".join([str(y0)] + [f"y{ey[eid]}" if t % 2 else
+                                     f"x{ex[eid]}"
                                      for t, eid in enumerate(spent)])
 
     tip = y0.index
@@ -54,7 +54,7 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     seen_ys = {tip}
     for _ in range(ny + 1):
         non_factor = [eid for eid in inc[tip] if not member[eid]]
-        fresh = {ends[eid][1]: eid for eid in non_factor if eid not in spent}
+        fresh = {ex[eid]: eid for eid in non_factor if eid not in spent}
         if len(fresh) != len(non_factor):
             raise AlgorithmDefectError(
                 f"non-factor edge at trail tip y{tip} was already used; "
@@ -78,7 +78,7 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
                 raise AlgorithmDefectError(
                     f"no unused factor edge at 2-path middle x{x_idx}; "
                     f"trail so far: {so_far()}")
-            choices = {ends[eid][0]: eid for eid in f_eids}
+            choices = {ey[eid]: eid for eid in f_eids}
             tip = policy.pick(choices)
             if tip in seen_ys:
                 raise AlgorithmDefectError(
@@ -92,8 +92,7 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
             raise AlgorithmDefectError(
                 f"factor edge on the long component at x{x_idx} was "
                 f"already used; trail so far: {so_far()}")
-        interior = {ends[eid][0]: eid for eid in f_eids
-                    if y_deg[ends[eid][0]] == 2}
+        interior = {ey[eid]: eid for eid in f_eids if y_deg[ey[eid]] == 2}
         if not interior:
             raise AlgorithmDefectError(
                 f"no interior Y vertex reachable at x{x_idx} on a component "

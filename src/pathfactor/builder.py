@@ -61,7 +61,7 @@ class FactorState:
         g, f = self.graph, self.factor
         f_edges = " ".join(_edge_str(g, e) for e in f.edge_ids())
         u_edges = " ".join(_edge_str(g, e) for e in range(g.edge_count)
-                           if self.scanned[g.edges[e][0]] and not f._member[e])
+                           if self.scanned[g._ey[e]] and not f._member[e])
         done = " ".join(f"y{i}" for i, s in enumerate(self.scanned) if s)
         current = "None" if self.current is None else f"x{self.current}"
         return (f"step={self.step_no} current={current} "
@@ -69,8 +69,7 @@ class FactorState:
 
 
 def _edge_str(g: Bigraph, eid: int) -> str:
-    y, x = g.edges[eid]
-    return f"y{y}x{x}"
+    return f"y{g._ey[eid]}x{g._ex[eid]}"
 
 
 def _defect(msg: str, state: FactorState) -> AlgorithmDefectError:
@@ -84,7 +83,7 @@ def _grow_f(state: FactorState, eid: int) -> None:
         state.factor.add_edge(eid)
     except ValueError as exc:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
-    x = state.graph.edges[eid][1]
+    x = state.graph._ex[eid]
     if state.factor.x_deg[x] == 2:
         pending = state.pending_x
         at = bisect_left(pending, x)
@@ -124,7 +123,7 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
     if f.y_deg[y_idx] != f_added:
         raise _defect(f"unscanned y{y_idx} had F-degree "
                       f"{f.y_deg[y_idx] - f_added}", state)
-    xs = [g.edges[eid][1] for eid in g._inc[y_idx]]
+    xs = [g._ex[eid] for eid in g._inc[y_idx]]
     if state.current is not None:
         xs.append(state.current)
     problem = audit_ids(f, [y_idx] + [g.y_count + j for j in xs])
@@ -142,7 +141,7 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
 def _check_rejected(state: FactorState, j: int) -> None:
     g, f = state.graph, state.factor
     if f.x_deg[j] <= 1:
-        rejected = sum(state.scanned[g.edges[eid][0]] for eid in
+        rejected = sum(state.scanned[g._ey[eid]] for eid in
                        g._inc[g.y_count + j]) - f.x_deg[j]
         if rejected > 2:
             raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
@@ -171,7 +170,7 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
         raise _defect("step_zero requires a fresh state", state)
     g = state.graph
     y0 = policy.pick(range(g.y_count))
-    eid_of = {g.edges[eid][1]: eid for eid in g._inc[y0]}
+    eid_of = {g._ex[eid]: eid for eid in g._inc[y0]}
     ordered = policy.order(eid_of)
     first, middle, last = ordered[0], ordered[1], ordered[2]
     _grow_f(state, eid_of[last])
@@ -203,20 +202,20 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
                            reject the other, which becomes current.
     """
     g, j, scanned = state.graph, state.current, state.scanned
-    ends, inc, x_deg = g.edges, g._inc, state.factor.x_deg
+    ey, ex, inc, x_deg = g._ey, g._ex, g._inc, state.factor.x_deg
     if j is None:
         raise _defect("current vertex None is not an X vertex", state)
     if x_deg[j] > 1:
         raise _defect(f"current vertex x{j} already has F-degree 2", state)
-    free = {ends[eid][0]: eid for eid in inc[g.y_count + j]
-            if not scanned[ends[eid][0]]}
+    free = {ey[eid]: eid for eid in inc[g.y_count + j]
+            if not scanned[ey[eid]]}
     if not free:
         raise _defect(f"no uncommitted edge at x{j}; the scan guarantees "
                       f"at least one", state)
 
     y_idx = policy.pick(free)
     chosen_eid = free[y_idx]
-    rest = {ends[eid][1]: eid for eid in inc[y_idx] if eid != chosen_eid}
+    rest = {ex[eid]: eid for eid in inc[y_idx] if eid != chosen_eid}
     wa_idx, wb_idx = policy.order(rest)
     da, db = x_deg[wa_idx], x_deg[wb_idx]
 
@@ -240,11 +239,9 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
         index = state.factor._path_of
         closes = index[y_idx] is index[g.y_count + wa_idx]
         w1_idx, w2_idx = (wb_idx, wa_idx) if closes else (wa_idx, wb_idx)
-    if case in ("1", "2"):
-        f_new, u_new = [chosen_eid], [rest[w1_idx], rest[w2_idx]]
-    else:
+    f_added = 1 if case in ("1", "2") else 2
+    if f_added == 2:
         _grow_f(state, rest[w1_idx])
-        f_new, u_new = [chosen_eid, rest[w1_idx]], [rest[w2_idx]]
     if case != "1":
         state.current = w2_idx
     else:
@@ -255,11 +252,13 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     scanned[y_idx] = True
     state.step_no += 1
     if trace:
+        f_new = [chosen_eid, rest[w1_idx]][:f_added]
+        u_new = [rest[w1_idx], rest[w2_idx]][f_added - 1:]
         trace(f"step {step_no} case {case} y{y_idx} "
               f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
               f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
     if checked:
-        _check_step(state, y_idx, len(f_new))
+        _check_step(state, y_idx, f_added)
         if state.current is None:
             check_state_invariants(state)
     return state

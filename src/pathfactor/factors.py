@@ -48,14 +48,16 @@ class PseudoPathFactor:
         Raises ValueError, leaving F unchanged, if the id is not in
         range(|E|), or if the edge would close a cycle or attach to a path
         interior; an edge already in F has both ends on one path, so it is
-        refused as a cycle.  The shorter path is copied onto the longer, so
-        growing F edge by edge costs O(n log n).
+        refused as a cycle.  A lone end is attached to the other end's
+        path in O(1); otherwise the shorter path is copied onto the
+        longer, so growing F edge by edge costs O(n log n).
         """
         if not 0 <= eid < len(self._member):
             raise ValueError(
                 f"edge id {eid} is not in range({len(self._member)})")
-        yi, xj = self.graph.edges[eid]
-        y, x = yi, self.graph.y_count + xj
+        g = self.graph
+        yi, xj = g._ey[eid], g._ex[eid]
+        y, x = yi, g.y_count + xj
         index, counts = self._path_of, self._len_counts
         a, b = index[y], index[x]
         if a is b and a is not None:
@@ -66,22 +68,33 @@ class PseudoPathFactor:
         self._member[eid] = 1
         self.y_deg[yi] += 1
         self.x_deg[xj] += 1
-        if b is not None and (a is None or len(a) < len(b)):
-            a, b, y, x = b, a, x, y  # a: the longer path, or the only one
-        if a is None:
-            a = index[y] = deque((y,))
-        if b is None:
-            b = (x,)
-        elif b[0] != x:
+        if a is None or b is None:  # a lone end x joins y's path, if any
+            if a is None and b is not None:
+                a, y, x = b, x, y
+            n = 0 if a is None else len(a) - 1
+            if a is None:
+                a = index[y] = deque((y,))
+            elif counts[n] == 1:
+                del counts[n]
+            else:
+                counts[n] -= 1
+            if a[-1] == y:
+                a.append(x)
+            else:
+                a.appendleft(x)
+            index[x] = a
+            counts[n + 1] = counts.get(n + 1, 0) + 1
+            return
+        if len(a) < len(b):
+            a, b, y, x = b, a, x, y  # a: the longer path
+        if b[0] != x:
             b.reverse()
-        # one histogram update: both paths go (a lone vertex has none),
-        # their union comes
+        # one histogram update: both paths go, their union comes
         for n in (len(a) - 1, len(b) - 1):
-            if n:
-                if counts[n] == 1:
-                    del counts[n]
-                else:
-                    counts[n] -= 1
+            if counts[n] == 1:
+                del counts[n]
+            else:
+                counts[n] -= 1
         if a[-1] == y:
             a.extend(b)
         else:
@@ -105,7 +118,7 @@ class PseudoPathFactor:
         if not self._member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
         self._member[eid] = 0
-        y, x = self.graph.edges[eid]
+        y, x = self.graph._ey[eid], self.graph._ex[eid]
         self.y_deg[y] -= 1
         self.x_deg[x] -= 1
         ends = (y, self.graph.y_count + x)
@@ -205,11 +218,10 @@ class AugmentingTrail:
 
     def _vertex_ids(self) -> list[int]:
         """The vertex ids of y0, x1, y1, ..., y_{i+1}, from the edges."""
-        ends, ny = self.graph.edges, self.graph.y_count
-        ids = [ends[self.edges[0]][0]]
+        g = self.graph
+        ids = [g._ey[self.edges[0]]]
         for t, eid in enumerate(self.edges):
-            y, x = ends[eid]
-            ids.append(y if t % 2 else ny + x)
+            ids.append(g._ey[eid] if t % 2 else g.y_count + g._ex[eid])
         return ids
 
     @property

@@ -21,6 +21,7 @@ vertex names; ``c`` comments are allowed there as well.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import (TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -83,10 +84,12 @@ class Bigraph:
     The edge list is canonically sorted at construction; an edge's position
     in ``edges`` is its stable occurrence id.  ``simple`` is true iff no
     (y, x) pair repeats.  Instances never change after construction and are
-    safe to share across threads.
+    safe to share across threads.  The solver reads edge ends from the
+    flat lists _ey and _ex (Y and X index by edge id) instead of from
+    the tuples in ``edges``; the validators keep reading ``edges``.
     """
 
-    __slots__ = ("y_count", "x_count", "edges", "simple", "_inc")
+    __slots__ = ("y_count", "x_count", "edges", "simple", "_inc", "_ey", "_ex")
 
     def __init__(self, y_count: int, x_count: int,
                  edges: Iterable[tuple[int, int]]):
@@ -102,8 +105,17 @@ class Bigraph:
         self.x_count = x_count
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
         self.simple = all(a != b for a, b in zip(canon, canon[1:]))
+        # The solver's reads stay in one small block of memory when the
+        # edge ids and ends are ints from one pool.  It is sized by the
+        # edge list, not by the header: top is the largest end, where the
+        # largest y is the last one, as canon is sorted.
+        top = max(map(itemgetter(1), canon), default=-1)
+        top = max(top, canon[-1][0]) if canon else top
+        pool = list(range(max(len(canon), top + 1)))
+        self._ey = [pool[y] for y, _ in canon]
+        self._ex = [pool[x] for _, x in canon]
         inc: list[list[int]] = [[] for _ in range(y_count + x_count)]
-        for eid, (y, x) in enumerate(canon):
+        for eid, (y, x) in zip(pool, canon):
             inc[y].append(eid)
             inc[y_count + x].append(eid)
         self._inc = inc  # by vertex id; tuples would double the build time

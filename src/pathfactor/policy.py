@@ -45,6 +45,8 @@ class LexicographicPolicy(TieBreakPolicy):
         return min(candidates)
 
     def pick_index(self, n: int) -> int:
+        if n < 1:  # as pick() of an empty pool
+            raise ValueError(f"pick_index needs n >= 1, got {n}")
         return 0
 
     def order(self, candidates: Iterable[T]) -> Sequence[T]:

@@ -64,6 +64,37 @@ def _forced_3b_state():
     return g, state
 
 
+def test_dump_of_the_k34_state_after_step_zero_is_golden():
+    state = step_zero(FactorState.initial(fixture("k34")),
+                      LexicographicPolicy())
+    assert state.dump() == ("step=1 current=x1 scanned=[y0] "
+                            "F=[y0x0 y0x2] U=[y0x1]")
+
+
+def _clear_current(g, state):
+    state.current = None
+
+
+def _fill_current(g, state):
+    _grow_f(state, _edge(g, 1, 0))  # x0 gets F-degree 2
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_clear_current,
+     "current vertex None is not an X vertex\n  step=2 current=None "
+     "scanned=[y0 y2] F=[y0x0 y0x1 y2x2] U=[y0x2 y2x0 y2x1]"),
+    (_fill_current,
+     "current vertex x0 already has F-degree 2\n  step=2 current=x0 "
+     "scanned=[y0 y2] F=[y0x0 y0x1 y1x0 y2x2] U=[y0x2 y2x0 y2x1]"),
+])
+def test_step_i_guards_its_current_vertex(corrupt, message):
+    g, state = _forced_3b_state()
+    corrupt(g, state)
+    with pytest.raises(AlgorithmDefectError) as info:
+        step_i(state, LexicographicPolicy())
+    assert str(info.value) == message
+
+
 def test_case_3b_avoids_the_cycle():
     g, state = _forced_3b_state()
     lines = []

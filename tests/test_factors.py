@@ -39,6 +39,22 @@ def test_add_edge_tracks_ends():
     assert (factor.path_count, factor.max_path_length) == (1, 3)
 
 
+@pytest.mark.parametrize("pairs, held", [
+    # y0 x0 y1 is held as [y0 x0 y1], and x0 y0 x1 as [x1 y0 x0]
+    (((0, 0), (1, 0), (0, 1)), "x1 y0 x0 y1"),  # a lone X at the head
+    (((0, 0), (1, 0), (1, 1)), "y0 x0 y1 x1"),  # ... and at the tail
+    (((0, 0), (0, 1), (1, 1)), "y1 x1 y0 x0"),  # a lone Y at the head
+    (((0, 0), (0, 1), (1, 0)), "x1 y0 x0 y1"),  # ... and at the tail
+    (((2, 1),), "y2 x1"),                       # two lone vertices
+])
+def test_add_edge_attaches_a_lone_end(pairs, held):
+    g, factor = _k34_factor(*pairs)
+    path = factor._path_of[pairs[0][0]]  # y_i has vertex id i
+    assert " ".join(map(str, map(g.vertex, path))) == held
+    assert factor._len_counts == {len(pairs): 1}
+    _assert_index_matches(factor)
+
+
 def test_add_edge_rejects_cycle():
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1))
     with pytest.raises(ValueError, match="cycle"):

@@ -55,6 +55,21 @@ def test_parse_k34():
         (1, 0), (1, 1), (1, 2)]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fixture("k34"),
+    lambda: fixture("counterexample"),
+    lambda: parse_graph(serialize_graph(generate(GenConfig(k=50, seed=0)))),
+    lambda: k2_stub_pairing(random.Random(3)),
+    lambda: k2_stub_pairing(random.Random(8)),
+    lambda: Bigraph(5, 4, [(3, 2), (0, 0), (3, 0)]),  # y1 y2 y4 x1 x3 lone
+    lambda: Bigraph(2, 3, []),
+])
+def test_flat_edge_ends_match_edges(make):
+    g = make()
+    assert g._ey == [y for y, _ in g.edges]
+    assert g._ex == [x for _, x in g.edges]
+
+
 def test_serialize_round_trip_bytes():
     g = fixture("k34")
     text = serialize_graph(g)

@@ -39,12 +39,24 @@ def test_pick_index_agrees_with_pick():
             assert LexicographicPolicy().pick_index(len(pool)) == 0
 
 
-def test_pick_index_default_routes_through_pick():
-    class Largest(TieBreakPolicy):
-        def pick(self, candidates):
-            return max(candidates)
+class _Largest(TieBreakPolicy):
+    def pick(self, candidates):
+        return max(candidates)
 
-    assert Largest().pick_index(5) == 4
+
+def test_pick_index_default_routes_through_pick():
+    assert _Largest().pick_index(5) == 4
+
+
+@pytest.mark.parametrize("policy", [LexicographicPolicy(), RandomPolicy(0),
+                                    _Largest()])
+@pytest.mark.parametrize("n", [0, -3])
+def test_pick_index_of_an_empty_pool_raises(policy, n):
+    # as pick() does on an empty pool
+    with pytest.raises(ValueError):
+        policy.pick([])
+    with pytest.raises(ValueError):
+        policy.pick_index(n)
 
 
 def test_random_policy_order_is_permutation():
