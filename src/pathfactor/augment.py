@@ -12,7 +12,8 @@ path factor.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from itertools import filterfalse
+from typing import Callable, Iterable, Optional
 
 from .builder import build_pseudo_factor
 from .errors import AlgorithmDefectError
@@ -43,30 +44,23 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
         raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
     # on ids: spent holds the trail's edge ids in order, as an ordered set
     ey, ex, inc, member, ny = g._ey, g._ex, g._inc, factor._member, g.y_count
-
-    def so_far() -> str:  # the vertices the spent edges pass through
-        return " ".join([str(y0)] + [f"y{ey[eid]}" if t % 2 else
-                                     f"x{ex[eid]}"
-                                     for t, eid in enumerate(spent)])
-
     tip = y0.index
     spent: dict[int, None] = {}
     seen_ys = {tip}
     for _ in range(ny + 1):
-        non_factor = [eid for eid in inc[tip] if not member[eid]]
+        non_factor = list(filterfalse(member.__getitem__, inc[tip]))
         fresh = {ex[eid]: eid for eid in non_factor if eid not in spent}
         if len(fresh) != len(non_factor):
             raise AlgorithmDefectError(
                 f"non-factor edge at trail tip y{tip} was already used; "
-                f"trail so far: {so_far()}")
+                f"trail so far: {_walked(g, y0, spent)}")
         if not fresh:
             raise AlgorithmDefectError(
                 f"no non-factor edge available at trail tip y{tip}")
         x_idx = policy.pick(fresh)
         spent[fresh[x_idx]] = None
 
-        f_all = [eid for eid in inc[ny + x_idx] if member[eid]]
-        f_eids = [eid for eid in f_all if eid not in spent]
+        f_eids = list(filter(member.__getitem__, inc[ny + x_idx]))
         path = factor._path_of[ny + x_idx]
         length = 0 if path is None else len(path) - 1
         if length == 2:
@@ -74,24 +68,25 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
             # be crossed twice (X vertices may repeat), so one factor edge
             # may be spent already; both spent would mean a third arrival,
             # which the degree budget rules out.
-            if not f_eids:
+            choices = {ey[eid]: eid for eid in f_eids if eid not in spent}
+            if not choices:
                 raise AlgorithmDefectError(
                     f"no unused factor edge at 2-path middle x{x_idx}; "
-                    f"trail so far: {so_far()}")
-            choices = {ey[eid]: eid for eid in f_eids}
+                    f"trail so far: {_walked(g, y0, spent)}")
             tip = policy.pick(choices)
             if tip in seen_ys:
                 raise AlgorithmDefectError(
-                    f"trail revisited y{tip}; trail so far: {so_far()}")
+                    f"trail revisited y{tip}; trail so far: "
+                    f"{_walked(g, y0, spent)}")
             spent[choices[tip]] = None
             seen_ys.add(tip)
             continue
         # Long component: stop at an interior Y vertex.  Factor edges used
         # so far all lie on 2-paths, so none here can be spent.
-        if len(f_eids) != len(f_all):
+        if not spent.keys().isdisjoint(f_eids):
             raise AlgorithmDefectError(
                 f"factor edge on the long component at x{x_idx} was "
-                f"already used; trail so far: {so_far()}")
+                f"already used; trail so far: {_walked(g, y0, spent)}")
         interior = {ey[eid]: eid for eid in f_eids if y_deg[ey[eid]] == 2}
         if not interior:
             raise AlgorithmDefectError(
@@ -101,6 +96,12 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
         return AugmentingTrail(g, tuple(spent))
     raise AlgorithmDefectError(
         f"trail search from {y0} did not terminate within |Y| extensions")
+
+
+def _walked(g: Bigraph, y0: Vertex, spent: Iterable[int]) -> str:
+    """The vertices that a trail's edges pass through, from y0."""
+    return " ".join([str(y0)] + [f"y{g._ey[e]}" if t % 2 else f"x{g._ex[e]}"
+                                 for t, e in enumerate(spent)])
 
 
 def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
@@ -132,9 +133,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     lengths = [len(index[x] or (x,)) - 1 for x in xs]  # of x's component
     if y_deg[ids[0]] != 0:
         raise ValueError(f"trail origin y{ids[0]} is already covered")
-    if not all(factor._member[eid] for eid in drop):
+    if not all(map(factor._member.__getitem__, drop)):
         raise ValueError(f"{trail} has a factor edge outside F")
-    if any(factor._member[eid] for eid in adopt):
+    if any(map(factor._member.__getitem__, adopt)):
         raise ValueError(f"{trail} has a non-factor edge inside F")
     # the factor edges end at distinct Y vertices, and so do the
     # non-factor ones, so this also rules out a repeated edge

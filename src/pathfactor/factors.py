@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 from .graph import Bigraph, Vertex
 
@@ -118,32 +119,32 @@ class PseudoPathFactor:
         if not self._member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
         self._member[eid] = 0
-        y, x = self.graph._ey[eid], self.graph._ex[eid]
+        g, index, counts = self.graph, self._path_of, self._len_counts
+        y, x = g._ey[eid], g._ex[eid]
         self.y_deg[y] -= 1
         self.x_deg[x] -= 1
-        ends = (y, self.graph.y_count + x)
-        path, counts = self._path_of[y], self._len_counts
+        ends, path = (y, g.y_count + x), index[y]
         n = len(path) - 1
         if counts[n] == 1:
             del counts[n]
         else:
             counts[n] -= 1
         # walk in from both ends at once: the first endpoint met closes
-        # the shorter piece
+        # the shorter piece, which is popped off by size calls made in C
         for size, (head, tail) in enumerate(zip(path, reversed(path)), 1):
             if head in ends:
-                piece = deque(path.popleft() for _ in range(size))
+                piece = deque(starmap(path.popleft, repeat((), size)))
                 break
             if tail in ends:
-                piece = deque(path.pop() for _ in range(size))
+                piece = deque(starmap(path.pop, repeat((), size)))
                 break
         for v in piece:
-            self._path_of[v] = piece
+            index[v] = piece
         for p in (piece, path):
             if len(p) > 1:
                 counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
             else:
-                self._path_of[p[0]] = None
+                index[p[0]] = None
 
     # -- queries ------------------------------------------------------------
 
@@ -163,7 +164,7 @@ class PseudoPathFactor:
 
     @property
     def max_path_length(self) -> int:
-        return max(self._len_counts, default=0)
+        return max(self._len_counts or (0,))
 
     @property
     def path_count(self) -> int:
@@ -204,15 +205,16 @@ class AugmentingTrail:
     edges: tuple[int, ...]
 
     def __post_init__(self):
-        n, ends = len(self.edges), self.graph.edges
+        edges, g, n = self.edges, self.graph, len(self.edges)
         if n < 2 or n % 2:
             raise ValueError(f"trail needs an even edge count >= 2, got {n}")
-        if min(self.edges) < 0 or max(self.edges) >= len(ends):
-            raise ValueError(f"trail edge ids {self.edges} are not all in "
-                             f"range({len(ends)})")
-        pairs = [ends[eid] for eid in self.edges]
-        for t, (a, b) in enumerate(zip(pairs, pairs[1:]), 1):
-            if a[t % 2] != b[t % 2]:  # odd t meet at x_j, even t at y_j
+        if min(edges) < 0 or max(edges) >= len(g.edges):
+            raise ValueError(f"trail edge ids {edges} are not all in "
+                             f"range({len(g.edges)})")
+        for t in range(1, n):
+            end = g._ex if t % 2 else g._ey  # odd t meet at x_j, even at y_j
+            if end[edges[t - 1]] != end[edges[t]]:
+                a, b = g.edges[edges[t - 1]], g.edges[edges[t]]
                 raise ValueError(f"trail edge y{b[0]}x{b[1]} does not meet "
                                  f"the edge y{a[0]}x{a[1]} before it")
 

@@ -60,10 +60,12 @@ def generate(config: GenConfig) -> Bigraph:
 
 
 def _pair_stubs(k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    y_stubs = [i for i in range(4 * k) for _ in range(3)]
-    x_stubs = [j for j in range(3 * k) for _ in range(4)]
-    perm = rng.permutation(len(x_stubs))
-    return [(y_stubs[t], x_stubs[perm[t]]) for t in range(len(y_stubs))]
+    # Y stub t is y_{t//3}, X stub s is x_{s//4}, t meets X stub perm[t];
+    # ends share one id list, so the graph holds an int per vertex, not per end
+    ids = list(range(4 * k))
+    xs = (rng.permutation(12 * k) // 4).tolist()
+    return list(zip([i for i in ids for _ in (0, 1, 2)],
+                    map(ids.__getitem__, xs)))
 
 
 def _repair_duplicates(edges: list[tuple[int, int]], rng: np.random.Generator

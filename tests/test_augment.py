@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 
@@ -10,7 +11,8 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
                         NotSimpleError, PseudoPathFactor, RandomPolicy,
                         Vertex, brute_force_trails, build_pseudo_factor,
                         find_trail, fixture, format_factor, generate,
-                        make_policy, rewire, solve, validate_path_factor)
+                        make_policy, parse_graph, rewire, serialize_graph,
+                        solve, validate_path_factor)
 from conftest import flip_behind_index
 
 
@@ -257,6 +259,28 @@ def test_solve_output_is_pinned(k, seed, spec):
                                make_policy(spec)).paths)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == PINNED_DIGESTS[k, seed, spec]
+
+
+@pytest.mark.parametrize("spec", ["lex", "random:3"])
+def test_a_library_solve_leaves_no_cyclic_garbage(spec):
+    # parse, solve, validate and format make no reference cycles, so with
+    # the cyclic GC off they leave nothing for it to find; running a whole
+    # command with the GC off rests on this
+    text = serialize_graph(generate(GenConfig(k=200, seed=1)))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        g = parse_graph(text)
+        factor = solve(g, make_policy(spec))
+        valid = validate_path_factor(g, factor).valid
+        format_factor(factor)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert valid
+    assert found == 0
 
 
 @pytest.mark.parametrize("spec", ["lex", "random:3"])

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
-import pytest
-
+import hashlib
 import importlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pathfactor import (GenConfig, GenerationError, check_biregular, fixture,
                         generate, serialize_graph)
@@ -58,3 +61,43 @@ def test_fixtures():
     assert cx.edges.count((1, 0)) == 3
     with pytest.raises(ValueError, match="unknown fixture"):
         fixture("nope")
+
+
+# sha256 prefixes of serialize_graph(generate(GenConfig(k, seed))), recorded
+# while _pair_stubs still looked up each stub's X end one at a time
+GENERATED_DIGESTS = {
+    (1, 0): "ec6ede7c836ce4c2", (1, 1): "ec6ede7c836ce4c2",
+    (1, 2): "ec6ede7c836ce4c2", (2, 0): "0c232cc17a579ed1",
+    (2, 1): "0b82bef4ba54fbb8", (2, 2): "4562ef0ad9849eb6",
+    (20, 0): "a91f55c6db33cebc", (20, 1): "21594b10c1e5e611",
+    (20, 2): "9bc027437afd41a5", (300, 0): "cb43e38fff6a5914",
+    (300, 1): "c4efbd7518e00961", (300, 2): "c4861bee8fe0bf59",
+    (4000, 0): "05b9d7ad6a5fb7de", (4000, 1): "c7d3047d201131d9",
+    (4000, 2): "dfdd82dae87bff1f",
+}
+
+
+@pytest.mark.parametrize("k, seed", sorted(GENERATED_DIGESTS))
+def test_generated_instance_is_pinned(k, seed):
+    text = serialize_graph(generate(GenConfig(k=k, seed=seed)))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == GENERATED_DIGESTS[k, seed]
+
+
+def _pair_stubs_per_stub(k, rng):
+    # the pairing as first written, one lookup per stub
+    y_stubs = [i for i in range(4 * k) for _ in range(3)]
+    x_stubs = [j for j in range(3 * k) for _ in range(4)]
+    perm = rng.permutation(len(x_stubs))
+    return [(y_stubs[t], x_stubs[perm[t]]) for t in range(len(y_stubs))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
+@example(k=1000, seed=0)  # ids above 256 are not interned by CPython
+def test_pair_stubs_matches_the_per_stub_form(k, seed):
+    pairs = generate_module._pair_stubs(k, np.random.default_rng(seed))
+    assert pairs == _pair_stubs_per_stub(k, np.random.default_rng(seed))
+    # both ends are read from one id list, so the graph that keeps these
+    # pairs holds one int object per vertex index, not one per stub
+    assert len({id(v) for pair in pairs for v in pair}) <= 4 * k

@@ -145,6 +145,23 @@ def test_bigraph_rejects_a_non_int_endpoint(bad):
         Bigraph(4, 3, [(0, 0), (1, bad)])
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((0, 3, []), ValueError, "vertex counts must be positive"),
+    ((4, -1, []), ValueError, "vertex counts must be positive"),
+    ((4, 3, [(0, 0), (4, 1)]), ValueError, "edge (y4, x1) out of range"),
+    ((4, 3, [(2, 0), (0, 3)]), ValueError, "edge (y0, x3) out of range"),
+    ((4, 3, [(-1, 0)]), ValueError, "edge (y-1, x0) out of range"),
+    ((4, 3, [(0, 0), (True, 1)]), TypeError,
+     "edge (True, 1) has a non-int end"),
+    ((4, 3, [(1, 2.0)]), TypeError, "edge (1, 2.0) has a non-int end"),
+])
+def test_bigraph_guards_its_own_arguments(args, error, message):
+    # called directly: parse_graph's own checks would refuse these first
+    with pytest.raises(error) as info:
+        Bigraph(*args)
+    assert str(info.value) == message
+
+
 def test_edge_subgraph_bookkeeping():
     # F's edge set, degrees and edge count move with add_edge and
     # remove_edge; an edge already in F is refused as a cycle
