@@ -133,9 +133,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     lengths = [len(index[x] or (x,)) - 1 for x in xs]  # of x's component
     if y_deg[ids[0]] != 0:
         raise ValueError(f"trail origin y{ids[0]} is already covered")
-    if not all(map(factor._member.__getitem__, drop)):
+    if not all(factor._member[eid] for eid in drop):
         raise ValueError(f"{trail} has a factor edge outside F")
-    if any(map(factor._member.__getitem__, adopt)):
+    if any(factor._member[eid] for eid in adopt):
         raise ValueError(f"{trail} has a non-factor edge inside F")
     # the factor edges end at distinct Y vertices, and so do the
     # non-factor ones, so this also rules out a repeated edge

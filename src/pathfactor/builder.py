@@ -7,8 +7,8 @@ its Y end is scanned, so U is not stored: it is the edges at scanned Y
 vertices that are not in F.  A current X vertex threads the scan.  It
 always has F-degree <= 1 and at most 2 rejected edges, so an edge at it
 leads to an unscanned Y vertex.  The scan ends exactly when every X
-vertex has F-degree 2, at which point F is a pseudo path factor.  It runs
-as one loop, and step_i is exactly one pass of that loop.
+vertex has F-degree 2, at which point F is a pseudo path factor.
+build_pseudo_factor runs the scan as a loop; step_i is one pass of it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class FactorState:
     grow, so an entry is deleted when its vertex reaches degree 2 and
     never returns.  Keeping it sorted lets case 1 pick from it by
     position without rebuilding a pool.  step_i, one pass of the scan
-    loop, stores current and step_no back after every pass.
+    loop, advances current and step_no.
     """
 
     graph: Bigraph
@@ -186,14 +186,14 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
 
 
 def step_i(state: FactorState, policy: TieBreakPolicy,
-           trace: Optional[TraceFn] = None, checked: bool = False,
-           *, to_end: bool = False) -> FactorState:
+           trace: Optional[TraceFn] = None, checked: bool = False
+           ) -> FactorState:
     """Scan one more Y vertex, reached from the current X vertex.
 
-    One pass of the scan loop; to_end runs passes until the scan stops.
-    The scanned vertex is chosen among uncommitted edges at the current
-    vertex; its other two neighbors (w1, w2), with F-degrees after the
-    edge to the current vertex joins F, decide the case:
+    One pass of the scan loop in build_pseudo_factor.  The scanned vertex
+    is chosen among uncommitted edges at the current vertex; its other
+    two neighbors (w1, w2), with F-degrees after the edge to the current
+    vertex joins F, decide the case:
 
       1:  both 2           reject both edges; next current is any X vertex
                            of F-degree <= 1, or the scan stops.
@@ -203,73 +203,71 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
       3b: both 1           extend F toward whichever end keeps F acyclic,
                            reject the other, which becomes current.
     """
-    g, f, scanned, pending = (state.graph, state.factor, state.scanned,
-                              state.pending_x)
-    ey, ex, inc, ny = g._ey, g._ex, g._inc, g.y_count
-    x_deg, index, pick, order = f.x_deg, f._path_of, policy.pick, policy.order
-    j = state.current
-    while True:
-        if j is None:
-            raise _defect("current vertex None is not an X vertex", state)
-        if x_deg[j] > 1:
-            raise _defect(f"current vertex x{j} already has F-degree 2",
-                          state)
-        free = {}
-        for eid in inc[ny + j]:
-            if not scanned[ey[eid]]:
-                free[ey[eid]] = eid
-        if not free:
-            raise _defect(f"no uncommitted edge at x{j}; the scan "
-                          f"guarantees at least one", state)
-        y_idx = pick(free)
-        chosen_eid = free[y_idx]
-        rest = {}
-        for eid in inc[y_idx]:
-            if eid != chosen_eid:
-                rest[ex[eid]] = eid
-        wa_idx, wb_idx = order(rest)
-        da, db = x_deg[wa_idx], x_deg[wb_idx]
-        # the case names w1 and w2: cases 1 and 2 reject both edges, 3a
-        # and 3b extend F through w1 and reject w2
-        if da == 2 and db == 2:
-            case, w1_idx, w2_idx = "1", wa_idx, wb_idx
-        elif da == 2 or db == 2:
-            case = "2"
-            w1_idx, w2_idx = (wa_idx, wb_idx) if da == 2 else (wb_idx, wa_idx)
-        elif da == 0 or db == 0:
-            case = "3a"
-            w1_idx, w2_idx = (wa_idx, wb_idx) if da == 0 else (wb_idx, wa_idx)
-        else:
-            case = "3b"
-            # Both candidates sit on F-paths; exactly one may already share
-            # a component with x_j, which y_i joins through the chosen
-            # edge, and extending that way would close a cycle.
-            closes = index[ny + j] is index[ny + wa_idx]
-            w1_idx, w2_idx = (wb_idx, wa_idx) if closes else (wa_idx, wb_idx)
-        f_added = 2 if case[0] == "3" else 1
-        for eid in (chosen_eid, rest[w1_idx])[:f_added]:
-            _grow_f(state, eid)
-        if case != "1":
-            j = w2_idx
-        else:
-            j = pending[policy.pick_index(len(pending))] if pending else None
-        state.current = j
-        scanned[y_idx] = True
-        state.step_no += 1
-        if trace:
-            f_new = [chosen_eid, rest[w1_idx]][:f_added]
-            u_new = [rest[w1_idx], rest[w2_idx]][f_added - 1:]
-            trace(f"step {state.step_no - 1} case {case} y{y_idx} "
-                  f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
-                  f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
-        if checked:
-            _check_step(state, y_idx, f_added)
-            if j is None:
-                check_state_invariants(state)
-        if not to_end or j is None:
-            return state
-        if state.step_no > ny:
-            raise _defect("scan did not stop within |Y| steps", state)
+    g, j, scanned = state.graph, state.current, state.scanned
+    ey, ex, inc, x_deg = g._ey, g._ex, g._inc, state.factor.x_deg
+    if j is None:
+        raise _defect("current vertex None is not an X vertex", state)
+    if x_deg[j] > 1:
+        raise _defect(f"current vertex x{j} already has F-degree 2", state)
+    free = {}  # plain loops: before 3.12 a comprehension is a call
+    for eid in inc[g.y_count + j]:
+        if not scanned[ey[eid]]:
+            free[ey[eid]] = eid
+    if not free:
+        raise _defect(f"no uncommitted edge at x{j}; the scan guarantees "
+                      f"at least one", state)
+
+    y_idx = policy.pick(free)
+    chosen_eid = free[y_idx]
+    rest = {}
+    for eid in inc[y_idx]:
+        if eid != chosen_eid:
+            rest[ex[eid]] = eid
+    wa_idx, wb_idx = policy.order(rest)
+    da, db = x_deg[wa_idx], x_deg[wb_idx]
+
+    step_no = state.step_no
+    # the case names w1 and w2: cases 1 and 2 reject both edges, 3a and 3b
+    # extend F through w1 and reject w2
+    if da == 2 and db == 2:
+        case, w1_idx, w2_idx = "1", wa_idx, wb_idx
+    elif da == 2 or db == 2:
+        case = "2"
+        w1_idx, w2_idx = (wa_idx, wb_idx) if da == 2 else (wb_idx, wa_idx)
+    elif da == 0 or db == 0:
+        case = "3a"
+        w1_idx, w2_idx = (wa_idx, wb_idx) if da == 0 else (wb_idx, wa_idx)
+    else:
+        case = "3b"
+        # Both candidates sit on F-paths; exactly one may already share a
+        # component with x_j, which y_i joins through the chosen edge, and
+        # extending that way would close a cycle.
+        index = state.factor._path_of
+        closes = index[g.y_count + j] is index[g.y_count + wa_idx]
+        w1_idx, w2_idx = (wb_idx, wa_idx) if closes else (wa_idx, wb_idx)
+    f_added = 2 if case[0] == "3" else 1
+    for eid in (chosen_eid, rest[w1_idx])[:f_added]:
+        _grow_f(state, eid)
+    if case != "1":
+        state.current = w2_idx
+    else:
+        pending = state.pending_x
+        state.current = (pending[policy.pick_index(len(pending))]
+                         if pending else None)
+
+    scanned[y_idx] = True
+    state.step_no += 1
+    if trace:
+        f_new = [chosen_eid, rest[w1_idx]][:f_added]
+        u_new = [rest[w1_idx], rest[w2_idx]][f_added - 1:]
+        trace(f"step {step_no} case {case} y{y_idx} "
+              f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
+              f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
+    if checked:
+        _check_step(state, y_idx, f_added)
+        if state.current is None:
+            check_state_invariants(state)
+    return state
 
 
 def build_pseudo_factor(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
@@ -293,7 +291,10 @@ def build_pseudo_factor(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
     step_zero(state, policy, trace=trace)
     if checked:
         check_state_invariants(state)
-    step_i(state, policy, trace, checked, to_end=True)
+    while state.current is not None:
+        if state.step_no > g.y_count:
+            raise _defect("scan did not stop within |Y| steps", state)
+        step_i(state, policy, trace=trace, checked=checked)
     # add_edge kept F a family of paths; with every X vertex interior,
     # each path ends in Y at both ends and so has even length.
     for j in range(g.x_count):

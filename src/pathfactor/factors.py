@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat, starmap
 
 from .graph import Bigraph, Vertex
 
@@ -119,32 +118,32 @@ class PseudoPathFactor:
         if not self._member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
         self._member[eid] = 0
-        g, index, counts = self.graph, self._path_of, self._len_counts
-        y, x = g._ey[eid], g._ex[eid]
+        y, x = self.graph._ey[eid], self.graph._ex[eid]
         self.y_deg[y] -= 1
         self.x_deg[x] -= 1
-        ends, path = (y, g.y_count + x), index[y]
+        ends = (y, self.graph.y_count + x)
+        path, counts = self._path_of[y], self._len_counts
         n = len(path) - 1
         if counts[n] == 1:
             del counts[n]
         else:
             counts[n] -= 1
         # walk in from both ends at once: the first endpoint met closes
-        # the shorter piece, which is popped off by size calls made in C
+        # the shorter piece
         for size, (head, tail) in enumerate(zip(path, reversed(path)), 1):
             if head in ends:
-                piece = deque(starmap(path.popleft, repeat((), size)))
+                piece = deque(path.popleft() for _ in range(size))
                 break
             if tail in ends:
-                piece = deque(starmap(path.pop, repeat((), size)))
+                piece = deque(path.pop() for _ in range(size))
                 break
         for v in piece:
-            index[v] = piece
+            self._path_of[v] = piece
         for p in (piece, path):
             if len(p) > 1:
                 counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
             else:
-                index[p[0]] = None
+                self._path_of[p[0]] = None
 
     # -- queries ------------------------------------------------------------
 
@@ -164,7 +163,7 @@ class PseudoPathFactor:
 
     @property
     def max_path_length(self) -> int:
-        return max(self._len_counts or (0,))
+        return max(self._len_counts, default=0)
 
     @property
     def path_count(self) -> int:

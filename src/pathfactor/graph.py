@@ -21,7 +21,7 @@ vertex names; ``c`` comments are allowed there as well.
 from __future__ import annotations
 
 import re
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import (TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence,
                     Union)
 
@@ -104,7 +104,7 @@ class Bigraph:
         self.y_count = y_count
         self.x_count = x_count
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        self.simple = all(map(ne, canon, canon[1:]))
+        self.simple = all(a != b for a, b in zip(canon, canon[1:]))
         # The solver's reads stay in one small block of memory when the
         # edge ids and ends are ints from one pool.  It is sized by the
         # edge list, not by the header: top is the largest end, where the
