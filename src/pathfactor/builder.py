@@ -226,7 +226,6 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     wa_idx, wb_idx = policy.order(rest)
     da, db = x_deg[wa_idx], x_deg[wb_idx]
 
-    step_no = state.step_no
     # the case names w1 and w2: cases 1 and 2 reject both edges, 3a and 3b
     # extend F through w1 and reject w2
     if da == 2 and db == 2:
@@ -260,7 +259,7 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     if trace:
         f_new = [chosen_eid, rest[w1_idx]][:f_added]
         u_new = [rest[w1_idx], rest[w2_idx]][f_added - 1:]
-        trace(f"step {step_no} case {case} y{y_idx} "
+        trace(f"step {state.step_no - 1} case {case} y{y_idx} "
               f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
               f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
     if checked:

@@ -60,12 +60,13 @@ def generate(config: GenConfig) -> Bigraph:
 
 
 def _pair_stubs(k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    # Y stub t is y_{t//3}, X stub s is x_{s//4}, t meets X stub perm[t];
-    # ends share one id list, so the graph holds an int per vertex, not per end
+    # Y stub t is y_{t//3}, X stub s is x_{s//4}, t meets X stub perm[t].
+    # Both ends are ints of one id list, which an object array hands back
+    # as they are, so the graph holds an int per vertex, not one per end.
+    import numpy as np
     ids = list(range(4 * k))
-    xs = (rng.permutation(12 * k) // 4).tolist()
-    return list(zip([i for i in ids for _ in (0, 1, 2)],
-                    map(ids.__getitem__, xs)))
+    xs = np.array(ids, dtype=object)[rng.permutation(12 * k) // 4].tolist()
+    return list(zip([i for i in ids for _ in (0, 1, 2)], xs))
 
 
 def _repair_duplicates(edges: list[tuple[int, int]], rng: np.random.Generator
