@@ -21,27 +21,26 @@ print("\n-- phase 1: scanning every Y vertex --")
 factor = build_pseudo_factor(g, trace=print)
 print(f"\npseudo path factor: {factor.path_count} paths, "
       f"max length {factor.max_path_length}")
-for p in factor.paths:
-    print("  " + " ".join(map(str, p)))
+for p in factor.ids:  # vertex ids; g.vertex names them
+    print("  " + " ".join(map(str, map(g.vertex, p))))
 
 uncovered = factor.uncovered_ys()
 if not uncovered:
     print("\nevery Y vertex is already covered; phase 2 has nothing to do "
           "(try another seed)")
 else:
-    print(f"\nuncovered: {' '.join(map(str, uncovered))}")
+    print(f"\nuncovered: {' '.join(map(str, map(g.vertex, uncovered)))}")
     print("\n-- phase 2: one trail swap per uncovered vertex --")
     policy = LexicographicPolicy()
     while factor.uncovered_ys():
-        y0 = policy.pick(factor.uncovered_ys())
+        y0 = policy.pick(factor.uncovered_ys())  # a Y index
         options = brute_force_trails(factor, y0)
         trail = find_trail(factor, y0)
-        print(f"{y0}: {len(options)} possible trails, taking "
-              f"{' '.join(map(str, trail.vertices))}")
+        print(f"y{y0}: {len(options)} possible trails, taking {trail}")
         rewire(factor, trail)
         print(f"   max path length now {factor.max_path_length}")
 
 print("\n-- result --")
 solved = solve(g)
-print(format_factor(solved.paths), end="")
+print(format_factor(solved), end="")
 print("validator says:", validate_path_factor(g, solved).render(), end="")

@@ -20,7 +20,7 @@ from .experiment import ExperimentSummary, run_experiment
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .generate import GenConfig, fixture, generate
 from .graph import (Bigraph, Vertex, check_biregular, format_factor,
-                    orient_path, parse_factor, parse_graph, serialize_graph)
+                    parse_factor, parse_graph, serialize_graph)
 from .policy import (LexicographicPolicy, RandomPolicy, TieBreakPolicy,
                      make_policy)
 from .verify import (ValidationReport, Violation, brute_force_factor,
@@ -37,7 +37,7 @@ __all__ = [
     "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
     "Violation", "brute_force_factor", "brute_force_trails",
     "build_pseudo_factor", "check_biregular", "find_trail", "fixture",
-    "format_factor", "generate", "make_policy", "orient_path", "parse_factor",
-    "parse_graph", "rewire", "run_experiment", "serialize_graph", "solve",
+    "format_factor", "generate", "make_policy", "parse_factor", "parse_graph",
+    "rewire", "run_experiment", "serialize_graph", "solve",
     "validate_path_factor", "validate_pseudo_factor",
 ]

@@ -18,16 +18,16 @@ from typing import Callable, Iterable, Optional
 from .builder import build_pseudo_factor
 from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, Vertex
+from .graph import Bigraph
 from .policy import LexicographicPolicy, TieBreakPolicy
 from .verify import audit_ids
 
 TraceFn = Callable[[str], None]
 
 
-def find_trail(factor: PseudoPathFactor, y0: Vertex,
+def find_trail(factor: PseudoPathFactor, y0: int,
                policy: Optional[TieBreakPolicy] = None) -> AugmentingTrail:
-    """Find an augmenting trail out of the uncovered vertex y0.
+    """Find an augmenting trail out of the uncovered Y vertex y<y0>.
 
     The trail alternates non-factor and factor edges.  Interior X stops
     lie on components of length exactly 2 and are crossed; the first X
@@ -40,20 +40,21 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
     if policy is None:
         policy = LexicographicPolicy()
     g, y_deg = factor.graph, factor.y_deg
-    if not (y0.is_y and 0 <= y0.index < g.y_count and y_deg[y0.index] == 0):
-        raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
+    if not (0 <= y0 < g.y_count and y_deg[y0] == 0):
+        raise ValueError(f"trail origin y{y0} must be an uncovered Y vertex")
     # on ids: spent holds the trail's edge ids in order, as an ordered set
     ey, ex, inc, member, ny = g._ey, g._ex, g._inc, factor._member, g.y_count
-    tip = y0.index
+    tip = y0
     spent: dict[int, None] = {}
     seen_ys = {tip}
     for _ in range(ny + 1):
         non_factor = list(filterfalse(member.__getitem__, inc[tip]))
-        fresh = {ex[eid]: eid for eid in non_factor if eid not in spent}
-        if len(fresh) != len(non_factor):
+        if not spent.keys().isdisjoint(non_factor):
             raise AlgorithmDefectError(
                 f"non-factor edge at trail tip y{tip} was already used; "
                 f"trail so far: {_walked(g, y0, spent)}")
+        # keyed by X index: of parallel edges to one X, any one will do
+        fresh = {ex[eid]: eid for eid in non_factor}
         if not fresh:
             raise AlgorithmDefectError(
                 f"no non-factor edge available at trail tip y{tip}")
@@ -95,12 +96,12 @@ def find_trail(factor: PseudoPathFactor, y0: Vertex,
         spent[interior[policy.pick(interior)]] = None
         return AugmentingTrail(g, tuple(spent))
     raise AlgorithmDefectError(
-        f"trail search from {y0} did not terminate within |Y| extensions")
+        f"trail search from y{y0} did not terminate within |Y| extensions")
 
 
-def _walked(g: Bigraph, y0: Vertex, spent: Iterable[int]) -> str:
-    """The vertices that a trail's edges pass through, from y0."""
-    return " ".join([str(y0)] + [f"y{g._ey[e]}" if t % 2 else f"x{g._ex[e]}"
+def _walked(g: Bigraph, y0: int, spent: Iterable[int]) -> str:
+    """The vertices that a trail's edges pass through, from y<y0>."""
+    return " ".join([f"y{y0}"] + [f"y{g._ey[e]}" if t % 2 else f"x{g._ex[e]}"
                                  for t, e in enumerate(spent)])
 
 
@@ -221,7 +222,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
             raise AlgorithmDefectError(
                 f"rewire rejected find_trail's own trail: {exc}") from None
         if trace:
-            trace(f"augment {y0} trail_len {trail.edge_count} "
+            trace(f"augment y{y0} trail_len {trail.edge_count} "
                   f"max_path {factor.max_path_length}")
     if checked:  # the result is read off the index; F gets its own check
         from .verify import validate_pseudo_factor

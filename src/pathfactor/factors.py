@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Bigraph, Vertex
+from .graph import Bigraph
 
 
 class PseudoPathFactor:
@@ -147,19 +147,14 @@ class PseudoPathFactor:
 
     # -- queries ------------------------------------------------------------
 
-    def _id_paths(self) -> tuple[tuple[int, ...], ...]:
+    @property
+    def ids(self) -> tuple[tuple[int, ...], ...]:
         """All component paths as vertex ids, canonically oriented and
         sorted (ids sort in Vertex order)."""
         oriented = (p if p[0] < p[-1] else reversed(p)
                     for v, p in enumerate(self._path_of)
                     if p is not None and p[0] == v)
         return tuple(sorted([tuple(p) for p in oriented]))
-
-    @property
-    def paths(self) -> tuple[tuple[Vertex, ...], ...]:
-        """All component paths, canonically oriented and sorted."""
-        return tuple([tuple(map(self.graph.vertex, p))
-                      for p in self._id_paths()])
 
     @property
     def max_path_length(self) -> int:
@@ -177,9 +172,9 @@ class PseudoPathFactor:
         """The occurrence ids of F's edges, ascending."""
         return [eid for eid, m in enumerate(self._member) if m]
 
-    def uncovered_ys(self) -> list[Vertex]:
-        return [Vertex.y(i) for i in range(self.graph.y_count)
-                if self.y_deg[i] == 0]
+    def uncovered_ys(self) -> list[int]:
+        """The indices of the Y vertices F misses, ascending."""
+        return [i for i, d in enumerate(self.y_deg) if d == 0]
 
     def __repr__(self) -> str:
         covered = sum(1 for d in self.y_deg if d)
@@ -226,22 +221,18 @@ class AugmentingTrail:
         return ids
 
     @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(map(self.graph.vertex, self._vertex_ids()))
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def __repr__(self) -> str:
-        return "AugmentingTrail(" + " ".join(map(str, self.vertices)) + ")"
+        names = map(str, map(self.graph.vertex, self._vertex_ids()))
+        return "AugmentingTrail(" + " ".join(names) + ")"
 
 
 @dataclass(frozen=True)
 class PathFactor:
     """Vertex-disjoint even paths spanning the graph, endpoints in Y, held
-    as vertex id tuples (y_i -> i, x_j -> |Y| + j); paths is their Vertex
-    view."""
+    as vertex id tuples (y_i -> i, x_j -> |Y| + j)."""
 
     graph: Bigraph
     ids: tuple[tuple[int, ...], ...]
@@ -250,13 +241,9 @@ class PathFactor:
     def from_pseudo(cls, factor: PseudoPathFactor) -> "PathFactor":
         uncovered = factor.uncovered_ys()
         if uncovered:
-            raise ValueError(
-                f"not spanning: {' '.join(map(str, uncovered))} uncovered")
-        return cls(factor.graph, factor._id_paths())
-
-    @property
-    def paths(self) -> tuple[tuple[Vertex, ...], ...]:
-        return tuple([tuple(map(self.graph.vertex, p)) for p in self.ids])
+            names = " ".join([f"y{i}" for i in uncovered])
+            raise ValueError(f"not spanning: {names} uncovered")
+        return cls(factor.graph, factor.ids)
 
     def lengths(self) -> tuple[int, ...]:
         """Path edge counts, ascending."""

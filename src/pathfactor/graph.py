@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import (TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence,
-                    Union)
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import GraphFormatError, NotBiregularError
 
@@ -65,10 +64,6 @@ class Vertex(NamedTuple):
         if side is None or not _is_count(token[1:]):
             raise GraphFormatError(f"malformed vertex token {token!r}")
         return cls(side, int(token[1:]))
-
-    @property
-    def is_y(self) -> bool:
-        return self.side == Y_SIDE
 
     def __repr__(self) -> str:
         if self.side in (Y_SIDE, X_SIDE):
@@ -124,12 +119,9 @@ class Bigraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertex_id(self, v: Vertex) -> int:
-        """y_i -> i and x_j -> |Y| + j, so ids sort in Vertex order."""
-        return v.index + v.side * self.y_count
-
     def vertex(self, vid: int) -> Vertex:
-        """The inverse of vertex_id."""
+        """The Vertex of an integer vertex id: y_i has id i and x_j has id
+        |Y| + j, so ids sort in Vertex order."""
         ny = self.y_count
         return Vertex(Y_SIDE, vid) if vid < ny else Vertex(X_SIDE, vid - ny)
 
@@ -169,12 +161,6 @@ def check_biregular(g: Bigraph) -> int:
         raise NotBiregularError(
             f"deg({g.vertex(v)}) = {have[v]}, want {want[v]}")
     return k
-
-
-def orient_path(seq: Sequence[Vertex]) -> tuple[Vertex, ...]:
-    """Canonical orientation: the lexicographically smaller endpoint first."""
-    seq = tuple(seq)
-    return seq if seq[0] <= seq[-1] else seq[::-1]
 
 
 def parse_graph(text: str) -> Bigraph:
@@ -263,18 +249,12 @@ def parse_factor(text: str) -> list[tuple[Vertex, ...]]:
     return paths
 
 
-def format_factor(
-        paths: Union[PathFactor, Iterable[Sequence[Vertex]]]) -> str:
+def format_factor(factor: PathFactor) -> str:
     """Canonical factor text: each path oriented smaller-endpoint-first,
-    lines sorted by first vertex.  Takes a PathFactor or Vertex paths."""
-    from .factors import PathFactor  # that module imports this one
-    if isinstance(paths, PathFactor):
-        g = paths.graph
-        names = ([f"y{i}" for i in range(g.y_count)]
-                 + [f"x{j}" for j in range(g.x_count)])
-        lines = [p if p[0] <= p[-1] else p[::-1] for p in paths.ids]
-    else:
-        lines = list(map(orient_path, paths))
-        names = {v: str(v) for p in lines for v in p}
+    lines sorted by first vertex."""
+    g = factor.graph
+    names = ([f"y{i}" for i in range(g.y_count)]
+             + [f"x{j}" for j in range(g.x_count)])
+    lines = [p if p[0] <= p[-1] else p[::-1] for p in factor.ids]
     return "".join(" ".join([names[u] for u in p]) + "\n"
                    for p in sorted(lines))

@@ -2,7 +2,7 @@
 
 Every nondeterministic choice in the solver is routed through a policy,
 so a (graph, policy) pair fixes the run byte for byte.  Candidates are
-always comparable (vertex tuples or plain indices); RandomPolicy sorts
+always comparable (the solver hands over plain indices); RandomPolicy sorts
 them before consuming randomness, which keeps its streams independent of
 the caller's iteration order.
 """

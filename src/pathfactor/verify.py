@@ -16,7 +16,7 @@ from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .dsu import RollbackUnionFind
-from .errors import OracleSizeError
+from .errors import NotBiregularError, OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import Bigraph, Vertex, X_SIDE, Y_SIDE, check_biregular
 
@@ -185,7 +185,7 @@ def validate_path_factor(
     k: Optional[int] = None
     try:
         k = check_biregular(g)
-    except Exception as exc:
+    except NotBiregularError as exc:
         violations.append(Violation("graph-shape", (), str(exc)))
     ny, nx, n = g.y_count, g.x_count, g.y_count + g.x_count
     if isinstance(factor, PathFactor):
@@ -318,14 +318,16 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
 
 
 def brute_force_trails(factor: PseudoPathFactor,
-                       y0: Vertex) -> list[AugmentingTrail]:
-    """All augmenting trails out of y0, by exhaustive extension.
+                       y0: int) -> list[AugmentingTrail]:
+    """All augmenting trails out of the Y vertex y<y0>, by exhaustive
+    extension.
 
     A trail leaves each Y tip on an unused non-factor edge; a length-2
     component is crossed via an unused factor edge to a fresh Y vertex,
     and a longer component terminates the trail at any of its interior Y
     vertices.  Sorted by vertex sequence.  Raises OracleSizeError for
-    k > 2 and ValueError unless y0 is an uncovered Y vertex of the graph.
+    k > 2 and ValueError unless y<y0> is an uncovered Y vertex of the
+    graph.
     """
     g, member, y_deg = factor.graph, factor._member, factor.y_deg
     k = check_biregular(g)
@@ -333,8 +335,8 @@ def brute_force_trails(factor: PseudoPathFactor,
         raise OracleSizeError(
             f"exhaustive trail search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    if not (y0.is_y and 0 <= y0.index < g.y_count and y_deg[y0.index] == 0):
-        raise ValueError(f"trail origin {y0} must be an uncovered Y vertex")
+    if not (0 <= y0 < g.y_count and y_deg[y0] == 0):
+        raise ValueError(f"trail origin y{y0} must be an uncovered Y vertex")
     inc, ends, index, ny = g._inc, g.edges, factor._path_of, g.y_count
     found: list[AugmentingTrail] = []
 
@@ -355,6 +357,6 @@ def brute_force_trails(factor: PseudoPathFactor,
                 elif y_next not in seen_ys:
                     extend(y_next, edges + (eid, feid), seen_ys | {y_next})
 
-    extend(y0.index, (), frozenset({y0.index}))
+    extend(y0, (), frozenset({y0}))
     found.sort(key=lambda t: t._vertex_ids())
     return found

@@ -9,24 +9,34 @@ from __future__ import annotations
 
 import pytest
 
-from pathfactor import AugmentingTrail, Bigraph, PseudoPathFactor, Vertex
+from pathfactor import AugmentingTrail, Bigraph, PseudoPathFactor
 
 
-def edge_id(g, a, b):
-    """The occurrence id of the edge joining Vertex a and Vertex b, in
-    either order; ValueError unless exactly one occurrence joins them."""
-    y, x = (a, b) if a.is_y else (b, a)
-    ids = [eid for eid in g._inc[g.vertex_id(y)]
-           if g.edges[eid][1] == x.index]
+def edge_id(g, y, x):
+    """The occurrence id of the edge joining y<y> and x<x>; ValueError
+    unless exactly one occurrence joins them."""
+    ids = [eid for eid in g._inc[y] if g.edges[eid][1] == x]
     if len(ids) != 1:
-        raise ValueError(f"edge {y}{x} has multiplicity {len(ids)}")
+        raise ValueError(f"edge y{y}x{x} has multiplicity {len(ids)}")
     return ids[0]
 
 
+def walk_pairs(walk):
+    """The (y, x) index pairs along the walk y<i0> x<i1> y<i2> ..., given
+    as its indices."""
+    return [(a, b) if t % 2 == 0 else (b, a)
+            for t, (a, b) in enumerate(zip(walk, walk[1:]))]
+
+
+def ypath(g, *indices):
+    """The vertex ids of the walk y<i0> x<i1> y<i2> ... of g."""
+    return tuple(i + t % 2 * g.y_count for t, i in enumerate(indices))
+
+
 def component_length(factor, v):
-    """The edge count of Vertex v's component in F; 0 when v is
+    """The edge count of vertex id v's component in F; 0 when v is
     isolated."""
-    path = factor._path_of[factor.graph.vertex_id(v)]
+    path = factor._path_of[v]
     return 0 if path is None else len(path) - 1
 
 
@@ -50,41 +60,27 @@ def k2_stub_pairing(rng):
 
 
 def trail_of(g, *walks):
-    """The AugmentingTrail on the edges of the given vertex walks, one
-    walk after another; each consecutive pair names a unique edge."""
-    return AugmentingTrail(g, tuple(edge_id(g, a, b) for w in walks
-                                    for a, b in zip(w, w[1:])))
-
-
-def _ypath(*indices):
-    # alternating y/x vertex tuple from indices, starting on the Y side
-    out = []
-    for t, i in enumerate(indices):
-        out.append(Vertex.y(i) if t % 2 == 0 else Vertex.x(i))
-    return tuple(out)
+    """The AugmentingTrail on the edges of the given walks (as in
+    walk_pairs), one walk after another; each step names a unique edge."""
+    return AugmentingTrail(g, tuple(edge_id(g, y, x) for w in walks
+                                    for y, x in walk_pairs(w)))
 
 
 def _factor_from_paths(y_count, x_count, f_paths, extra_edges):
-    edges = []
-    for p in f_paths:
-        for a, b in zip(p, p[1:]):
-            y, x = (a, b) if a.is_y else (b, a)
-            edges.append((y.index, x.index))
-    f_pairs = list(edges)
-    edges.extend(extra_edges)
-    g = Bigraph(y_count, x_count, edges)
+    f_pairs = [pair for p in f_paths for pair in walk_pairs(p)]
+    g = Bigraph(y_count, x_count, f_pairs + extra_edges)
     factor = PseudoPathFactor(g)
     for y, x in f_pairs:
-        factor.add_edge(edge_id(g, Vertex.y(y), Vertex.x(x)))
+        factor.add_edge(edge_id(g, y, x))
     return g, factor
 
 
 @pytest.fixture
 def subgraph_of():
-    """The edge ids of g named by (Vertex, Vertex) pairs, each naming a
+    """The edge ids of g named by (y, x) index pairs, each naming a
     unique edge occurrence."""
     def build(g, pairs):
-        return [edge_id(g, a, b) for a, b in pairs]
+        return [edge_id(g, y, x) for y, x in pairs]
     return build
 
 
@@ -95,7 +91,7 @@ def k2_pseudo():
     Trail search from y0 has five possible outcomes; the lexicographic
     one is (y0, x0, y2).
     """
-    long_path = _ypath(1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7)
+    long_path = (1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7)
     extra = [(0, 0), (4, 0), (0, 1), (5, 1), (0, 2), (6, 2),
              (1, 3), (7, 3), (1, 4), (7, 4), (2, 5), (3, 5)]
     return _factor_from_paths(8, 6, [long_path], extra)
@@ -108,8 +104,8 @@ def k3_pseudo():
     Every trail from y0 must cross the 2-path; the lexicographic trail is
     (y0, x0, y1, x1, y4).
     """
-    two_path = _ypath(1, 0, 2)
-    long_path = _ypath(3, 1, 4, 2, 5, 3, 6, 4, 7, 5, 8, 6, 9, 7, 10, 8, 11)
+    two_path = (1, 0, 2)
+    long_path = (3, 1, 4, 2, 5, 3, 6, 4, 7, 5, 8, 6, 9, 7, 10, 8, 11)
     extra = [(0, 0), (3, 0), (0, 1), (1, 1), (0, 2), (2, 2),
              (1, 3), (2, 3), (3, 4), (11, 4), (4, 5), (11, 5),
              (5, 6), (10, 6), (6, 7), (8, 7), (7, 8), (9, 8)]

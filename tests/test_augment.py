@@ -8,53 +8,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
-                        NotSimpleError, PseudoPathFactor, RandomPolicy,
-                        Vertex, brute_force_trails, build_pseudo_factor,
+                        NotSimpleError, PathFactor, PseudoPathFactor,
+                        RandomPolicy, brute_force_trails, build_pseudo_factor,
                         find_trail, fixture, format_factor, generate,
                         make_policy, parse_graph, rewire, serialize_graph,
                         solve, validate_path_factor)
-from conftest import flip_behind_index
-
-
-def _ypath(*indices):
-    return tuple(Vertex.y(i) if t % 2 == 0 else Vertex.x(i)
-                 for t, i in enumerate(indices))
+from conftest import flip_behind_index, trail_of, ypath
 
 
 def test_k2_trail_is_golden(k2_pseudo):
     g, factor = k2_pseudo
-    assert factor.uncovered_ys() == [Vertex.y(0)]
-    trail = find_trail(factor, Vertex.y(0))
-    assert trail.vertices == _ypath(0, 0, 2)
+    assert factor.uncovered_ys() == [0]
+    trail = find_trail(factor, 0)
+    assert trail == trail_of(g, (0, 0, 2))
     assert trail.edge_count == 2
 
 
 def test_k2_all_trails_enumerated(k2_pseudo):
     g, factor = k2_pseudo
-    trails = brute_force_trails(factor, Vertex.y(0))
-    assert [t.vertices for t in trails] == [
-        _ypath(0, 0, 2), _ypath(0, 1, 2), _ypath(0, 1, 3),
-        _ypath(0, 2, 3), _ypath(0, 2, 4)]
-    found = find_trail(factor, Vertex.y(0))
-    assert found.vertices in {t.vertices for t in trails}
+    trails = brute_force_trails(factor, 0)
+    assert trails == [trail_of(g, w) for w in [
+        (0, 0, 2), (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 2, 4)]]
+    assert find_trail(factor, 0) in trails
 
 
 def test_k2_rewire_is_golden(k2_pseudo):
     g, factor = k2_pseudo
     before_max = factor.max_path_length
     before_uncovered = len(factor.uncovered_ys())
-    trail = find_trail(factor, Vertex.y(0))
+    trail = find_trail(factor, 0)
     rewire(factor, trail, checked=True)
-    assert factor.paths == (
-        _ypath(0, 0, 1),
-        _ypath(2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7))
+    assert factor.ids == (
+        ypath(g, 0, 0, 1),
+        ypath(g, 2, 1, 3, 2, 4, 3, 5, 4, 6, 5, 7))
     assert factor.max_path_length == 10 < before_max
     assert len(factor.uncovered_ys()) == before_uncovered - 1
 
 
 def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     g, factor = k2_pseudo
-    trail = find_trail(factor, Vertex.y(0))
+    trail = find_trail(factor, 0)
 
     def pairs(f):
         return {g.edges[eid] for eid in f.edge_ids()}
@@ -63,34 +56,34 @@ def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     before_count = factor.edge_count
     rewire(factor, trail)
     # the trail alternates y x y ...: edges y_{j-1} x_j join F, x_j y_j leave
-    ys, xs = trail.vertices[0::2], trail.vertices[1::2]
-    adopted = {(y.index, x.index) for y, x in zip(ys, xs)}
-    dropped = {(y.index, x.index) for y, x in zip(ys[1:], xs)}
+    ids = trail._vertex_ids()
+    ys, xs = ids[0::2], [v - g.y_count for v in ids[1::2]]
+    adopted = set(zip(ys, xs))
+    dropped = set(zip(ys[1:], xs))
     assert pairs(factor) == (before_pairs - dropped) | adopted
     assert factor.edge_count == before_count
 
 
 def test_k3_trail_crosses_the_short_path(k3_pseudo):
     g, factor = k3_pseudo
-    trail = find_trail(factor, Vertex.y(0))
-    assert trail.vertices == _ypath(0, 0, 1, 1, 4)
+    trail = find_trail(factor, 0)
+    assert trail == trail_of(g, (0, 0, 1, 1, 4))
     assert trail.edge_count == 4
     assert repr(trail) == "AugmentingTrail(y0 x0 y1 x1 y4)"
     rewire(factor, trail, checked=True)
-    assert factor.paths == (
-        _ypath(0, 0, 2),
-        _ypath(1, 1, 3),
-        _ypath(4, 2, 5, 3, 6, 4, 7, 5, 8, 6, 9, 7, 10, 8, 11))
+    assert factor.ids == (
+        ypath(g, 0, 0, 2),
+        ypath(g, 1, 1, 3),
+        ypath(g, 4, 2, 5, 3, 6, 4, 7, 5, 8, 6, 9, 7, 10, 8, 11))
     assert factor.max_path_length == 14
     assert not factor.uncovered_ys()
 
 
 def test_find_trail_rejects_covered_origin(k2_pseudo):
     g, factor = k2_pseudo
-    with pytest.raises(ValueError, match="uncovered"):
-        find_trail(factor, Vertex.y(1))
-    with pytest.raises(ValueError, match="uncovered"):
-        find_trail(factor, Vertex.x(0))
+    with pytest.raises(ValueError, match="^trail origin y1 must be an "
+                                         "uncovered Y vertex$"):
+        find_trail(factor, 1)
 
 
 @pytest.mark.parametrize("search", [find_trail, brute_force_trails])
@@ -98,9 +91,10 @@ def test_find_trail_rejects_covered_origin(k2_pseudo):
 def test_trail_origin_out_of_range_is_rejected(search, index):
     # only y7 is uncovered; y-1 must not wrap to it, nor y99 overrun |Y|
     factor = build_pseudo_factor(generate(GenConfig(2, 2)))
-    assert factor.uncovered_ys() == [Vertex.y(7)]
-    with pytest.raises(ValueError, match="must be an uncovered Y vertex"):
-        search(factor, Vertex.y(index))
+    assert factor.uncovered_ys() == [7]
+    with pytest.raises(ValueError, match=f"^trail origin y{index} must be "
+                                         "an uncovered Y vertex$"):
+        search(factor, index)
 
 
 def test_solve_reports_a_rejected_trail_as_a_defect(monkeypatch):
@@ -126,7 +120,7 @@ def test_solve_on_fixture_graphs(k2_pseudo, k3_pseudo):
 
 def test_solve_k34_golden():
     factor = solve(fixture("k34"))
-    assert format_factor(factor.paths) == "y2 x2 y0 x0 y1 x1 y3\n"
+    assert format_factor(factor) == "y2 x2 y0 x0 y1 x1 y3\n"
 
 
 def test_solve_rejects_multigraph():
@@ -141,7 +135,7 @@ def test_checked_solve_validates(k, seed):
     factor = solve(g, checked=True)
     report = validate_path_factor(g, factor)
     assert report.valid, report.render()
-    assert len(factor.paths) == k
+    assert len(factor.ids) == k
     assert sum(factor.lengths()) == 6 * k
 
 
@@ -156,11 +150,11 @@ def test_random_policy_solve_validates(k, seed, pseed):
 
 def test_solve_is_byte_deterministic():
     g = generate(GenConfig(k=6, seed=13))
-    a = format_factor(solve(g).paths)
-    b = format_factor(solve(g).paths)
+    a = format_factor(solve(g))
+    b = format_factor(solve(g))
     assert a == b
-    ra = format_factor(solve(g, RandomPolicy(5)).paths)
-    rb = format_factor(solve(g, RandomPolicy(5)).paths)
+    ra = format_factor(solve(g, RandomPolicy(5)))
+    rb = format_factor(solve(g, RandomPolicy(5)))
     assert ra == rb
 
 
@@ -199,9 +193,9 @@ def test_emitted_trails_always_among_enumerated():
         policy = LexicographicPolicy()
         while factor.uncovered_ys():
             y0 = policy.pick(factor.uncovered_ys())
-            legal = {t.vertices for t in brute_force_trails(factor, y0)}
+            legal = brute_force_trails(factor, y0)
             trail = find_trail(factor, y0)
-            assert trail.vertices in legal
+            assert trail in legal
             hits += 1
             rewire(factor, trail, checked=True)
     assert hits > 0
@@ -214,7 +208,7 @@ def _reference_solve(g, policy):
     while factor.uncovered_ys():
         y0 = policy.pick(factor.uncovered_ys())
         rewire(factor, find_trail(factor, y0, policy))
-    return format_factor(factor.paths)
+    return format_factor(PathFactor.from_pseudo(factor))
 
 
 @pytest.mark.parametrize("spec", ["lex", "random:0", "random:11"])
@@ -222,7 +216,7 @@ def _reference_solve(g, policy):
 def test_solve_matches_rescanning_reference(k, spec):
     for seed in range(6):
         g = generate(GenConfig(k=k, seed=seed))
-        got = format_factor(solve(g, make_policy(spec)).paths)
+        got = format_factor(solve(g, make_policy(spec)))
         assert got == _reference_solve(g, make_policy(spec)), (k, seed, spec)
 
 
@@ -256,7 +250,7 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("k, seed, spec", sorted(PINNED_DIGESTS))
 def test_solve_output_is_pinned(k, seed, spec):
     text = format_factor(solve(generate(GenConfig(k=k, seed=seed)),
-                               make_policy(spec)).paths)
+                               make_policy(spec)))
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == PINNED_DIGESTS[k, seed, spec]
 
@@ -309,7 +303,7 @@ def test_checked_rewire_catches_f_disagreeing_with_the_index(
     # so after the swap F branches at the trail's X vertex while the index
     # still looks like a family of even paths
     g, factor = k2_pseudo
-    trail = find_trail(factor, Vertex.y(0))
+    trail = find_trail(factor, 0)
     original = PseudoPathFactor.remove_edge
 
     def keeps_the_edge(self, eid):
@@ -381,5 +375,5 @@ def test_checked_solve_audits_in_full_only_at_phase_ends(monkeypatch, spec):
 @pytest.mark.parametrize("k", [50, 500])
 def test_checked_solve_matches_plain(k, spec):
     g = generate(GenConfig(k=k, seed=2))
-    assert (solve(g, make_policy(spec), checked=True).paths
-            == solve(g, make_policy(spec)).paths)
+    assert (solve(g, make_policy(spec), checked=True).ids
+            == solve(g, make_policy(spec)).ids)

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from pathfactor import (AlgorithmDefectError, GenConfig, NotBiregularError,
                         NotSimpleError, RandomPolicy, Vertex,
-                        build_pseudo_factor, fixture, generate,
+                        build_pseudo_factor, fixture, format_factor, generate,
+                        parse_factor, solve, validate_path_factor,
                         validate_pseudo_factor)
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
                                 step_i, step_zero)
 from pathfactor.policy import LexicographicPolicy
-from conftest import edge_id, flip_behind_index
+from conftest import edge_id, flip_behind_index, ypath
 
 K34_TRACE = [
     "step 0 case 0 y0 F:[y0x2 y0x0] U:[y0x1]",
@@ -27,10 +28,9 @@ def test_k34_lex_trace_is_golden():
 
 
 def test_k34_lex_factor_is_golden():
-    factor = build_pseudo_factor(fixture("k34"))
-    assert factor.paths == ((Vertex.y(2), Vertex.x(2), Vertex.y(0),
-                             Vertex.x(0), Vertex.y(1), Vertex.x(1),
-                             Vertex.y(3)),)
+    g = fixture("k34")
+    factor = build_pseudo_factor(g)
+    assert factor.ids == (ypath(g, 2, 2, 0, 0, 1, 1, 3),)
     assert factor.max_path_length == 6
     assert not factor.uncovered_ys()
 
@@ -56,7 +56,7 @@ def _forced_3b_state():
     g = fixture("k34")
     state = FactorState.initial(g)
     for y, x in [(0, 0), (0, 1), (2, 2)]:
-        _grow_f(state, edge_id(g, Vertex.y(y), Vertex.x(x)))
+        _grow_f(state, edge_id(g, y, x))
     state.scanned[0] = state.scanned[2] = True
     state.current = 0  # x0
     state.step_no = 2
@@ -76,7 +76,7 @@ def _clear_current(g, state):
 
 
 def _fill_current(g, state):
-    _grow_f(state, _edge(g, 1, 0))  # x0 gets F-degree 2
+    _grow_f(state, edge_id(g, 1, 0))  # x0 gets F-degree 2
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -125,32 +125,28 @@ def test_grow_f_reports_a_non_path_as_a_defect(pairs, match):
     with pytest.raises(AlgorithmDefectError,
                        match=f"family of paths: .*{match}"):
         for y, x in pairs:
-            _grow_f(state, edge_id(g, Vertex.y(y), Vertex.x(x)))
-
-
-def _edge(g, y, x):
-    return edge_id(g, Vertex.y(y), Vertex.x(x))
+            _grow_f(state, edge_id(g, y, x))
 
 
 def _add_f_at_unscanned_y(g, state):
-    _grow_f(state, _edge(g, 3, 2))  # y3 x2 y2, with y3 unscanned
+    _grow_f(state, edge_id(g, 3, 2))  # y3 x2 y2, with y3 unscanned
 
 
 def _add_f_at_scanned_y(g, state):
-    _grow_f(state, _edge(g, 2, 0))  # y2 was scanned with y2x0 rejected
+    _grow_f(state, edge_id(g, 2, 0))  # y2 was scanned with y2x0 rejected
 
 
 def _drop_f_edge(g, state):
-    state.factor.remove_edge(_edge(g, 2, 2))  # x2 stays pending
+    state.factor.remove_edge(edge_id(g, 2, 2))  # x2 stays pending
 
 
 def _add_branch(g, state):
-    flip_behind_index(state.factor, _edge(g, 0, 2))  # y0 has F-degree 2
+    flip_behind_index(state.factor, edge_id(g, 0, 2))  # y0 has F-degree 2
 
 
 def _add_cycle(g, state):
-    flip_behind_index(state.factor, _edge(g, 1, 0))  # y1 closes x0 y0 x1
-    flip_behind_index(state.factor, _edge(g, 1, 1))
+    flip_behind_index(state.factor, edge_id(g, 1, 0))  # y1 closes x0 y0 x1
+    flip_behind_index(state.factor, edge_id(g, 1, 1))
 
 
 def _reject_every_edge_at_x(g, state):
@@ -207,9 +203,9 @@ def test_checked_build_validates(k, seed):
     factor = build_pseudo_factor(g, checked=True)
     assert validate_pseudo_factor(g, factor.edge_ids()).valid
     assert factor.edge_count == 2 * g.x_count
-    for p in factor.paths:
+    for p in factor.ids:
         assert (len(p) - 1) % 2 == 0
-        assert p[0].is_y and p[-1].is_y
+        assert p[0] < g.y_count and p[-1] < g.y_count
 
 
 @settings(max_examples=20, deadline=None)
@@ -224,7 +220,8 @@ def test_random_policy_build_validates(k, seed, pseed):
 @pytest.mark.parametrize("policy", [LexicographicPolicy,
                                     lambda: RandomPolicy(0)])
 def test_scan_builds_no_vertex(monkeypatch, policy):
-    # the scan runs on integer vertex ids; Vertex is for the public API
+    # the scan, and the whole solve path after it, run on integer vertex
+    # ids; a Vertex is built only for a token of a factor file
     g = generate(GenConfig(k=1000, seed=0))
     made = []
     original = Vertex.__new__
@@ -236,17 +233,21 @@ def test_scan_builds_no_vertex(monkeypatch, policy):
     monkeypatch.setattr(Vertex, "__new__", staticmethod(counted))
     build_pseudo_factor(g, policy())
     assert made == []
-    Vertex.y(0)  # the count is live
-    assert made == [(0, 0)]
+    factor = solve(g, policy())
+    assert validate_path_factor(g, factor).valid
+    text = format_factor(factor)
+    assert made == []
+    assert validate_path_factor(g, parse_factor(text)).valid
+    assert len(made) == len(text.split())  # the count is live
 
 
 def test_build_is_deterministic():
     g = generate(GenConfig(k=4, seed=11))
-    assert (build_pseudo_factor(g).paths ==
-            build_pseudo_factor(g).paths ==
-            build_pseudo_factor(g, LexicographicPolicy()).paths)
-    assert (build_pseudo_factor(g, RandomPolicy(3)).paths ==
-            build_pseudo_factor(g, RandomPolicy(3)).paths)
+    assert (build_pseudo_factor(g).ids ==
+            build_pseudo_factor(g).ids ==
+            build_pseudo_factor(g, LexicographicPolicy()).ids)
+    assert (build_pseudo_factor(g, RandomPolicy(3)).ids ==
+            build_pseudo_factor(g, RandomPolicy(3)).ids)
 
 
 def test_commit_split_is_half_and_half():

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from pathfactor import (Bigraph, GenConfig, GraphFormatError,
                         NotBiregularError, PathFactor, PseudoPathFactor,
                         Vertex, check_biregular, fixture, format_factor,
-                        generate, orient_path, parse_factor, parse_graph,
-                        serialize_graph)
+                        generate, parse_factor, parse_graph, serialize_graph)
 from pathfactor.verify import audit_ids, walk_component
-from conftest import edge_id, flip_behind_index, k2_stub_pairing
+from conftest import (edge_id, flip_behind_index, k2_stub_pairing,
+                      walk_pairs, ypath)
 
 K34_TEXT = """\
 p bbg 4 3 12
@@ -49,10 +49,9 @@ def test_parse_k34():
     assert g == fixture("k34")
     assert g.simple
     assert g.edge_count == 12
-    assert len(g._inc[g.vertex_id(Vertex.y(0))]) == 3
-    assert len(g._inc[g.vertex_id(Vertex.x(2))]) == 4
-    assert [g.edges[eid] for eid in g._inc[g.vertex_id(Vertex.y(1))]] == [
-        (1, 0), (1, 1), (1, 2)]
+    assert len(g._inc[0]) == 3  # y0
+    assert len(g._inc[g.y_count + 2]) == 4  # x2
+    assert [g.edges[eid] for eid in g._inc[1]] == [(1, 0), (1, 1), (1, 2)]
 
 
 @pytest.mark.parametrize("make", [
@@ -168,7 +167,7 @@ def test_edge_subgraph_bookkeeping():
     g = fixture("k34")
     factor = PseudoPathFactor(g)
     assert (factor.edge_count, factor.edge_ids()) == (0, [])
-    eid = edge_id(g, Vertex.y(1), Vertex.x(2))
+    eid = edge_id(g, 1, 2)
     factor.add_edge(eid)
     assert (factor.edge_count, factor.edge_ids()) == (1, [eid])
     assert (factor.y_deg, factor.x_deg) == ([0, 1, 0, 0], [0, 0, 1])
@@ -184,7 +183,7 @@ def test_edge_subgraph_bookkeeping():
 
 def _edge_set_state(factor):
     return (bytes(factor._member), list(factor.y_deg), list(factor.x_deg),
-            factor.paths, dict(factor._len_counts))
+            factor.ids, dict(factor._len_counts))
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,66 +221,62 @@ def _member(g, eids):
 def test_components_single_edges_and_empty(subgraph_of):
     g = fixture("k34")
     assert walk_component(g, bytearray(g.edge_count), 0) == ([0], 0)
-    member = _member(g, subgraph_of(g, [(Vertex.y(2), Vertex.x(1))]))
-    ends = (g.vertex_id(Vertex.y(2)), g.vertex_id(Vertex.x(1)))
+    member = _member(g, subgraph_of(g, [(2, 1)]))
+    ends = ypath(g, 2, 1)
     for v in ends:
         comp, edges = walk_component(g, member, v)
         assert edges == 1
-        assert orient_path(comp) == ends
+        assert sorted(comp) == list(ends)
 
 
 def test_components_detect_cycle(subgraph_of):
-    g = fixture("k34")
-    cycle = [(Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
-             (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))]
+    g = fixture("k34")  # y_i has vertex id i, x_j has 4 + j
+    cycle = [(0, 0), (0, 1), (1, 0), (1, 1)]
     member = _member(g, subgraph_of(g, cycle))
-    comp, edges = walk_component(g, member, g.vertex_id(Vertex.x(1)))
-    assert sorted(map(g.vertex, comp)) == [Vertex.y(0), Vertex.y(1),
-                                           Vertex.x(0), Vertex.x(1)]
+    comp, edges = walk_component(g, member, 5)
+    assert sorted(comp) == [0, 1, 4, 5]
     assert edges == 4
     factor = PseudoPathFactor(g)
-    for a, b in cycle[:3]:
-        factor.add_edge(edge_id(g, a, b))
+    for y, x in cycle[:3]:
+        factor.add_edge(edge_id(g, y, x))
     flip_behind_index(factor, edge_id(g, *cycle[3]))
-    ids = map(g.vertex_id, [Vertex.y(3), Vertex.x(0)])
-    assert audit_ids(factor, ids) == "F has a cycle at y0 y1 x0 x1"
+    assert audit_ids(factor, [3, 4]) == "F has a cycle at y0 y1 x0 x1"
 
 
 def test_components_detect_branch(subgraph_of):
-    g = fixture("k34")
-    star = [(Vertex.y(0), Vertex.x(j)) for j in range(3)]
+    g = fixture("k34")  # y_i has vertex id i, x_j has 4 + j
+    star = [(0, j) for j in range(3)]
     member = _member(g, subgraph_of(g, star))
-    comp, edges = walk_component(g, member, g.vertex_id(Vertex.x(2)))
-    assert (sorted(map(g.vertex, comp))
-            == [Vertex.y(0)] + [Vertex.x(j) for j in range(3)])
+    comp, edges = walk_component(g, member, 6)
+    assert sorted(comp) == [0, 4, 5, 6]
     assert edges == 3
     factor = PseudoPathFactor(g)
-    for a, b in star[:2]:
-        factor.add_edge(edge_id(g, a, b))
+    for y, x in star[:2]:
+        factor.add_edge(edge_id(g, y, x))
     flip_behind_index(factor, edge_id(g, *star[2]))
-    assert (audit_ids(factor, [g.vertex_id(Vertex.x(1))])
-            == "F has a branch-vertex at y0")
+    assert audit_ids(factor, [5]) == "F has a branch-vertex at y0"
 
 
 def test_components_orientation_and_sort(subgraph_of):
     # a path comes out in order from one end, whichever vertex the walk
     # starts from
     g = fixture("k34")
-    path = (Vertex.y(3), Vertex.x(1), Vertex.y(1), Vertex.x(2), Vertex.y(0))
-    member = _member(g, subgraph_of(g, zip(path, path[1:])))
+    walk = (3, 1, 1, 2, 0)  # y3 x1 y1 x2 y0
+    member = _member(g, subgraph_of(g, walk_pairs(walk)))
+    path = ypath(g, *walk)
     for v in path:
-        comp, edges = walk_component(g, member, g.vertex_id(v))
-        assert tuple(map(g.vertex, comp)) in (path, path[::-1])
+        comp, edges = walk_component(g, member, v)
+        assert tuple(comp) in (path, path[::-1])
         assert edges == 4
 
 
 def _member_incident(g, member, v):
-    return [eid for eid in g._inc[g.vertex_id(v)] if member[eid]]
+    return [eid for eid in g._inc[v] if member[eid]]
 
 
 def _other_end(g, eid, v):
     y, x = g.edges[eid]
-    return Vertex.x(x) if v.is_y else Vertex.y(y)
+    return g.y_count + x if v < g.y_count else y
 
 
 def _flood(g, member, v):
@@ -309,9 +304,8 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
     def degree(u):
         return len(_member_incident(g, member, u))
 
-    for v in map(g.vertex, range(g.y_count + g.x_count)):
-        comp, edges = walk_component(g, member, g.vertex_id(v))
-        comp = list(map(g.vertex, comp))
+    for v in range(g.y_count + g.x_count):
+        comp, edges = walk_component(g, member, v)
         assert len(comp) == len(set(comp))
         assert set(comp) == _flood(g, member, v)
         assert edges == sum(map(degree, comp)) // 2
@@ -319,12 +313,6 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
             for a, b in zip(comp, comp[1:]):  # a path, in order
                 assert any(_other_end(g, eid, a) == b
                            for eid in _member_incident(g, member, a))
-
-
-def test_orient_path():
-    p = (Vertex.y(3), Vertex.x(0), Vertex.y(1))
-    assert orient_path(p) == (Vertex.y(1), Vertex.x(0), Vertex.y(3))
-    assert orient_path(orient_path(p)) == orient_path(p)
 
 
 def _reference_parse_graph(text):
@@ -495,30 +483,23 @@ def test_parse_graph_builds_no_vertex_for_a_well_formed_edge_line(
 
 
 def test_factor_file_round_trip():
-    paths = [(Vertex.y(3), Vertex.x(0), Vertex.y(0)),
-             (Vertex.y(1), Vertex.x(1), Vertex.y(2))]
-    text = format_factor(paths)
+    g = fixture("k34")  # y_i has vertex id i, x_j has 4 + j
+    text = format_factor(PathFactor(g, ((3, 4, 0), (1, 5, 2))))
     assert text == "y0 x0 y3\ny1 x1 y2\n"
-    assert parse_factor(text) == [tuple(p) for p in parse_factor(text)]
-    assert format_factor(parse_factor(text)) == text
-    with_comments = "c paths below\n\n" + text
-    assert format_factor(parse_factor(with_comments)) == text
+    for source in (text, "c paths below\n\n" + text):
+        paths = parse_factor(source)
+        assert paths == [tuple(map(g.vertex, p)) for p in ((0, 4, 3),
+                                                           (1, 5, 2))]
+        assert "".join(" ".join(map(str, p)) + "\n" for p in paths) == text
 
 
 def test_format_factor_renders_a_path_factor_canonically():
-    # ids in any orientation and order give the canonical text, the same
-    # as the Vertex view's; y_i -> i and x_j -> 4 + j on k34
+    # ids in any orientation and order give the canonical text;
+    # y_i -> i and x_j -> 4 + j on k34
     g = fixture("k34")
     factor = PathFactor(g, ((1, 5, 2), (3, 4, 0)))
     assert format_factor(factor) == "y0 x0 y3\ny1 x1 y2\n"
-    assert format_factor(factor.paths) == format_factor(factor)
     assert format_factor(PathFactor(g, ())) == ""
-
-
-def test_format_factor_names_a_foreign_vertex_as_its_repr():
-    # a side that is neither Y nor X is no vertex of any graph
-    assert (format_factor([(Vertex(2, 0), Vertex.y(0))])
-            == "y0 Vertex(2, 0)\n")
 
 
 def test_parse_factor_bad_token():

@@ -20,8 +20,8 @@ ALL = {
     "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
     "Violation", "brute_force_factor", "brute_force_trails",
     "build_pseudo_factor", "check_biregular", "find_trail", "fixture",
-    "format_factor", "generate", "make_policy", "orient_path", "parse_factor",
-    "parse_graph", "rewire", "run_experiment", "serialize_graph", "solve",
+    "format_factor", "generate", "make_policy", "parse_factor", "parse_graph",
+    "rewire", "run_experiment", "serialize_graph", "solve",
     "validate_path_factor", "validate_pseudo_factor",
 }
 
@@ -44,15 +44,15 @@ def _instances():
 
 
 @pytest.mark.parametrize("name, public", [
-    ("Bigraph", {"edge_count", "edges", "simple", "vertex", "vertex_id",
-                 "x_count", "y_count"}),
+    ("Bigraph", {"edge_count", "edges", "simple", "vertex", "x_count",
+                 "y_count"}),
     ("ValidationReport", {"render", "valid", "violations"}),
-    ("PseudoPathFactor", {"add_edge", "edge_count", "edge_ids", "graph",
-                          "max_path_length", "path_count", "paths",
-                          "remove_edge", "uncovered_ys", "x_deg", "y_deg"}),
-    ("AugmentingTrail", {"edge_count", "edges", "graph", "vertices"}),
+    ("PseudoPathFactor", {"add_edge", "edge_count", "edge_ids", "graph", "ids",
+                          "max_path_length", "path_count", "remove_edge",
+                          "uncovered_ys", "x_deg", "y_deg"}),
+    ("AugmentingTrail", {"edge_count", "edges", "graph"}),
     ("GenConfig", {"k", "seed"}),
-    ("PathFactor", {"from_pseudo", "graph", "ids", "lengths", "paths"}),
+    ("PathFactor", {"from_pseudo", "graph", "ids", "lengths"}),
 ])
 def test_class_public_attributes(name, public):
     # an instance, so that attributes set in __init__ count as well

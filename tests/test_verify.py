@@ -32,23 +32,21 @@ def test_pseudo_validator_accepts_builder_output():
 
 def test_pseudo_validator_missing_edge():
     g, eids = _k34_f()
-    eids.remove(edge_id(g, Vertex.y(0), Vertex.x(0)))
+    eids.remove(edge_id(g, 0, 0))
     rules = _rules(validate_pseudo_factor(g, eids))
     assert "x-degree" in rules and "odd-length" in rules
 
 
 def test_pseudo_validator_extra_edge():
     g, eids = _k34_f()
-    eids.append(edge_id(g, Vertex.y(2), Vertex.x(0)))
+    eids.append(edge_id(g, 2, 0))
     rules = _rules(validate_pseudo_factor(g, eids))
     assert "max-degree" in rules and "cycle" in rules
 
 
 def test_pseudo_validator_pure_cycle(subgraph_of):
     g = fixture("k34")
-    eids = subgraph_of(g, [
-        (Vertex.y(0), Vertex.x(0)), (Vertex.y(0), Vertex.x(1)),
-        (Vertex.y(1), Vertex.x(0)), (Vertex.y(1), Vertex.x(1))])
+    eids = subgraph_of(g, [(0, 0), (0, 1), (1, 0), (1, 1)])
     rules = _rules(validate_pseudo_factor(g, eids))
     assert "cycle" in rules and "x-degree" in rules
 
@@ -65,12 +63,16 @@ def test_pseudo_validator_foreign_subgraph():
             Violation("subgraph", (), f"edge id {bad} is {why}"),)
 
 
+def _vertex_lines(factor):
+    return parse_factor(format_factor(factor))
+
+
 def test_path_validator_accepts_solver_output():
     g = fixture("k34")
     factor = solve(g)
     assert validate_path_factor(g, factor).valid
-    # raw path lists are accepted too
-    assert validate_path_factor(g, [tuple(p) for p in factor.paths]).valid
+    # Vertex lines, as parse_factor gives them, are accepted too
+    assert validate_path_factor(g, _vertex_lines(factor)).valid
 
 
 def test_path_validator_spanning_counts_only_real_vertices():
@@ -78,7 +80,7 @@ def test_path_validator_spanning_counts_only_real_vertices():
     # path: |V| distinct vertices are named, yet the real ones on that
     # line are uncovered
     g = generate(GenConfig(k=3, seed=0))
-    paths = list(solve(g).paths)
+    paths = _vertex_lines(solve(g))
     first = paths[0]
     j = first[1].index
     paths[0] = (first[0], Vertex(2, j)) + first[2:]
@@ -94,7 +96,7 @@ def test_path_validator_spanning_counts_only_real_vertices():
 
 
 def _k34_paths():
-    return list(solve(fixture("k34")).paths)
+    return _vertex_lines(solve(fixture("k34")))
 
 
 @pytest.mark.parametrize("mutate,expected", [
@@ -225,7 +227,8 @@ def test_path_validator_pins_every_rule(graph, lines, expected):
         tuple(map(Vertex.parse, names.split())) for _, names in expected]
     vertices = set(map(g.vertex, range(g.y_count + g.x_count)))
     if all(v in vertices for p in paths for v in p):  # the fault fits ids
-        ids = tuple(tuple(map(g.vertex_id, p)) for p in paths)
+        ids = tuple(tuple(i + side * g.y_count for side, i in p)
+                    for p in paths)
         assert validate_path_factor(g, PathFactor(g, ids)) == report
 
 
@@ -248,9 +251,23 @@ def test_path_validator_graph_shape():
     assert "spanning" in _rules(report)  # x3 is on no path
 
 
+def test_path_validator_lets_a_fault_in_the_shape_check_through(
+        monkeypatch):
+    # only NotBiregularError is a graph-shape finding; any other error
+    # there is a fault of this package, not of the graph
+    def broken(g):
+        raise RuntimeError("broken shape check")
+
+    g = fixture("k34")
+    factor = solve(g)
+    monkeypatch.setattr("pathfactor.verify.check_biregular", broken)
+    with pytest.raises(RuntimeError, match="broken shape check"):
+        validate_path_factor(g, factor)
+
+
 def test_oracle_k34_witness_is_stable():
     factor = brute_force_factor(fixture("k34"))
-    assert format_factor(factor.paths) == "y2 x1 y0 x0 y1 x2 y3\n"
+    assert format_factor(factor) == "y2 x1 y0 x0 y1 x2 y3\n"
     assert validate_path_factor(fixture("k34"), factor).valid
 
 
@@ -323,10 +340,11 @@ def test_oracle_trails_are_pinned(family, digest):
         factor = (_random_path_forest(seed) if family == "forest" else
                   build_pseudo_factor(generate(GenConfig(2, seed)),
                                       make_policy(family)))
+        names = factor.graph.vertex
         for y in factor.uncovered_ys():
-            texts.append(f"{y}:")
-            texts.extend(" ".join(map(str, t.vertices)) + "\n"
-                         for t in brute_force_trails(factor, y))
+            texts.append(f"y{y}:")
+            texts.extend(" ".join(map(str, map(names, t._vertex_ids())))
+                         + "\n" for t in brute_force_trails(factor, y))
     assert _sha256(texts) == digest
 
 
@@ -356,13 +374,14 @@ def test_oracle_size_cap():
 def test_trail_oracle_size_cap(k3_pseudo):
     g, factor = k3_pseudo
     with pytest.raises(OracleSizeError):
-        brute_force_trails(factor, Vertex.y(0))
+        brute_force_trails(factor, 0)
 
 
 def test_trail_oracle_rejects_covered_origin(k2_pseudo):
     g, factor = k2_pseudo
-    with pytest.raises(ValueError, match="uncovered"):
-        brute_force_trails(factor, Vertex.y(3))
+    with pytest.raises(ValueError, match="^trail origin y3 must be an "
+                                         "uncovered Y vertex$"):
+        brute_force_trails(factor, 3)
 
 
 def test_reports_render_fail_lines():
