@@ -141,12 +141,13 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
 
 
 def _check_rejected(state: FactorState, j: int) -> None:
-    g, f = state.graph, state.factor
-    if f.x_deg[j] <= 1:
-        rejected = sum(state.scanned[g._ey[eid]] for eid in
-                       g._inc[g.y_count + j]) - f.x_deg[j]
+    d = state.factor.x_deg[j]
+    if d <= 1:  # a plain loop: before 3.12 a generator is a call a term
+        g, scanned, rejected = state.graph, state.scanned, -d
+        for eid in g._inc[g.y_count + j]:
+            rejected += scanned[g._ey[eid]]
         if rejected > 2:
-            raise _defect(f"x{j} has F-degree {f.x_deg[j]} yet "
+            raise _defect(f"x{j} has F-degree {d} yet "
                           f"{rejected} rejected edges", state)
 
 

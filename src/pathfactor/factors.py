@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .graph import Bigraph
 
@@ -166,7 +167,7 @@ class PseudoPathFactor:
 
     @property
     def edge_count(self) -> int:
-        return sum(n * c for n, c in self._len_counts.items())
+        return sum(map(mul, self._len_counts, self._len_counts.values()))
 
     def edge_ids(self) -> list[int]:
         """The occurrence ids of F's edges, ascending."""

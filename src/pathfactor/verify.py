@@ -52,17 +52,37 @@ def walk_component(g: Bigraph, member: Sequence[int],
     """The component through vertex id v of the edges of g whose member
     entry is 1: its vertex ids and its edge count, in time proportional
     to the component.  The collection starts where a walk away from v
-    first meets a vertex of degree other than 2, or v again on a cycle,
-    so a path comes out in order."""
-    inc, ends, ny = g._inc, g.edges, g.y_count
-    start, prev_eid = v, -1
-    while len(eids := [eid for eid in inc[start] if member[eid]]) == 2:
-        prev_eid = eids[eids[0] == prev_eid]
-        y, x = ends[prev_eid]
-        start = ny + x if start < ny else y
-        if start == v:
-            break
-    comp = {start: None}  # insertion-ordered set
+    along its first edge first meets a vertex of degree other than 2, or
+    v again on a cycle, so a path comes out in order."""
+    inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
+    first = []  # plain loops: faster here than filter() and, before 3.12,
+    for eid in inc[v]:  # than a comprehension, which is a call
+        if member[eid]:
+            first.append(eid)
+    if not first:
+        return [v], 0
+
+    def run(eid: int) -> tuple[list[int], int]:
+        # the vertices past v along eid to one of degree d != 2, and d
+        side, u = [], v
+        while (u := ny + ex[eid] if u < ny else ey[eid]) != v:
+            side.append(u)
+            d = 0
+            for e in inc[u]:
+                if member[e]:
+                    d += 1
+                    if e != eid:
+                        nxt = e
+            if d != 2:
+                return side, d
+            eid = nxt
+        return side, 0  # back at v: a cycle
+    # a path: the run out of v, or both runs if v is inside, end at degree 1
+    side, d = run(first[0]) if len(first) == 2 else ([], len(first) == 1)
+    if d == 1 and (more := run(first[-1]))[1] == 1:
+        return [*reversed(side), v, *more[0]], len(side) + len(more[0])
+    start = side[-1] if d and len(first) == 2 else v
+    comp = {start: None}  # a cycle or a branch: insertion-ordered set
     stack = [start]
     edges = 0
     while stack:
@@ -70,8 +90,7 @@ def walk_component(g: Bigraph, member: Sequence[int],
         for eid in inc[u]:
             if member[eid]:
                 edges += 1
-                y, x = ends[eid]
-                w = ny + x if u < ny else y
+                w = ny + ex[eid] if u < ny else ey[eid]
                 if w not in comp:
                     comp[w] = None
                     stack.append(w)
@@ -96,18 +115,19 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
             continue
         comp, edges = walk_component(g, member, v)
         seen.update(comp)
-        branch = [u for u in comp
-                  if (y_deg[u] if u < ny else x_deg[u - ny]) >= 3]
+        branch = []
+        for u in comp:  # a plain loop: before 3.12 a comprehension is a call
+            if (y_deg[u] if u < ny else x_deg[u - ny]) >= 3:
+                branch.append(u)
         if branch:
             return f"F has a branch-vertex at {g.vertex(min(branch))}"
         if edges >= len(comp):
             return f"F has a cycle at {_names(g, sorted(comp))}"
         held = index[v]
-        path = tuple(comp)
-        if tuple(held or (v,)) not in (path, path[::-1]):
+        want = list(held or (v,))
+        if want != comp and want[::-1] != comp:
             return (f"path index at {g.vertex(v)} holds "
-                    f"[{_names(g, held or (v,))}] but F has "
-                    f"[{_names(g, path)}]")
+                    f"[{_names(g, want)}] but F has [{_names(g, comp)}]")
         for u in comp:
             if index[u] is not held:
                 return (f"path index at {g.vertex(u)} is not the one at "
@@ -151,17 +171,15 @@ def validate_pseudo_factor(g: Bigraph,
             continue
         comp, edges = walk_component(g, member, v)
         seen.update(comp)
-        path = all(deg[u] <= 2 for u in comp)
-        comp = sorted(map(g.vertex, comp))
-        names = " ".join(map(str, comp))
         if edges >= len(comp):
-            violations.append(Violation(
-                "cycle", tuple(comp), f"component {{{names}}} has {edges} "
-                f"edges on {len(comp)} vertices"))
-        elif path and edges % 2 == 1:
-            violations.append(Violation(
-                "odd-length", tuple(comp),
-                f"path component {{{names}}} has odd length {edges}"))
+            rule, msg = "cycle", "component {{{}}} has {} edges on {} vertices"
+        elif edges % 2 == 1 and all(deg[u] <= 2 for u in comp):
+            rule, msg = "odd-length", "path component {{{}}} has odd length {}"
+        else:
+            continue  # the names are built only for a violation
+        subjects = tuple(map(g.vertex, sorted(comp)))
+        violations.append(Violation(rule, subjects, msg.format(
+            " ".join(map(str, subjects)), edges, len(comp))))
     for j, d in enumerate(deg[ny:]):
         if d != 2:
             violations.append(Violation(

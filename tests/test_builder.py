@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,20 +182,78 @@ def test_audit_catches_a_corrupted_state(corrupt, match):
         check_state_invariants(state)
 
 
-@pytest.mark.parametrize("corrupt", [
-    _add_f_at_unscanned_y, _add_f_at_scanned_y, _drop_f_edge, _add_branch,
-    _add_cycle, _reject_every_edge_at_x, _desync_pending_x, _clear_scanned,
-])
-def test_checked_scan_catches_a_corrupted_state(corrupt):
-    # the same faults, met while the scan runs on: between them the local
+def _copy_index_entry(g, state):
+    # y0's path index entry becomes an equal copy of its path, so y0 no
+    # longer shares the entry of the path it is on
+    state.factor._path_of[0] = deque(state.factor._path_of[0])
+
+
+def _requeue_x(g, state):
+    state.pending_x.insert(0, 0)  # x0 pending twice
+
+
+def _count_an_extra_step(g, state):
+    state.step_no += 1
+
+
+# (corruption, defect, dump of the state it is caught in): the defect
+# text names the guard that catches it first, and the dump's step when.
+# The last three are caught first by the local audit after a step, by
+# that audit's pending check, and by the full audit's step count, which
+# no other guard would catch; disabling any of the three changes a text
+SCAN_DEFECTS = [
+    (_add_f_at_unscanned_y, "unscanned y3 had F-degree 1",
+     "step=4 current=None scanned=[y0 y1 y2 y3] "
+     "F=[y0x0 y0x1 y1x0 y2x2 y3x1 y3x2] U=[y0x2 y1x1 y1x2 y2x0 y2x1 y3x0]"),
+    (_add_f_at_scanned_y, "current vertex x0 already has F-degree 2",
+     "step=2 current=x0 scanned=[y0 y2] F=[y0x0 y0x1 y2x0 y2x2] "
+     "U=[y0x2 y2x1]"),
+    (_drop_f_edge, "x2 has F-degree 1 yet 3 rejected edges",
+     "step=4 current=x2 scanned=[y0 y1 y2 y3] F=[y0x0 y0x1 y1x0 y1x2 y3x1] "
+     "U=[y0x2 y1x1 y2x0 y2x1 y2x2 y3x0 y3x2]"),
+    (_add_branch, "F has a branch-vertex at y0",
+     "step=3 current=x1 scanned=[y0 y1 y2] F=[y0x0 y0x1 y0x2 y1x0 y2x2] "
+     "U=[y1x1 y1x2 y2x0 y2x1]"),
+    (_add_cycle, "current vertex x0 already has F-degree 2",
+     "step=2 current=x0 scanned=[y0 y2] F=[y0x0 y0x1 y1x0 y1x1 y2x2] "
+     "U=[y0x2 y2x0 y2x1]"),
+    (_reject_every_edge_at_x,
+     "no uncommitted edge at x0; the scan guarantees at least one",
+     "step=2 current=x0 scanned=[y0 y1 y2 y3] F=[y0x0 y0x1 y2x2] "
+     "U=[y0x2 y1x0 y1x1 y1x2 y2x0 y2x1 y3x0 y3x1 y3x2]"),
+    (_desync_pending_x,
+     "pending_x list out of sync: x2 reached F-degree 2 but is not pending",
+     "step=2 current=x0 scanned=[y0 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
+     "U=[y0x2 y2x0 y2x1]"),
+    (_clear_scanned,
+     "F stopped being a family of paths: edge y2-x1 would close a cycle",
+     "step=3 current=x1 scanned=[y0 y1] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
+     "U=[y0x2 y1x1]"),
+    (_copy_index_entry, "path index at y0 is not the one at y1 on its path",
+     "step=3 current=x1 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
+     "U=[y0x2 y1x1 y2x0 y2x1]"),
+    (_requeue_x, "pending_x list out of sync at x0",
+     "step=3 current=x1 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
+     "U=[y0x2 y1x1 y2x0 y2x1]"),
+    (_count_an_extra_step, "4 Y vertices scanned in 5 steps",
+     "step=5 current=None scanned=[y0 y1 y2 y3] "
+     "F=[y0x0 y0x1 y1x0 y1x2 y2x2 y3x1] U=[y0x2 y1x1 y2x0 y2x1 y3x0 y3x2]"),
+]
+
+
+@pytest.mark.parametrize("corrupt, defect, dump", [
+    pytest.param(*case, id=case[0].__name__) for case in SCAN_DEFECTS])
+def test_checked_scan_catches_a_corrupted_state(corrupt, defect, dump):
+    # the faults, met while the scan runs on: between them the local
     # audit after each step, the scan's own guards and the full audit when
-    # the scan ends must catch every one
+    # the scan ends must catch every one, each at a pinned guard and step
     g, state = _forced_3b_state()
     corrupt(g, state)
     policy = LexicographicPolicy()
-    with pytest.raises(AlgorithmDefectError):
+    with pytest.raises(AlgorithmDefectError) as info:
         while state.current is not None:
             step_i(state, policy, checked=True)
+    assert str(info.value) == f"{defect}\n  {dump}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,8 +280,9 @@ def test_random_policy_build_validates(k, seed, pseed):
 @pytest.mark.parametrize("policy", [LexicographicPolicy,
                                     lambda: RandomPolicy(0)])
 def test_scan_builds_no_vertex(monkeypatch, policy):
-    # the scan, and the whole solve path after it, run on integer vertex
-    # ids; a Vertex is built only for a token of a factor file
+    # the scan, and the whole solve path after it, checked or not, run on
+    # integer vertex ids; a Vertex is built only for a token of a factor
+    # file, or to name a violation
     g = generate(GenConfig(k=1000, seed=0))
     made = []
     original = Vertex.__new__
@@ -235,6 +296,7 @@ def test_scan_builds_no_vertex(monkeypatch, policy):
     assert made == []
     factor = solve(g, policy())
     assert validate_path_factor(g, factor).valid
+    assert solve(g, policy(), checked=True) == factor
     text = format_factor(factor)
     assert made == []
     assert validate_path_factor(g, parse_factor(text)).valid
