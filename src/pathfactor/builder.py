@@ -80,11 +80,15 @@ def _defect(msg: str, state: FactorState) -> AlgorithmDefectError:
 
 def _grow_f(state: FactorState, eid: int) -> None:
     # Adding to F must keep it a forest of paths; the path index rejects
-    # cycles and interior attachments outright.
+    # cycles and interior attachments outright, and an index entry that is
+    # not a live path misses the length histogram.
     try:
         state.factor.add_edge(eid)
     except ValueError as exc:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
+    except KeyError as exc:
+        raise _defect(f"F stopped being a family of paths: the path index "
+                      f"holds a path of length {exc} that F lacks", state)
     x = state.graph._ex[eid]
     if state.factor.x_deg[x] == 2:
         pending = state.pending_x

@@ -3,19 +3,19 @@
 The validators re-derive every structural claim from the raw edge ids or
 path list; they share no bookkeeping with the solver.  The checked-mode
 audit walks F's edge set the same way and holds the solver's path index
-against that walk.  The oracle
-enumerates all ways to keep exactly 2 of the 4 edges at every X vertex
-(6 per vertex, 6^(3k) total), so it can certify both the existence and
-the non-existence of a path factor.  It is deliberately capped at k <= 2.
+against that walk.  The factor oracle enumerates all ways to keep
+exactly 2 of the 4 edges at every X vertex (6 per vertex, 6^(3k) total)
+on one PseudoPathFactor, pruning a choice as soon as add_edge refuses
+it, so it can certify both the existence and the non-existence of a
+path factor.  Both oracles are deliberately capped at k <= 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .dsu import RollbackUnionFind
 from .errors import NotBiregularError, OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import Bigraph, Vertex, X_SIDE, Y_SIDE, check_biregular
@@ -106,26 +106,29 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
 
     Each component met must be a path, and every vertex on it must map to
     one path index entry holding that path in either orientation (none
-    for an isolated vertex).  Returns the first fault found, or None.
+    for an isolated vertex).  Returns the first fault found, or None: a
+    branch, then a cycle, then a wrong index entry, each named from F's
+    edges.
     """
     g, index, member = factor.graph, factor._path_of, factor._member
-    y_deg, x_deg, ny, seen = factor.y_deg, factor.x_deg, g.y_count, set()
+    inc, seen = g._inc, set()
     for v in ids:
         if v in seen:
             continue
         comp, edges = walk_component(g, member, v)
         seen.update(comp)
-        branch = []
-        for u in comp:  # a plain loop: before 3.12 a comprehension is a call
-            if (y_deg[u] if u < ny else x_deg[u - ny]) >= 3:
-                branch.append(u)
-        if branch:
-            return f"F has a branch-vertex at {g.vertex(min(branch))}"
-        if edges >= len(comp):
-            return f"F has a cycle at {_names(g, sorted(comp))}"
         held = index[v]
         want = list(held or (v,))
-        if want != comp and want[::-1] != comp:
+        if edges >= len(comp) or want != comp and want[::-1] != comp:
+            # The walk of a branch lists two neighbours of one vertex side
+            # by side, which no path index entry does, so every fault
+            # lands here, and only here are F-degrees counted.
+            branch = [u for u in comp
+                      if sum(map(member.__getitem__, inc[u])) >= 3]
+            if branch:
+                return f"F has a branch-vertex at {g.vertex(min(branch))}"
+            if edges >= len(comp):
+                return f"F has a cycle at {_names(g, sorted(comp))}"
             return (f"path index at {g.vertex(v)} holds "
                     f"[{_names(g, want)}] but F has [{_names(g, comp)}]")
         for u in comp:
@@ -280,59 +283,47 @@ def validate_path_factor(
 def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
     """Exhaustive search over per-X edge pairs; None iff no factor exists.
 
-    Accepts multigraphs (parallel edges are distinct occurrences; keeping
-    both closes a 2-cycle and is pruned).  The first factor in
-    lexicographic choice order is returned, so the witness is stable.
-    Raises OracleSizeError for k > 2.
+    The search grows one PseudoPathFactor, X vertices ascending: a pair
+    is kept only if add_edge takes both edges, so F stays a family of
+    paths, and remove_edge undoes it on backtrack.  Accepts multigraphs
+    (parallel edges are distinct occurrences; keeping both closes a
+    2-cycle and is pruned).  The first factor in lexicographic choice
+    order is returned, so the witness is stable.  Raises OracleSizeError
+    for k > 2.
     """
     k = check_biregular(g)
     if k > ORACLE_MAX_K:
         raise OracleSizeError(
             f"exhaustive factor search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    ny, nx, inc, ends = g.y_count, g.x_count, g._inc, g.edges
+    ny, nx, inc, ey = g.y_count, g.x_count, g._inc, g._ey
     per_x = [list(combinations(inc[ny + j], 2)) for j in range(nx)]
-    y_deg = [0] * ny
-    dsu = RollbackUnionFind(ny + nx)  # on vertex ids
-    chosen: list[tuple[int, int]] = []
-
-    def feasible(pair: tuple[int, int]) -> bool:
-        applied = 0
-        for eid in pair:
-            y, x = ends[eid]
-            if y_deg[y] == 2 or not dsu.union(y, ny + x):
-                break
-            y_deg[y] += 1
-            applied += 1
-        if applied == 2:
-            return True
-        for eid in pair[:applied]:
-            y_deg[ends[eid][0]] -= 1
-        return False
+    factor = PseudoPathFactor(g)
+    y_deg = factor.y_deg
 
     def search(j: int) -> bool:
         if j == nx:
             return all(y_deg)
-        for pair in per_x[j]:
-            mark = dsu.snapshot()
-            if feasible(pair):
-                chosen.append(pair)
-                if search(j + 1):
-                    return True
-                chosen.pop()
-                for eid in pair:
-                    y_deg[ends[eid][0]] -= 1
-            dsu.rollback(mark)
+        for a, b in per_x[j]:
+            # x_j is fresh, so only a full Y end refuses the first edge,
+            # and then the second can close only a cycle
+            if y_deg[ey[a]] == 2 or y_deg[ey[b]] == 2:
+                continue
+            factor.add_edge(a)
+            try:
+                factor.add_edge(b)
+            except ValueError:
+                factor.remove_edge(a)
+                continue
+            if search(j + 1):
+                return True
+            factor.remove_edge(b)
+            factor.remove_edge(a)
         return False
 
-    if not search(0):
-        return None
-    # the search kept every Y degree in {1, 2} and F acyclic, so F is a
-    # spanning path factor and no add_edge can fail
-    factor = PseudoPathFactor(g)
-    for eid in chain.from_iterable(chosen):
-        factor.add_edge(eid)
-    return PathFactor.from_pseudo(factor)
+    # on success every Y is covered and F is a family of paths with each
+    # X interior, so F itself is the witness
+    return PathFactor.from_pseudo(factor) if search(0) else None
 
 
 def brute_force_trails(factor: PseudoPathFactor,

@@ -130,6 +130,28 @@ def test_grow_f_reports_a_non_path_as_a_defect(pairs, match):
             _grow_f(state, edge_id(g, y, x))
 
 
+def test_grow_f_reports_a_stale_index_entry_as_a_defect():
+    # x0's path index entry becomes an equal copy of its path; the live
+    # path grows past the copy, so the next edge at x0 finds the copy's
+    # length missing from the length histogram
+    g = generate(GenConfig(3, 0))
+    state = FactorState.initial(g)
+    policy = LexicographicPolicy()
+    step_zero(state, policy)
+    while state.step_no < 5:
+        step_i(state, policy)
+    x0 = g.y_count
+    state.factor._path_of[x0] = deque(state.factor._path_of[x0])
+    with pytest.raises(AlgorithmDefectError) as info:
+        while state.current is not None:
+            step_i(state, policy, checked=True)
+    assert str(info.value) == (
+        "F stopped being a family of paths: the path index holds a path "
+        "of length 8 that F lacks\n  step=5 current=x4 "
+        "scanned=[y0 y4 y5 y7 y8] F=[y0x1 y0x8 y3x0 y3x4 y4x2 y4x7 y5x4 "
+        "y5x8 y7x0 y7x3 y8x1 y8x3] U=[y0x7 y4x3 y5x1 y7x8 y8x4]")
+
+
 def _add_f_at_unscanned_y(g, state):
     _grow_f(state, edge_id(g, 3, 2))  # y3 x2 y2, with y3 unscanned
 

@@ -257,6 +257,18 @@ def test_components_detect_branch(subgraph_of):
     assert audit_ids(factor, [5]) == "F has a branch-vertex at y0"
 
 
+def test_audit_names_a_branch_from_the_edges_it_walks():
+    # F of the forced case-3b state, x1 y0 x0 and y2 x2, with y0x2 put in
+    # the edge set alone: the degree counters still give y0 two edges
+    g = fixture("k34")
+    factor = PseudoPathFactor(g)
+    for y, x in [(0, 0), (0, 1), (2, 2)]:
+        factor.add_edge(edge_id(g, y, x))
+    factor._member[edge_id(g, 0, 2)] = 1
+    assert factor.y_deg[0] == 2
+    assert audit_ids(factor, [0]) == "F has a branch-vertex at y0"
+
+
 def test_components_orientation_and_sort(subgraph_of):
     # a path comes out in order from one end, whichever vertex the walk
     # starts from

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -314,6 +315,39 @@ def test_oracle_witnesses_are_pinned(family, digest):
 
 def test_oracle_certifies_counterexample():
     assert brute_force_factor(fixture("counterexample")) is None
+
+
+def _has_factor_by_choice(g):
+    # independent of the oracle's pruning: try every choice of 2 of the 4
+    # edges at each X, and keep one that covers Y and the validator takes
+    at_x = [[e for e, (_, x) in enumerate(g.edges) if x == j]
+            for j in range(g.x_count)]
+    for pairs in product(*(combinations(a, 2) for a in at_x)):
+        eids = [e for pair in pairs for e in pair]
+        if (len({g.edges[e][0] for e in eids}) == g.y_count
+                and validate_pseudo_factor(g, eids).valid):
+            return True
+    return False
+
+
+def test_oracle_agrees_with_every_choice_on_every_k1_multigraph():
+    # every (3,4)-biregular multigraph on 4 + 3 vertices: the count
+    # matrices with row sums 3 (one row per Y) and column sums 4
+    rows = [r for r in product(range(4), repeat=3) if sum(r) == 3]
+    matrices = [m for m in product(rows, repeat=4)
+                if all(sum(c) == 4 for c in zip(*m))]
+    assert len(matrices) == 415
+    without = 0
+    for m in matrices:
+        g = Bigraph(4, 3, [(y, x) for y, row in enumerate(m)
+                           for x, c in enumerate(row) for _ in range(c)])
+        witness = brute_force_factor(g)
+        assert (witness is not None) == _has_factor_by_choice(g), m
+        if witness is None:
+            without += 1
+        else:
+            assert validate_path_factor(g, witness).valid, m
+    assert without == 24
 
 
 def test_oracle_agrees_with_solver_on_k2():
