@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,81 @@ def test_verify_rejects_corrupt_factor(tmp_path, capsys):
     assert code == 1
     assert "FAIL endpoint-degree" in out
     assert "FAIL spanning" in out
+
+
+def _factor_variants(text: str) -> dict[str, str]:
+    """Edits of one valid factor file, each a way a file can go wrong."""
+    lines = text.splitlines(keepends=True)
+
+    def first_line(edit):
+        return " ".join(edit(lines[0].split())) + "\n" + "".join(lines[1:])
+
+    return {
+        "valid": text,
+        "short": "".join(lines[:-1]),
+        "reversed": "".join(" ".join(ln.split()[::-1]) + "\n"
+                            for ln in lines),
+        "odd": first_line(lambda t: t[:-1]),
+        "first-dropped": first_line(lambda t: t[1:]),
+        "duplicated": text + lines[0],
+        "padded-duplicate": text + re.sub(r"\b([yx])(\d)", r"\g<1>00\2",
+                                          lines[0]),
+        "comments": "c a factor\n\n" + "".join(ln + "c\n" for ln in lines),
+        "y007": re.sub(r"\by7\b", "y007", text),
+        "y25": re.sub(r"\by3\b", "y25", text),
+        "x99999": re.sub(r"\bx2\b", "x99999", text),
+        "malformed": re.sub(r"\bx2\b", "z2", text),
+    }
+
+
+_LINE1 = "[y2 x12 y14 x10 y5 x2 y13]"
+_DISJOINT = "".join(f"FAIL disjoint {v} appears on lines 1 and 6\n"
+                    for v in _LINE1[1:-1].split())
+VERIFY_FACTOR_PINS = {
+    "valid": (0, "OK\n", ""),
+    "short": (1, "FAIL spanning uncovered: y1 y15 y17 y19 x1 x3 x8\n"
+                 "FAIL path-count 4 paths, want k = 5\n", ""),
+    "reversed": (0, "OK\n", ""),
+    "odd": (1, "FAIL endpoint-degree endpoint x2 is on the degree-4 side, "
+               "want Y\n"
+               "FAIL odd-length line 1 [y2 x12 y14 x10 y5 x2] has odd "
+               "length 5\n"
+               "FAIL spanning uncovered: y13\n", ""),
+    "first-dropped": (1, "FAIL endpoint-degree endpoint x12 is on the "
+                         "degree-4 side, want Y\n"
+                         "FAIL odd-length line 1 [x12 y14 x10 y5 x2 y13] "
+                         "has odd length 5\n"
+                         "FAIL spanning uncovered: y2\n", ""),
+    "duplicated": (1, _DISJOINT + "FAIL path-count 6 paths, want k = 5\n",
+                   ""),
+    "padded-duplicate": (1, _DISJOINT
+                         + "FAIL path-count 6 paths, want k = 5\n", ""),
+    "comments": (0, "OK\n", ""),
+    "y007": (0, "OK\n", ""),
+    "y25": (1, "FAIL not-a-path line 2 [y25 x0 y4 x5 y10] is not a simple "
+               "path in the graph\n"
+               "FAIL spanning uncovered: y3 y4 y10 x0 x5\n", ""),
+    "x99999": (1, "FAIL not-a-path line 1 [y2 x12 y14 x10 y5 x99999 y13] is "
+                  "not a simple path in the graph\n"
+                  "FAIL spanning uncovered: y2 y5 y13 y14 x2 x10 x12\n", ""),
+    "malformed": (1, "", "error: line 1: malformed vertex token 'z2'\n"),
+}
+
+
+@pytest.mark.parametrize("variant", list(VERIFY_FACTOR_PINS))
+def test_verify_factor_output_is_pinned(tmp_path, capsys, variant):
+    # each variant edits the k = 5, seed 0 instance's solved factor file;
+    # the stdout, stderr and exit code of verify --factor are pinned
+    graph_file = tmp_path / "g.bbg"
+    factor_file = tmp_path / "g.factor"
+    graph_file.write_text(serialize_graph(generate(GenConfig(5, 0))))
+    assert run(capsys, "solve", str(graph_file),
+               "--out", str(factor_file))[0] == 0
+    text = factor_file.read_text()
+    assert text.startswith(_LINE1[1:-1] + "\n")
+    factor_file.write_text(_factor_variants(text)[variant])
+    assert run(capsys, "verify", str(graph_file), "--factor",
+               str(factor_file)) == VERIFY_FACTOR_PINS[variant]
 
 
 def test_verify_oracle_k34(tmp_path, capsys):
