@@ -21,15 +21,15 @@ print("\n-- phase 1: scanning every Y vertex --")
 factor = build_pseudo_factor(g, trace=print)
 print(f"\npseudo path factor: {factor.path_count} paths, "
       f"max length {factor.max_path_length}")
-for p in factor.ids:  # vertex ids; g.vertex names them
-    print("  " + " ".join(map(str, map(g.vertex, p))))
+for p in factor.ids:  # vertex ids; g.name names them
+    print("  " + " ".join(map(g.name, p)))
 
 uncovered = factor.uncovered_ys()
 if not uncovered:
     print("\nevery Y vertex is already covered; phase 2 has nothing to do "
           "(try another seed)")
 else:
-    print(f"\nuncovered: {' '.join(map(str, map(g.vertex, uncovered)))}")
+    print(f"\nuncovered: {' '.join(map(g.name, uncovered))}")
     print("\n-- phase 2: one trail swap per uncovered vertex --")
     policy = LexicographicPolicy()
     while factor.uncovered_ys():

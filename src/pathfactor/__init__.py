@@ -19,8 +19,8 @@ from .errors import (AlgorithmDefectError, GenerationError, GraphFormatError,
 from .experiment import ExperimentSummary, run_experiment
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .generate import GenConfig, fixture, generate
-from .graph import (Bigraph, Vertex, check_biregular, format_factor,
-                    parse_factor, parse_graph, serialize_graph)
+from .graph import (Bigraph, check_biregular, format_factor, parse_factor,
+                    parse_graph, serialize_graph)
 from .policy import (LexicographicPolicy, RandomPolicy, TieBreakPolicy,
                      make_policy)
 from .verify import (ValidationReport, Violation, brute_force_factor,
@@ -34,10 +34,10 @@ __all__ = [
     "ExperimentSummary", "GenConfig", "GenerationError", "GraphFormatError",
     "LexicographicPolicy", "NotBiregularError", "NotSimpleError",
     "OracleSizeError", "PathFactor", "PathFactorError", "PseudoPathFactor",
-    "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
-    "Violation", "brute_force_factor", "brute_force_trails",
-    "build_pseudo_factor", "check_biregular", "find_trail", "fixture",
-    "format_factor", "generate", "make_policy", "parse_factor", "parse_graph",
-    "rewire", "run_experiment", "serialize_graph", "solve",
-    "validate_path_factor", "validate_pseudo_factor",
+    "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Violation",
+    "brute_force_factor", "brute_force_trails", "build_pseudo_factor",
+    "check_biregular", "find_trail", "fixture", "format_factor", "generate",
+    "make_policy", "parse_factor", "parse_graph", "rewire", "run_experiment",
+    "serialize_graph", "solve", "validate_path_factor",
+    "validate_pseudo_factor",
 ]

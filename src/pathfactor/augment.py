@@ -145,7 +145,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         raise ValueError(f"{trail} repeats a Y vertex")
     for x, n in zip(xs[:-1], lengths):
         if n != 2:
-            raise ValueError(f"{trail} crosses {g.vertex(x)} on a component "
+            raise ValueError(f"{trail} crosses {g.name(x)} on a component "
                              f"of length {n}, want 2")
     if lengths[-1] < 4:
         raise ValueError(f"{trail} ends on a component of length "
@@ -175,7 +175,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         if not (path[0] < ny and path[-1] < ny):
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
-                f"{' '.join(str(g.vertex(u)) for u in path)}")
+                f"{' '.join(map(g.name, path))}")
 
     if factor.max_path_length > old_max:
         raise AlgorithmDefectError(

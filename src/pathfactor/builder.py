@@ -108,6 +108,14 @@ def check_state_invariants(state: FactorState) -> None:
     problem = audit_ids(f, range(g.y_count + g.x_count))
     if problem:
         raise _defect(problem, state)
+    deg, held = [0] * (g.y_count + g.x_count), f.y_deg + f.x_deg
+    for eid in f.edge_ids():  # the F-degrees by vertex id, from F's edges
+        deg[g._ey[eid]] += 1
+        deg[g.y_count + g._ex[eid]] += 1
+    if held != deg:
+        v = next(v for v, (h, d) in enumerate(zip(held, deg)) if h != d)
+        raise _defect(f"{g.name(v)} has F-degree {deg[v]} but its counter "
+                      f"reads {held[v]}", state)
     for i in range(g.y_count):
         if not scanned[i] and f.y_deg[i]:
             raise _defect(f"unscanned y{i} has F-degree {f.y_deg[i]}", state)

@@ -151,7 +151,7 @@ class PseudoPathFactor:
     @property
     def ids(self) -> tuple[tuple[int, ...], ...]:
         """All component paths as vertex ids, canonically oriented and
-        sorted (ids sort in Vertex order)."""
+        sorted (ids sort all of Y before all of X)."""
         oriented = (p if p[0] < p[-1] else reversed(p)
                     for v, p in enumerate(self._path_of)
                     if p is not None and p[0] == v)
@@ -226,7 +226,7 @@ class AugmentingTrail:
         return len(self.edges)
 
     def __repr__(self) -> str:
-        names = map(str, map(self.graph.vertex, self._vertex_ids()))
+        names = map(self.graph.name, self._vertex_ids())
         return "AugmentingTrail(" + " ".join(names) + ")"
 
 

@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import GraphFormatError, NotBiregularError
 
 if TYPE_CHECKING:
     from .factors import PathFactor
-
-Y_SIDE = 0
-X_SIDE = 1
 
 
 def _is_count(token: str) -> bool:
@@ -43,34 +40,13 @@ def _is_count(token: str) -> bool:
 _EDGE_LINE = re.compile(r"[ \t]*e[ \t]+y([0-9]+)[ \t]+x([0-9]+)[ \t]*")
 
 
-class Vertex(NamedTuple):
-    """A side-tagged vertex.  Ordering is all of Y before all of X, then by
-    index, which is the canonical vertex order used everywhere."""
-
-    side: int
-    index: int
-
-    @classmethod
-    def y(cls, index: int) -> "Vertex":
-        return cls(Y_SIDE, index)
-
-    @classmethod
-    def x(cls, index: int) -> "Vertex":
-        return cls(X_SIDE, index)
-
-    @classmethod
-    def parse(cls, token: str) -> "Vertex":
-        side = {"y": Y_SIDE, "x": X_SIDE}.get(token[:1])
-        if side is None or not _is_count(token[1:]):
-            raise GraphFormatError(f"malformed vertex token {token!r}")
-        return cls(side, int(token[1:]))
-
-    def __repr__(self) -> str:
-        if self.side in (Y_SIDE, X_SIDE):
-            return f"{'yx'[self.side]}{self.index}"
-        return f"Vertex({self.side!r}, {self.index!r})"  # not of any graph
-
-    __str__ = __repr__
+def _read_vertex(token: str, lineno: int) -> tuple[str, int]:
+    """The side letter and index of a vertex token, such as ("y", 7) for
+    y7 or y007."""
+    if token[:1] not in ("y", "x") or not _is_count(token[1:]):
+        raise GraphFormatError(
+            f"line {lineno}: malformed vertex token {token!r}")
+    return token[0], int(token[1:])
 
 
 class Bigraph:
@@ -119,11 +95,11 @@ class Bigraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertex(self, vid: int) -> Vertex:
-        """The Vertex of an integer vertex id: y_i has id i and x_j has id
-        |Y| + j, so ids sort in Vertex order."""
+    def name(self, vid: int) -> str:
+        """The name of an integer vertex id: y_i has id i and x_j has id
+        |Y| + j, so ids sort all of Y before all of X, then by index."""
         ny = self.y_count
-        return Vertex(Y_SIDE, vid) if vid < ny else Vertex(X_SIDE, vid - ny)
+        return f"y{vid}" if vid < ny else f"x{vid - ny}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bigraph):
@@ -159,7 +135,7 @@ def check_biregular(g: Bigraph) -> int:
     if have != want:
         v = next(v for v, (h, w) in enumerate(zip(have, want)) if h != w)
         raise NotBiregularError(
-            f"deg({g.vertex(v)}) = {have[v]}, want {want[v]}")
+            f"deg({g.name(v)}) = {have[v]}, want {want[v]}")
     return k
 
 
@@ -204,15 +180,14 @@ def parse_graph(text: str) -> Bigraph:
             if len(fields) != 3:
                 raise GraphFormatError(
                     f"line {lineno}: malformed edge line {line!r}")
-            a = Vertex.parse(fields[1])
-            b = Vertex.parse(fields[2])
-            if a.side != Y_SIDE or b.side != X_SIDE:
+            (a, y), (b, x) = (_read_vertex(t, lineno) for t in fields[1:])
+            if a != "y" or b != "x":
                 raise GraphFormatError(
                     f"line {lineno}: edge must name a y then an x vertex")
-            if not (a.index < header[0] and b.index < header[1]):
+            if not (y < header[0] and x < header[1]):
                 raise GraphFormatError(
                     f"line {lineno}: endpoint out of range in {line!r}")
-            edges.append((a.index, b.index))
+            edges.append((y, x))
         else:
             raise GraphFormatError(
                 f"line {lineno}: unrecognized line {line!r}")
@@ -233,28 +208,31 @@ def serialize_graph(g: Bigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_factor(text: str) -> list[tuple[Vertex, ...]]:
+def parse_factor(text: str) -> list[tuple[str, ...]]:
     """Parse a factor file: one path per line as space-separated vertex
-    names, ``c`` comments and blank lines skipped.  Content is not
-    validated here; feed the result to validate_path_factor."""
-    paths: list[tuple[Vertex, ...]] = []
+    names, ``c`` comments and blank lines skipped.  Each name comes back
+    canonical, so y007 reads as y7.  Content is not validated here; feed
+    the result to validate_path_factor."""
+    paths: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
-        try:
-            paths.append(tuple(Vertex.parse(tok) for tok in line.split()))
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
+        paths.append(tuple([f"{side}{i}" for side, i in
+                            (_read_vertex(t, lineno) for t in line.split())]))
     return paths
+
+
+def _vertex_names(g: Bigraph) -> list[str]:
+    """Every vertex name of g, by vertex id."""
+    return ([f"y{i}" for i in range(g.y_count)]
+            + [f"x{j}" for j in range(g.x_count)])
 
 
 def format_factor(factor: PathFactor) -> str:
     """Canonical factor text: each path oriented smaller-endpoint-first,
     lines sorted by first vertex."""
-    g = factor.graph
-    names = ([f"y{i}" for i in range(g.y_count)]
-             + [f"x{j}" for j in range(g.x_count)])
+    names = _vertex_names(factor.graph)
     lines = [p if p[0] <= p[-1] else p[::-1] for p in factor.ids]
     return "".join(" ".join([names[u] for u in p]) + "\n"
                    for p in sorted(lines))

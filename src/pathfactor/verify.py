@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotBiregularError, OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, Vertex, X_SIDE, Y_SIDE, check_biregular
+from .graph import Bigraph, _vertex_names, check_biregular
 
 ORACLE_MAX_K = 2
 
@@ -26,7 +26,7 @@ ORACLE_MAX_K = 2
 @dataclass(frozen=True)
 class Violation:
     rule: str
-    subjects: tuple[Vertex, ...]
+    subjects: tuple[str, ...]
     message: str
 
 
@@ -98,7 +98,7 @@ def walk_component(g: Bigraph, member: Sequence[int],
 
 
 def _names(g: Bigraph, ids: Iterable[int]) -> str:
-    return " ".join(str(g.vertex(u)) for u in ids)
+    return " ".join(map(g.name, ids))
 
 
 def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
@@ -126,15 +126,15 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
             branch = [u for u in comp
                       if sum(map(member.__getitem__, inc[u])) >= 3]
             if branch:
-                return f"F has a branch-vertex at {g.vertex(min(branch))}"
+                return f"F has a branch-vertex at {g.name(min(branch))}"
             if edges >= len(comp):
                 return f"F has a cycle at {_names(g, sorted(comp))}"
-            return (f"path index at {g.vertex(v)} holds "
+            return (f"path index at {g.name(v)} holds "
                     f"[{_names(g, want)}] but F has [{_names(g, comp)}]")
         for u in comp:
             if index[u] is not held:
-                return (f"path index at {g.vertex(u)} is not the one at "
-                        f"{g.vertex(v)} on its path")
+                return (f"path index at {g.name(u)} is not the one at "
+                        f"{g.name(v)} on its path")
     return None
 
 
@@ -166,8 +166,8 @@ def validate_pseudo_factor(g: Bigraph,
     for v, d in enumerate(deg):
         if d >= 3:
             violations.append(Violation(
-                "max-degree", (g.vertex(v),),
-                f"deg({g.vertex(v)}) = {d}, want <= 2"))
+                "max-degree", (g.name(v),),
+                f"deg({g.name(v)}) = {d}, want <= 2"))
     seen: set[int] = set()
     for v, d in enumerate(deg):
         if v in seen or d == 0:
@@ -180,18 +180,18 @@ def validate_pseudo_factor(g: Bigraph,
             rule, msg = "odd-length", "path component {{{}}} has odd length {}"
         else:
             continue  # the names are built only for a violation
-        subjects = tuple(map(g.vertex, sorted(comp)))
+        subjects = tuple(map(g.name, sorted(comp)))
         violations.append(Violation(rule, subjects, msg.format(
-            " ".join(map(str, subjects)), edges, len(comp))))
+            " ".join(subjects), edges, len(comp))))
     for j, d in enumerate(deg[ny:]):
         if d != 2:
             violations.append(Violation(
-                "x-degree", (Vertex.x(j),), f"deg(x{j}) = {d}, want 2"))
+                "x-degree", (f"x{j}",), f"deg(x{j}) = {d}, want 2"))
     return ValidationReport(tuple(violations))
 
 
 def validate_path_factor(
-        g: Bigraph, factor: Union[PathFactor, Sequence[Sequence[Vertex]]]
+        g: Bigraph, factor: Union[PathFactor, Sequence[Sequence[str]]]
         ) -> ValidationReport:
     """Check the spanning path factor conditions.
 
@@ -199,8 +199,9 @@ def validate_path_factor(
     the path-count rule), "not-a-path" (each line is a simple path in g),
     "endpoint-degree" (both ends of each path in Y), "odd-length",
     "disjoint" (no vertex on two paths), "spanning" (every vertex on some
-    path), "path-count" (exactly k paths).  Both forms are checked on
-    vertex ids; a Vertex is built only to name a violation.
+    path), "path-count" (exactly k paths).  Both forms, a PathFactor and
+    lines of canonical vertex names, are checked on vertex ids; a
+    PathFactor's ids are named only for a violation.
     """
     violations: list[Violation] = []
     k: Optional[int] = None
@@ -208,25 +209,20 @@ def validate_path_factor(
         k = check_biregular(g)
     except NotBiregularError as exc:
         violations.append(Violation("graph-shape", (), str(exc)))
-    ny, nx, n = g.y_count, g.x_count, g.y_count + g.x_count
+    ny, n = g.y_count, g.y_count + g.x_count
     if isinstance(factor, PathFactor):
-        lines, extra = factor.ids, []
-    else:  # a Vertex not of g, such as y25 when |Y| = 20, gets an id >= n
-        other: dict[Vertex, int] = {}
-        lines = [tuple([i if side == Y_SIDE and 0 <= i < ny
-                        else ny + i if side == X_SIDE and 0 <= i < nx
-                        else other.setdefault(Vertex(side, i), n + len(other))
-                        for side, i in seq]) for seq in factor]
-        extra = list(other)
-
-    def vertex(u: int) -> Vertex:
-        return extra[u - n] if n <= u < n + len(extra) else g.vertex(u)
+        lines, name = factor.ids, g.name
+    else:  # a name not of g, such as y25 when |Y| = 20, gets an id >= n
+        id_of = {u: i for i, u in enumerate(_vertex_names(g))}
+        lines = [tuple([id_of.setdefault(u, len(id_of)) for u in p])
+                 for p in factor]
+        name = list(id_of).__getitem__
 
     def line(idx: int, p: Sequence[int]) -> str:  # for a violation only
-        return f"line {idx + 1} [{' '.join(map(str, map(vertex, p)))}]"
+        return f"line {idx + 1} [{' '.join(map(name, p))}]"
 
     pairs = set(g.edges)
-    covered = bytearray(n + len(extra))
+    covered = bytearray(n)  # only a line of g's vertices is a path
     passed: list[int] = []  # the lines that are paths, in order
     first: dict[int, int] = {}  # vertex -> first of passed[:filled] on it
     filled = 0  # built only when a disjoint message needs it
@@ -243,18 +239,18 @@ def validate_path_factor(
                   and pairs.issuperset(zip(ys[y0:], xs[1 - y0:])))
         if not ok:
             violations.append(Violation(
-                "not-a-path", tuple(map(vertex, p)),
+                "not-a-path", tuple(map(name, p)),
                 f"{line(idx, p)} is not a simple path in the graph"))
             continue
         for u in (p[0], p[-1]):
             if u >= ny:
-                v = vertex(u)
+                v = name(u)
                 violations.append(Violation(
                     "endpoint-degree", (v,),
                     f"endpoint {v} is on the degree-4 side, want Y"))
         if len(p) % 2 == 0:
             violations.append(Violation(
-                "odd-length", tuple(map(vertex, p)),
+                "odd-length", tuple(map(name, p)),
                 f"{line(idx, p)} has odd length {len(p) - 1}"))
         for u in p:
             if not covered[u]:
@@ -264,16 +260,16 @@ def validate_path_factor(
                 for w in lines[i]:
                     first.setdefault(w, i)
             filled = len(passed)
-            v = vertex(u)
+            v = name(u)
             violations.append(Violation(
                 "disjoint", (v,),
                 f"{v} appears on lines {first[u] + 1} and {idx + 1}"))
         passed.append(idx)
-    if covered.find(0, 0, n) >= 0:
-        missing = [vertex(u) for u in range(n) if not covered[u]]
+    if 0 in covered:
+        missing = [name(u) for u in range(n) if not covered[u]]
         violations.append(Violation(
             "spanning", tuple(missing),
-            f"uncovered: {' '.join(map(str, missing))}"))
+            f"uncovered: {' '.join(missing)}"))
     if k is not None and len(lines) != k:
         violations.append(Violation(
             "path-count", (), f"{len(lines)} paths, want k = {k}"))

@@ -5,9 +5,9 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathfactor import (AlgorithmDefectError, GenConfig, NotBiregularError,
-                        NotSimpleError, RandomPolicy, Vertex,
-                        build_pseudo_factor, fixture, format_factor, generate,
+from pathfactor import (AlgorithmDefectError, Bigraph, GenConfig,
+                        NotBiregularError, NotSimpleError, PathFactor,
+                        RandomPolicy, build_pseudo_factor, fixture, format_factor, generate,
                         parse_factor, solve, validate_path_factor,
                         validate_pseudo_factor)
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
@@ -218,11 +218,17 @@ def _count_an_extra_step(g, state):
     state.step_no += 1
 
 
+def _bump_y_counter(g, state):
+    state.factor.y_deg[0] += 1  # y0's counter alone: F keeps its edges
+
+
 # (corruption, defect, dump of the state it is caught in): the defect
 # text names the guard that catches it first, and the dump's step when.
-# The last three are caught first by the local audit after a step, by
-# that audit's pending check, and by the full audit's step count, which
-# no other guard would catch; disabling any of the three changes a text
+# _copy_index_entry, _requeue_x and _count_an_extra_step are caught first
+# by the local audit after a step, by that audit's pending check, and by
+# the full audit's step count, which no other guard would catch;
+# disabling any of the three changes a text.  _bump_y_counter is caught
+# only by the full audit's comparison of the counters with F's edges.
 SCAN_DEFECTS = [
     (_add_f_at_unscanned_y, "unscanned y3 had F-degree 1",
      "step=4 current=None scanned=[y0 y1 y2 y3] "
@@ -259,6 +265,9 @@ SCAN_DEFECTS = [
      "U=[y0x2 y1x1 y2x0 y2x1]"),
     (_count_an_extra_step, "4 Y vertices scanned in 5 steps",
      "step=5 current=None scanned=[y0 y1 y2 y3] "
+     "F=[y0x0 y0x1 y1x0 y1x2 y2x2 y3x1] U=[y0x2 y1x1 y2x0 y2x1 y3x0 y3x2]"),
+    (_bump_y_counter, "y0 has F-degree 2 but its counter reads 3",
+     "step=4 current=None scanned=[y0 y1 y2 y3] "
      "F=[y0x0 y0x1 y1x0 y1x2 y2x2 y3x1] U=[y0x2 y1x1 y2x0 y2x1 y3x0 y3x2]"),
 ]
 
@@ -303,26 +312,28 @@ def test_random_policy_build_validates(k, seed, pseed):
                                     lambda: RandomPolicy(0)])
 def test_scan_builds_no_vertex(monkeypatch, policy):
     # the scan, and the whole solve path after it, checked or not, run on
-    # integer vertex ids; a Vertex is built only for a token of a factor
-    # file, or to name a violation
+    # integer vertex ids; Bigraph.name names a vertex only for a violation
     g = generate(GenConfig(k=1000, seed=0))
-    made = []
-    original = Vertex.__new__
+    named = []
+    original = Bigraph.name
 
-    def counted(cls, *args):
-        made.append(args)
-        return original(cls, *args)
+    def counted(self, vid):
+        named.append(vid)
+        return original(self, vid)
 
-    monkeypatch.setattr(Vertex, "__new__", staticmethod(counted))
+    monkeypatch.setattr(Bigraph, "name", counted)
     build_pseudo_factor(g, policy())
-    assert made == []
+    assert named == []
     factor = solve(g, policy())
     assert validate_path_factor(g, factor).valid
     assert solve(g, policy(), checked=True) == factor
     text = format_factor(factor)
-    assert made == []
     assert validate_path_factor(g, parse_factor(text)).valid
-    assert len(made) == len(text.split())  # the count is live
+    assert named == []
+    # the count is live: without its first path, the factor's uncovered
+    # vertices are named
+    assert not validate_path_factor(g, PathFactor(g, factor.ids[1:])).valid
+    assert sorted(named) == sorted(factor.ids[0])
 
 
 def test_build_is_deterministic():

@@ -141,7 +141,7 @@ def test_solve_non_ascii_digit_exits_1(tmp_path, capsys):
     # int() alone accepts Arabic-Indic digits, underscores and signs
     k34_edges = K34.split("\n", 1)[1]
     cases = [
-        ("p bbg 4 3 1\ne y\u00b2 x0\n", "malformed vertex token"),
+        ("p bbg 4 3 1\ne y\u00b2 x0\n", "line 2: malformed vertex token"),
         ("p bbg \u0664 \u0663 \u0661\u0662\n" + k34_edges,
          "line 1: malformed header"),
         ("p bbg 4 3 1_2\n" + k34_edges, "line 1: malformed header"),

@@ -51,7 +51,7 @@ def test_add_edge_tracks_ends():
 def test_add_edge_attaches_a_lone_end(pairs, held):
     g, factor = _k34_factor(*pairs)
     path = factor._path_of[pairs[0][0]]  # y_i has vertex id i
-    assert " ".join(map(str, map(g.vertex, path))) == held
+    assert " ".join(map(g.name, path)) == held
     assert factor._len_counts == {len(pairs): 1}
     _assert_index_matches(factor)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pathfactor import (Bigraph, GenConfig, GraphFormatError,
                         NotBiregularError, PathFactor, PseudoPathFactor,
-                        Vertex, check_biregular, fixture, format_factor,
-                        generate, parse_factor, parse_graph, serialize_graph)
+                        check_biregular, fixture, format_factor, generate,
+                        parse_factor, parse_graph, serialize_graph)
+from pathfactor import graph as graph_module
 from pathfactor.verify import audit_ids, walk_component
 from conftest import (edge_id, flip_behind_index, k2_stub_pairing,
                       walk_pairs, ypath)
@@ -32,16 +34,15 @@ e y3 x2
 
 
 def test_vertex_order_and_parse():
-    assert Vertex.y(3) < Vertex.x(0)  # every y sorts before every x
-    assert Vertex.x(1) < Vertex.x(2)
-    assert str(Vertex.y(7)) == "y7"
-    # a side other than Y or X gets a name no real vertex has
-    assert str(Vertex(2, 0)) == "Vertex(2, 0)"
-    assert str(Vertex(-1, 0)) == "Vertex(-1, 0)"
-    assert Vertex.parse("x12") == Vertex.x(12)
-    for bad in ("z3", "y", "x-1", "y1.5", "", "y\u00b2", "x\u0661"):
-        with pytest.raises(GraphFormatError):
-            Vertex.parse(bad)
+    g = fixture("k34")  # every y sorts before every x: y_i -> i, x_j -> 4 + j
+    assert list(map(g.name, range(7))) == ["y0", "y1", "y2", "y3",
+                                           "x0", "x1", "x2"]
+    assert g.name(7) == "x3" and g.name(-1) == "y-1"  # ids outside g
+    assert parse_factor("x12 y007 x0\n") == [("x12", "y7", "x0")]
+    for bad in ("z3", "y", "x-1", "y1.5", "y\u00b2", "x\u0661", "Y3", "yx1"):
+        with pytest.raises(GraphFormatError, match=re.escape(
+                f"line 1: malformed vertex token {bad!r}")):
+            parse_factor(bad)
 
 
 def test_parse_k34():
@@ -106,6 +107,8 @@ def test_parse_comments_and_blanks():
     ("p bbg 4 3 1\ne x0 y0\n", "a y then an x"),
     ("p bbg 4 3 1\ne y0 x5\n", "out of range"),
     ("p bbg 4 3 1\ne y0\n", "malformed edge"),
+    ("p bbg 1 1 1\ne y0 z0\n", "^line 2: malformed vertex token 'z0'$"),
+    ("p bbg 1 1 1\n\ne x-1 x0\n", "^line 3: malformed vertex token 'x-1'$"),
     ("p bbg 4 3 2\ne y0 x0\n", "edge count mismatch"),
     ("hello\n", "unrecognized line"),
     ("c only a comment\n", "missing 'p bbg' header"),
@@ -330,10 +333,11 @@ def test_walk_component_matches_a_flood_fill(seed, multi, data):
 def _reference_parse_graph(text):
     # parse_graph as it was before edge lines had a fast path: every line
     # is split into fields and each token checked on its own
-    def token(tok):
+    def token(tok, lineno):
         if tok[:1] not in ("y", "x") or not (tok[1:].isascii()
                                              and tok[1:].isdigit()):
-            raise GraphFormatError(f"malformed vertex token {tok!r}")
+            raise GraphFormatError(
+                f"line {lineno}: malformed vertex token {tok!r}")
         return tok[0], int(tok[1:])
 
     header = None
@@ -362,7 +366,7 @@ def _reference_parse_graph(text):
             if len(fields) != 3:
                 raise GraphFormatError(
                     f"line {lineno}: malformed edge line {line!r}")
-            (sa, a), (sb, b) = token(fields[1]), token(fields[2])
+            (sa, a), (sb, b) = (token(f, lineno) for f in fields[1:])
             if (sa, sb) != ("y", "x"):
                 raise GraphFormatError(
                     f"line {lineno}: edge must name a y then an x vertex")
@@ -478,13 +482,13 @@ def test_parse_graph_matches_the_reference_parser(text):
 def test_parse_graph_builds_no_vertex_for_a_well_formed_edge_line(
         monkeypatch):
     calls = []
-    original = Vertex.parse.__func__
+    original = graph_module._read_vertex
 
-    def counted(cls, token):
+    def counted(token, lineno):
         calls.append(token)
-        return original(cls, token)
+        return original(token, lineno)
 
-    monkeypatch.setattr(Vertex, "parse", classmethod(counted))
+    monkeypatch.setattr(graph_module, "_read_vertex", counted)
     text = serialize_graph(generate(GenConfig(k=1000, seed=0)))
     assert parse_graph(text).edge_count == 12000
     assert calls == []
@@ -500,9 +504,9 @@ def test_factor_file_round_trip():
     assert text == "y0 x0 y3\ny1 x1 y2\n"
     for source in (text, "c paths below\n\n" + text):
         paths = parse_factor(source)
-        assert paths == [tuple(map(g.vertex, p)) for p in ((0, 4, 3),
-                                                           (1, 5, 2))]
-        assert "".join(" ".join(map(str, p)) + "\n" for p in paths) == text
+        assert paths == [tuple(map(g.name, p)) for p in ((0, 4, 3),
+                                                         (1, 5, 2))]
+        assert "".join(" ".join(p) + "\n" for p in paths) == text
 
 
 def test_format_factor_renders_a_path_factor_canonically():

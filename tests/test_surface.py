@@ -17,12 +17,12 @@ ALL = {
     "ExperimentSummary", "GenConfig", "GenerationError", "GraphFormatError",
     "LexicographicPolicy", "NotBiregularError", "NotSimpleError",
     "OracleSizeError", "PathFactor", "PathFactorError", "PseudoPathFactor",
-    "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Vertex",
-    "Violation", "brute_force_factor", "brute_force_trails",
-    "build_pseudo_factor", "check_biregular", "find_trail", "fixture",
-    "format_factor", "generate", "make_policy", "parse_factor", "parse_graph",
-    "rewire", "run_experiment", "serialize_graph", "solve",
-    "validate_path_factor", "validate_pseudo_factor",
+    "RandomPolicy", "TieBreakPolicy", "ValidationReport", "Violation",
+    "brute_force_factor", "brute_force_trails", "build_pseudo_factor",
+    "check_biregular", "find_trail", "fixture", "format_factor", "generate",
+    "make_policy", "parse_factor", "parse_graph", "rewire", "run_experiment",
+    "serialize_graph", "solve", "validate_path_factor",
+    "validate_pseudo_factor",
 }
 
 
@@ -44,7 +44,7 @@ def _instances():
 
 
 @pytest.mark.parametrize("name, public", [
-    ("Bigraph", {"edge_count", "edges", "simple", "vertex", "x_count",
+    ("Bigraph", {"edge_count", "edges", "name", "simple", "x_count",
                  "y_count"}),
     ("ValidationReport", {"render", "valid", "violations"}),
     ("PseudoPathFactor", {"add_edge", "edge_count", "edge_ids", "graph", "ids",

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from pathfactor import (Bigraph, GenConfig, OracleSizeError, PathFactor,
-                        PseudoPathFactor, Vertex, Violation,
+                        PseudoPathFactor, Violation,
                         brute_force_factor, brute_force_trails,
                         build_pseudo_factor, fixture, format_factor,
                         generate, make_policy, parse_factor, solve,
@@ -35,7 +35,7 @@ def _pinned(report, *violations):
     # the whole report: each violation's rule, subjects (ascending) and
     # message, and the rendered text
     assert report.violations == tuple(
-        Violation(rule, tuple(map(Vertex.parse, names.split())), message)
+        Violation(rule, tuple(names.split()), message)
         for rule, names, message in violations)
     assert report.render() == "".join(f"FAIL {rule} {message}\n"
                                       for rule, _, message in violations)
@@ -80,7 +80,7 @@ def test_pseudo_validator_foreign_subgraph():
                 ("subgraph", "", f"edge id {bad} is {why}"))
 
 
-def _vertex_lines(factor):
+def _name_lines(factor):
     return parse_factor(format_factor(factor))
 
 
@@ -88,32 +88,30 @@ def test_path_validator_accepts_solver_output():
     g = fixture("k34")
     factor = solve(g)
     assert validate_path_factor(g, factor).valid
-    # Vertex lines, as parse_factor gives them, are accepted too
-    assert validate_path_factor(g, _vertex_lines(factor)).valid
+    # name lines, as parse_factor gives them, are accepted too
+    assert validate_path_factor(g, _name_lines(factor)).valid
 
 
 def test_path_validator_spanning_counts_only_real_vertices():
-    # Vertex(2, j) in place of x_j is no vertex of g, so its line is no
-    # path: |V| distinct vertices are named, yet the real ones on that
-    # line are uncovered
+    # x99999 in place of x_j is no vertex of g, so its line is no path:
+    # |V| distinct vertices are named, yet the real ones on that line are
+    # uncovered
     g = generate(GenConfig(k=3, seed=0))
-    paths = _vertex_lines(solve(g))
+    paths = _name_lines(solve(g))
     first = paths[0]
-    j = first[1].index
-    paths[0] = (first[0], Vertex(2, j)) + first[2:]
+    paths[0] = (first[0], "x99999") + first[2:]
     report = validate_path_factor(g, paths)
-    names = " ".join(map(str, paths[0]))
-    assert f" Vertex(2, {j}) " in names
-    real = tuple(sorted(first))
+    names = " ".join(paths[0])
+    assert " x99999 " in names
+    real = tuple(sorted(first, key=lambda u: (u[0] == "x", int(u[1:]))))
     assert report.violations == (
         Violation("not-a-path", paths[0],
                   f"line 1 [{names}] is not a simple path in the graph"),
-        Violation("spanning", real,
-                  f"uncovered: {' '.join(map(str, real))}"))
+        Violation("spanning", real, f"uncovered: {' '.join(real)}"))
 
 
 def _k34_paths():
-    return _vertex_lines(solve(fixture("k34")))
+    return _name_lines(solve(fixture("k34")))
 
 
 @pytest.mark.parametrize("mutate,expected", [
@@ -121,17 +119,12 @@ def _k34_paths():
     (lambda ps: ps + ps, {"disjoint", "path-count"}),
     (lambda ps: [ps[0][1:]], {"endpoint-degree", "odd-length", "spanning"}),
     (lambda ps: [ps[0][:2]], {"endpoint-degree", "odd-length", "spanning"}),
-    (lambda ps: [(Vertex.y(0), Vertex.x(0), Vertex.y(0))],
-     {"not-a-path", "spanning"}),
-    (lambda ps: [(Vertex.y(0), Vertex.y(1))],
-     {"not-a-path", "spanning"}),
-    (lambda ps: [(Vertex.y(0), Vertex.x(9))],
-     {"not-a-path", "spanning"}),
-    # sides other than Y and X name no vertex of any graph
-    (lambda ps: [(Vertex(2, 0), Vertex.y(0))],
-     {"not-a-path", "spanning"}),
-    (lambda ps: [(Vertex(-1, 0), Vertex.y(0))],
-     {"not-a-path", "spanning"}),
+    (lambda ps: [("y0", "x0", "y0")], {"not-a-path", "spanning"}),
+    (lambda ps: [("y0", "y1")], {"not-a-path", "spanning"}),
+    (lambda ps: [("y0", "x9")], {"not-a-path", "spanning"}),
+    # names no factor file can hold name no vertex of any graph
+    (lambda ps: [("z0", "y0")], {"not-a-path", "spanning"}),
+    (lambda ps: [("y-1", "y0")], {"not-a-path", "spanning"}),
 ])
 def test_path_validator_rule_ids(mutate, expected):
     g = fixture("k34")
@@ -241,12 +234,11 @@ def test_path_validator_pins_every_rule(graph, lines, expected):
     assert report.render() == "".join(f"FAIL {text}\n"
                                       for text, _ in expected)
     assert [v.subjects for v in report.violations] == [
-        tuple(map(Vertex.parse, names.split())) for _, names in expected]
-    vertices = set(map(g.vertex, range(g.y_count + g.x_count)))
-    if all(v in vertices for p in paths for v in p):  # the fault fits ids
-        ids = tuple(tuple(i + side * g.y_count for side, i in p)
-                    for p in paths)
-        assert validate_path_factor(g, PathFactor(g, ids)) == report
+        tuple(names.split()) for _, names in expected]
+    ids = {g.name(v): v for v in range(g.y_count + g.x_count)}
+    if all(v in ids for p in paths for v in p):  # the fault fits ids
+        factor = PathFactor(g, tuple(tuple(map(ids.get, p)) for p in paths))
+        assert validate_path_factor(g, factor) == report
 
 
 @pytest.mark.parametrize("line, names", [
@@ -257,7 +249,7 @@ def test_path_validator_rejects_ids_outside_the_graph(line, names):
     g = generate(GenConfig(k=5, seed=0))
     report = validate_path_factor(g, PathFactor(g, (line,)))
     assert report.violations[0] == Violation(
-        "not-a-path", tuple(map(g.vertex, line)),
+        "not-a-path", tuple(names.split()),
         f"line 1 [{names}] is not a simple path in the graph")
 
 
@@ -390,30 +382,31 @@ def test_oracle_trails_are_pinned(family, digest):
         factor = (_random_path_forest(seed) if family == "forest" else
                   build_pseudo_factor(generate(GenConfig(2, seed)),
                                       make_policy(family)))
-        names = factor.graph.vertex
+        names = factor.graph.name
         for y in factor.uncovered_ys():
             texts.append(f"y{y}:")
-            texts.extend(" ".join(map(str, map(names, t._vertex_ids())))
+            texts.extend(" ".join(map(names, t._vertex_ids()))
                          + "\n" for t in brute_force_trails(factor, y))
     assert _sha256(texts) == digest
 
 
 def test_oracles_build_no_vertex(monkeypatch):
-    # the oracles run on vertex ids; Vertex is for the public API
+    # the oracles run on vertex ids and name none of them
     g = generate(GenConfig(k=2, seed=0))
     factor = build_pseudo_factor(g)
     origins = factor.uncovered_ys()
-    made = []
-    original = Vertex.__new__
+    named = []
+    original = Bigraph.name
 
-    def counted(cls, *args):
-        made.append(args)
-        return original(cls, *args)
+    def counted(self, vid):
+        named.append(vid)
+        return original(self, vid)
 
-    monkeypatch.setattr(Vertex, "__new__", staticmethod(counted))
+    monkeypatch.setattr(Bigraph, "name", counted)
     assert brute_force_factor(g) is not None
     assert all(brute_force_trails(factor, y) for y in origins)
-    assert made == []
+    assert named == []
+    assert g.name(8) == "x0" and named == [8]  # the count is live
 
 
 def test_oracle_size_cap():
