@@ -203,15 +203,15 @@ class AugmentingTrail:
         edges, g, n = self.edges, self.graph, len(self.edges)
         if n < 2 or n % 2:
             raise ValueError(f"trail needs an even edge count >= 2, got {n}")
-        if min(edges) < 0 or max(edges) >= len(g.edges):
+        if min(edges) < 0 or max(edges) >= g.edge_count:
             raise ValueError(f"trail edge ids {edges} are not all in "
-                             f"range({len(g.edges)})")
-        for t in range(1, n):
-            end = g._ex if t % 2 else g._ey  # odd t meet at x_j, even at y_j
-            if end[edges[t - 1]] != end[edges[t]]:
-                a, b = g.edges[edges[t - 1]], g.edges[edges[t]]
-                raise ValueError(f"trail edge y{b[0]}x{b[1]} does not meet "
-                                 f"the edge y{a[0]}x{a[1]} before it")
+                             f"range({g.edge_count})")
+        ey, ex = g._ey, g._ex
+        for t, (a, b) in enumerate(zip(edges, edges[1:])):
+            end = ey if t % 2 else ex  # even t meet at x_j, odd at y_j
+            if end[a] != end[b]:
+                raise ValueError(f"trail edge y{ey[b]}x{ex[b]} does not meet "
+                                 f"the edge y{ey[a]}x{ex[a]} before it")
 
     def _vertex_ids(self) -> list[int]:
         """The vertex ids of y0, x1, y1, ..., y_{i+1}, from the edges."""

@@ -7,9 +7,8 @@ degree 3 and each X vertex degree 4, which forces |Y| = 4k, |X| = 3k and
 |E| = 12k for some positive integer k.
 
 Vertices are positional: the i-th Y vertex renders as ``y<i>`` and the
-j-th X vertex as ``x<j>``.  Edges are stored as (y_index, x_index)
-occurrence pairs in canonically sorted order, so parallel edges of a
-multigraph are distinguishable by their occurrence id.
+j-th X vertex as ``x<j>``.  An edge is its place in canonical (y, x)
+order, so parallel edges are distinct; each end is held once, by edge id.
 
 The text format for graphs mirrors DIMACS: ``c`` comment lines, one
 ``p bbg <y_count> <x_count> <edge_count>`` header, then one
@@ -21,7 +20,8 @@ vertex names; ``c`` comments are allowed there as well.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import eq, mod
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import GraphFormatError, NotBiregularError
@@ -52,48 +52,55 @@ def _read_vertex(token: str, lineno: int) -> tuple[str, int]:
 class Bigraph:
     """Immutable bipartite multigraph with parts Y and X.
 
-    The edge list is canonically sorted at construction; an edge's position
-    in ``edges`` is its stable occurrence id.  ``simple`` is true iff no
-    (y, x) pair repeats.  Instances never change after construction and are
-    safe to share across threads.  The solver reads edge ends from the
-    flat lists _ey and _ex (Y and X index by edge id) instead of from
-    the tuples in ``edges``; the validators keep reading ``edges``.
+    The flat lists _ey and _ex hold each edge's Y and X index by edge id,
+    its position in canonical (y, x) order, as ints of one pool that the
+    ids share.  ``edges`` derives the pairs on each read, so the solver
+    and the validators read _ey / _ex.  ``simple`` is true iff no (y, x)
+    pair repeats.  Instances never change and are safe to share.
     """
 
-    __slots__ = ("y_count", "x_count", "edges", "simple", "_inc", "_ey", "_ex")
+    __slots__ = ("y_count", "x_count", "simple", "_inc", "_ey", "_ex")
 
     def __init__(self, y_count: int, x_count: int,
                  edges: Iterable[tuple[int, int]]):
         if y_count < 1 or x_count < 1:
             raise ValueError("vertex counts must be positive")
-        canon = sorted(edges)
-        for y, x in canon:
+        codes, bad = [], []  # an edge as y * |X| + x sorts as (y, x) does
+        for y, x in edges:
+            if (type(y) is int and type(x) is int
+                    and 0 <= y < y_count and 0 <= x < x_count):
+                codes.append(y * x_count + x)
+            else:
+                bad.append((y, x))
+        for y, x in sorted(bad)[:1]:  # the first bad one in canonical order
             if not (0 <= y < y_count and 0 <= x < x_count):
                 raise ValueError(f"edge (y{y}, x{x}) out of range")
-            if type(y) is not int or type(x) is not int:
-                raise TypeError(f"edge ({y!r}, {x!r}) has a non-int end")
-        self.y_count = y_count
-        self.x_count = x_count
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        self.simple = all(a != b for a, b in zip(canon, canon[1:]))
-        # The solver's reads stay in one small block of memory when the
-        # edge ids and ends are ints from one pool.  It is sized by the
-        # edge list, not by the header: top is the largest end, where the
-        # largest y is the last one, as canon is sorted.
-        top = max(map(itemgetter(1), canon), default=-1)
-        top = max(top, canon[-1][0]) if canon else top
-        pool = list(range(max(len(canon), top + 1)))
-        self._ey = [pool[y] for y, _ in canon]
-        self._ex = [pool[x] for _, x in canon]
+            raise TypeError(f"edge ({y!r}, {x!r}) has a non-int end")
+        codes.sort()
+        self.y_count, self.x_count = y_count, x_count
+        self.simple = not any(map(eq, codes, islice(codes, 1, None)))
+        # Edge ids and ends are ints of one pool, which keeps the solver's
+        # reads in one small block; top, the largest end, sizes it.
+        top = max(codes[-1] // x_count,
+                  max(map(mod, codes, repeat(x_count)))) if codes else -1
+        pool = list(range(max(len(codes), top + 1)))
+        self._ey = [pool[c // x_count] for c in codes]
+        self._ex = [pool[c % x_count] for c in codes]
+        del codes  # freed first, so the incidence lists reuse its memory
         inc: list[list[int]] = [[] for _ in range(y_count + x_count)]
-        for eid, (y, x) in zip(pool, canon):
+        for eid, y, x in zip(pool, self._ey, self._ex):
             inc[y].append(eid)
             inc[y_count + x].append(eid)
         self._inc = inc  # by vertex id; tuples would double the build time
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (y, x) pairs by edge id, built afresh: O(|E|) per read."""
+        return tuple(zip(self._ey, self._ex))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._ey)
 
     def name(self, vid: int) -> str:
         """The name of an integer vertex id: y_i has id i and x_j has id
@@ -104,8 +111,8 @@ class Bigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bigraph):
             return NotImplemented
-        return (self.y_count, self.x_count, self.edges) == \
-               (other.y_count, other.x_count, other.edges)
+        return (self.y_count, self.x_count, self._ey, self._ex) == \
+               (other.y_count, other.x_count, other._ey, other._ex)
 
     def __hash__(self) -> int:
         return hash((self.y_count, self.x_count, self.edges))
@@ -147,22 +154,22 @@ def parse_graph(text: str) -> Bigraph:
     out-of-range endpoint, or an edge count that disagrees with the
     header.
     """
-    header: Optional[tuple[int, int, int]] = None
-    edges: list[tuple[int, int]] = []
+    edge_count: Optional[int] = None  # from the header
+    codes: list[int] = []  # each edge as y * |X| + x: one int, no tuple
     y_count = x_count = 0  # no edge is in range before the header
     for lineno, raw in enumerate(text.splitlines(), 1):
         hit = _EDGE_LINE.fullmatch(raw)
         if hit:
             y, x = int(hit[1]), int(hit[2])
             if y < y_count and x < x_count:
-                edges.append((y, x))
+                codes.append(y * x_count + x)
                 continue
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
         fields = line.split()
         if fields[0] == "p":
-            if header is not None:
+            if edge_count is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header")
             if (len(fields) != 5 or fields[1] != "bbg"
                     or not all(map(_is_count, fields[2:]))):
@@ -172,9 +179,8 @@ def parse_graph(text: str) -> Bigraph:
             if y_count < 1 or x_count < 1:
                 raise GraphFormatError(
                     f"line {lineno}: header counts out of range")
-            header = (y_count, x_count, edge_count)
         elif fields[0] == "e":
-            if header is None:
+            if edge_count is None:
                 raise GraphFormatError(
                     f"line {lineno}: edge before 'p bbg' header")
             if len(fields) != 3:
@@ -184,27 +190,27 @@ def parse_graph(text: str) -> Bigraph:
             if a != "y" or b != "x":
                 raise GraphFormatError(
                     f"line {lineno}: edge must name a y then an x vertex")
-            if not (y < header[0] and x < header[1]):
+            if not (y < y_count and x < x_count):
                 raise GraphFormatError(
                     f"line {lineno}: endpoint out of range in {line!r}")
-            edges.append((y, x))
+            codes.append(y * x_count + x)
         else:
             raise GraphFormatError(
                 f"line {lineno}: unrecognized line {line!r}")
-    if header is None:
+    if edge_count is None:
         raise GraphFormatError("missing 'p bbg' header")
-    if len(edges) != header[2]:
+    if len(codes) != edge_count:
         raise GraphFormatError(
-            f"edge count mismatch: header declares {header[2]}, "
-            f"found {len(edges)}")
-    return Bigraph(header[0], header[1], edges)
+            f"edge count mismatch: header declares {edge_count}, "
+            f"found {len(codes)}")
+    return Bigraph(y_count, x_count, map(divmod, codes, repeat(x_count)))
 
 
 def serialize_graph(g: Bigraph) -> str:
     """Canonical text form: header then edges in sorted order, no comments.
     parse_graph(serialize_graph(g)) reproduces g byte for byte."""
     lines = [f"p bbg {g.y_count} {g.x_count} {g.edge_count}"]
-    lines.extend(f"e y{y} x{x}" for y, x in g.edges)
+    lines.extend(f"e y{y} x{x}" for y, x in zip(g._ey, g._ex))
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotBiregularError, OracleSizeError
@@ -149,14 +150,13 @@ def validate_pseudo_factor(g: Bigraph,
     count), "x-degree" (every X vertex has degree exactly 2).
     """
     violations: list[Violation] = []
-    m, ny = g.edge_count, g.y_count
+    m, ny, ey, ex = g.edge_count, g.y_count, g._ey, g._ex
     member, deg = bytearray(m), [0] * (ny + g.x_count)  # deg by vertex id
     for eid in eids:
         if 0 <= eid < m and not member[eid]:
             member[eid] = 1
-            y, x = g.edges[eid]
-            deg[y] += 1
-            deg[ny + x] += 1
+            deg[ey[eid]] += 1
+            deg[ny + ex[eid]] += 1
         else:
             why = "repeated" if 0 <= eid < m else f"not in range({m})"
             violations.append(Violation(
@@ -209,7 +209,7 @@ def validate_path_factor(
         k = check_biregular(g)
     except NotBiregularError as exc:
         violations.append(Violation("graph-shape", (), str(exc)))
-    ny, n = g.y_count, g.y_count + g.x_count
+    ny, nx, n = g.y_count, g.x_count, g.y_count + g.x_count
     if isinstance(factor, PathFactor):
         lines, name = factor.ids, g.name
     else:  # a name not of g, such as y25 when |Y| = 20, gets an id >= n
@@ -221,22 +221,20 @@ def validate_path_factor(
     def line(idx: int, p: Sequence[int]) -> str:  # for a violation only
         return f"line {idx + 1} [{' '.join(map(name, p))}]"
 
-    pairs = set(g.edges)
+    # A step is an edge iff its ids' weights sum to a code of g: y_i weighs
+    # (|Y| + 2 + i) * |X| and x_j weighs j, so two Y ids sum above every
+    # code and two X ids below it.  Ids outside g are refused first.
+    weight = [*range((ny + 2) * nx, (2 * ny + 2) * nx, nx), *range(nx)]
+    codes = {weight[y] + x for y, x in zip(g._ey, g._ex)}
     covered = bytearray(n)  # only a line of g's vertices is a path
     passed: list[int] = []  # the lines that are paths, in order
     first: dict[int, int] = {}  # vertex -> first of passed[:filled] on it
     filled = 0  # built only when a disjoint message needs it
     for idx, p in enumerate(lines):
-        ok = len(p) >= 2 and len(set(p)) == len(p)
+        ok = len(set(p)) == len(p) > 1 and 0 <= min(p) and max(p) < n
         if ok:
-            # q: p as vertices of g, -1 for none.  Each step of q must be
-            # a (y, x) pair of g.edges; an id out of range or on the wrong
-            # side makes a pair that is none.
-            q = p if max(p) < n else [u if u < n else -1 for u in p]
-            y0 = q[0] < ny  # whether the Y ids are at the even places
-            ys, xs = q[1 - y0::2], [u - ny for u in q[y0::2]]
-            ok = (pairs.issuperset(zip(ys, xs))
-                  and pairs.issuperset(zip(ys[y0:], xs[1 - y0:])))
+            wts = itemgetter(*p)(weight)
+            ok = codes.issuperset(map(add, wts, wts[1:]))
         if not ok:
             violations.append(Violation(
                 "not-a-path", tuple(map(name, p)),
@@ -342,7 +340,7 @@ def brute_force_trails(factor: PseudoPathFactor,
             f"got k = {k}")
     if not (0 <= y0 < g.y_count and y_deg[y0] == 0):
         raise ValueError(f"trail origin y{y0} must be an uncovered Y vertex")
-    inc, ends, index, ny = g._inc, g.edges, factor._path_of, g.y_count
+    inc, ey, ex, index, ny = g._inc, g._ey, g._ex, factor._path_of, g.y_count
     found: list[AugmentingTrail] = []
 
     def extend(tip: int, edges: tuple[int, ...],
@@ -350,12 +348,12 @@ def brute_force_trails(factor: PseudoPathFactor,
         for eid in inc[tip]:
             if member[eid] or eid in edges:
                 continue
-            x_next = ny + ends[eid][1]
+            x_next = ny + ex[eid]
             long_comp = len(index[x_next] or ()) >= 5  # 4+ edges
             for feid in inc[x_next]:
                 if not member[feid] or feid in edges:
                     continue
-                y_next = ends[feid][0]
+                y_next = ey[feid]
                 if long_comp:
                     if y_deg[y_next] == 2:
                         found.append(AugmentingTrail(g, edges + (eid, feid)))

@@ -15,7 +15,7 @@ from pathfactor import AugmentingTrail, Bigraph, PseudoPathFactor
 def edge_id(g, y, x):
     """The occurrence id of the edge joining y<y> and x<x>; ValueError
     unless exactly one occurrence joins them."""
-    ids = [eid for eid in g._inc[y] if g.edges[eid][1] == x]
+    ids = [eid for eid in g._inc[y] if g._ex[eid] == x]
     if len(ids) != 1:
         raise ValueError(f"edge y{y}x{x} has multiplicity {len(ids)}")
     return ids[0]
@@ -44,19 +44,24 @@ def flip_behind_index(factor, eid):
     """Put edge eid into F's edge set, or take it out, with both its
     degree counts, but leave the path index as it is: a corruption for
     the checks to find."""
-    y, x = factor.graph.edges[eid]
+    y, x = factor.graph._ey[eid], factor.graph._ex[eid]
     step = -1 if factor._member[eid] else 1
     factor._member[eid] ^= 1
     factor.y_deg[y] += step
     factor.x_deg[x] += step
 
 
-def k2_stub_pairing(rng):
-    """A k=2 (3,4)-biregular multigraph: 3 stubs per Y vertex matched to
-    4 per X vertex by rng.shuffle; parallel edges stay."""
+def k2_stub_pairs(rng):
+    """The (y, x) pairs of a k=2 (3,4)-biregular multigraph: 3 stubs per
+    Y vertex matched to 4 per X vertex by rng.shuffle."""
     xs = [x for x in range(6) for _ in range(4)]
     rng.shuffle(xs)
-    return Bigraph(8, 6, zip([y for y in range(8) for _ in range(3)], xs))
+    return list(zip([y for y in range(8) for _ in range(3)], xs))
+
+
+def k2_stub_pairing(rng):
+    """The k2_stub_pairs multigraph; parallel edges stay."""
+    return Bigraph(8, 6, k2_stub_pairs(rng))
 
 
 def trail_of(g, *walks):

@@ -50,7 +50,7 @@ def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     trail = find_trail(factor, 0)
 
     def pairs(f):
-        return {g.edges[eid] for eid in f.edge_ids()}
+        return {(g._ey[eid], g._ex[eid]) for eid in f.edge_ids()}
 
     before_pairs = pairs(factor)
     before_count = factor.edge_count

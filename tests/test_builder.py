@@ -105,7 +105,7 @@ def test_case_3b_avoids_the_cycle():
     # factor must extend through x2 even though x1 sorts first
     assert lines == ["step 2 case 3b y1 F:[y1x0 y1x2] U:[y1x1]"]
     assert state.current == 1  # x1
-    f_pairs = {g.edges[eid] for eid in state.factor.edge_ids()}
+    f_pairs = {(g._ey[eid], g._ex[eid]) for eid in state.factor.edge_ids()}
     assert (1, 2) in f_pairs and (1, 1) not in f_pairs
 
 

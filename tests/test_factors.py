@@ -361,7 +361,7 @@ def _random_pseudo_factor_eids(g, rng):
     eids = [eid for j in range(g.x_count)
             for eid in rng.sample(g._inc[g.y_count + j], 2)]
     if validate_pseudo_factor(g, eids).valid and len(
-            {g.edges[eid][0] for eid in eids}) < g.y_count:
+            {g._ey[eid] for eid in eids}) < g.y_count:
         return sorted(eids)
     return None
 
@@ -383,7 +383,8 @@ def test_rewire_accepts_every_oracle_trail_on_multigraphs():
         f_eids = _random_pseudo_factor_eids(g, rng)
         if g.simple or f_eids is None:
             continue
-        multiplicity = Counter(g.edges)
+        ends = g.edges  # derived on each read, so read once
+        multiplicity = Counter(ends)
         for y0 in _pseudo_factor(g, f_eids).uncovered_ys():
             for trail in brute_force_trails(_pseudo_factor(g, f_eids), y0):
                 factor = _pseudo_factor(g, f_eids)
@@ -391,7 +392,7 @@ def test_rewire_accepts_every_oracle_trail_on_multigraphs():
                 assert validate_pseudo_factor(g, factor.edge_ids()).valid
                 assert factor.y_deg[y0] == 1
                 trails += 1
-                parallel += any(multiplicity[g.edges[eid]] > 1
+                parallel += any(multiplicity[ends[eid]] > 1
                                 for eid in trail.edges)
     assert trails > 200 and parallel > 50, (trails, parallel)
 
@@ -410,6 +411,6 @@ def test_find_trail_takes_an_oracle_trail_on_multigraphs():
             factor = _pseudo_factor(g, f_eids)
             assert find_trail(factor, y0) in brute_force_trails(factor, y0)
             origins += 1
-            tip_xs = [g.edges[eid][1] for eid in g._inc[y0]]
+            tip_xs = [g._ex[eid] for eid in g._inc[y0]]
             parallel_tips += len(set(tip_xs)) < len(tip_xs)
     assert origins > 150 and parallel_tips > 40, (origins, parallel_tips)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pathfactor import (GenConfig, GenerationError, check_biregular, fixture,
-                        generate, serialize_graph)
+from pathfactor import (Bigraph, GenConfig, GenerationError, check_biregular,
+                        fixture, generate, serialize_graph)
 
 generate_module = importlib.import_module("pathfactor.generate")
 
@@ -98,6 +98,7 @@ def _pair_stubs_per_stub(k, rng):
 def test_pair_stubs_matches_the_per_stub_form(k, seed):
     pairs = generate_module._pair_stubs(k, np.random.default_rng(seed))
     assert pairs == _pair_stubs_per_stub(k, np.random.default_rng(seed))
-    # both ends are read from one id list, so the graph that keeps these
-    # pairs holds one int object per vertex index, not one per stub
-    assert len({id(v) for pair in pairs for v in pair}) <= 4 * k
+    # the graph keeps each end as an int of one pool, not the pairs' own
+    # ints, so it holds one int object per vertex index, not one per stub
+    g = Bigraph(4 * k, 3 * k, pairs)
+    assert len({id(v) for v in g._ey + g._ex}) <= 4 * k

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from pathfactor import (Bigraph, GenConfig, GraphFormatError,
 from pathfactor import graph as graph_module
 from pathfactor.verify import audit_ids, walk_component
 from conftest import (edge_id, flip_behind_index, k2_stub_pairing,
-                      walk_pairs, ypath)
+                      k2_stub_pairs, walk_pairs, ypath)
 
 K34_TEXT = """\
 p bbg 4 3 12
@@ -52,22 +54,56 @@ def test_parse_k34():
     assert g.edge_count == 12
     assert len(g._inc[0]) == 3  # y0
     assert len(g._inc[g.y_count + 2]) == 4  # x2
-    assert [g.edges[eid] for eid in g._inc[1]] == [(1, 0), (1, 1), (1, 2)]
+    assert [(g._ey[eid], g._ex[eid]) for eid in g._inc[1]] == [
+        (1, 0), (1, 1), (1, 2)]
+
+
+def _parsed_shuffled(g, seed):
+    # g's text with its edge lines shuffled, parsed, and the pairs read
+    # back from those lines
+    head, *lines = serialize_graph(g).splitlines()
+    random.Random(seed).shuffle(lines)
+    pairs = [(int(y[1:]), int(x[1:])) for _, y, x in map(str.split, lines)]
+    return parse_graph("\n".join([head, *lines])), pairs
+
+
+def _built(y_count, x_count, pairs):
+    return Bigraph(y_count, x_count, iter(pairs)), pairs
 
 
 @pytest.mark.parametrize("make", [
-    lambda: fixture("k34"),
-    lambda: fixture("counterexample"),
-    lambda: parse_graph(serialize_graph(generate(GenConfig(k=50, seed=0)))),
-    lambda: k2_stub_pairing(random.Random(3)),
-    lambda: k2_stub_pairing(random.Random(8)),
-    lambda: Bigraph(5, 4, [(3, 2), (0, 0), (3, 0)]),  # y1 y2 y4 x1 x3 lone
-    lambda: Bigraph(2, 3, []),
+    lambda: (fixture("k34"), [(i, j) for i in range(4) for j in range(3)]),
+    lambda: (fixture("counterexample"), [(0, 0), (0, 1), (0, 2)]
+             + [(j + 1, j) for j in range(3) for _ in range(3)]),
+    lambda: _parsed_shuffled(generate(GenConfig(k=50, seed=0)), 0),
+    lambda: _built(8, 6, k2_stub_pairs(random.Random(3))),
+    lambda: _built(8, 6, k2_stub_pairs(random.Random(8))),
+    lambda: _built(5, 4, [(3, 2), (0, 0), (3, 0)]),  # y1 y2 y4 x1 x3 lone
+    lambda: _built(2, 3, []),
 ])
 def test_flat_edge_ends_match_edges(make):
-    g = make()
-    assert g._ey == [y for y, _ in g.edges]
-    assert g._ex == [x for _, x in g.edges]
+    # _ey / _ex are the canonically sorted input pairs, held once: edges
+    # is derived from them, so they are compared with the input instead
+    g, pairs = make()
+    want = sorted(pairs)
+    assert g._ey == [y for y, _ in want]
+    assert g._ex == [x for _, x in want]
+    assert g.edges == tuple(want)
+
+
+def test_a_parsed_graph_holds_each_edge_end_once():
+    # each end is one pool int in _ey / _ex: about 106 B per edge with
+    # _inc at k = 1000, where a graph that also kept its (y, x) tuples
+    # held 222 B
+    text = serialize_graph(generate(GenConfig(k=1000, seed=0)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / g.edge_count < 150
 
 
 def test_serialize_round_trip_bytes():
@@ -208,7 +244,7 @@ def test_subgraph_degree_sums_agree(seed, multi, data):
         except ValueError:
             assert _edge_set_state(factor) == before
         y_deg, x_deg = [0] * g.y_count, [0] * g.x_count
-        for y, x in (g.edges[e] for e in factor.edge_ids()):
+        for y, x in ((g._ey[e], g._ex[e]) for e in factor.edge_ids()):
             y_deg[y] += 1
             x_deg[x] += 1
         assert (factor.y_deg, factor.x_deg) == (y_deg, x_deg)
@@ -290,8 +326,7 @@ def _member_incident(g, member, v):
 
 
 def _other_end(g, eid, v):
-    y, x = g.edges[eid]
-    return g.y_count + x if v < g.y_count else y
+    return g.y_count + g._ex[eid] if v < g.y_count else g._ey[eid]
 
 
 def _flood(g, member, v):

@@ -172,6 +172,21 @@ _K5_SPANNED = ("y0 y1 y2 y5 y6 y7 y8 y10 y11 y12 y13 y14 y15 y16 y17 y19 "
          "the graph", "y3 x0 y4 y25 y10"),
         ("spanning uncovered: y3 y4 y10 x0 x5", "y3 y4 y10 x0 x5")],
         id="y25-aliasing-x5"),
+    # a Y name in an X slot: under codes y * |X| + x, y5 there has
+    # x = 5 - |Y| = -15, so its steps would read as the edges y3 x0 and y9 x0
+    pytest.param("k5", _k5_with(1, "y3 x0 y4 y5 y10"), [
+        ("not-a-path line 2 [y3 x0 y4 y5 y10] is not a simple path in the "
+         "graph", "y3 x0 y4 y5 y10"),
+        ("spanning uncovered: y3 y4 y10 x0 x5", "y3 y4 y10 x0 x5")],
+        id="y-name-in-an-x-slot"),
+    # an X name in a Y slot next to a Y name in an X slot: x0 there has
+    # y = |Y| = 20 and y0 has x = -20, so the steps would read as the
+    # edges y5 x10 and y18 x10
+    pytest.param("k5", _k5_with(3, "y7 y0 x0"), [
+        ("not-a-path line 4 [y7 y0 x0] is not a simple path in the graph",
+         "y7 y0 x0"),
+        ("spanning uncovered: y9 y18 x7", "y9 y18 x7")],
+        id="x-name-in-a-y-slot"),
     # x15 is out of range on the X side, next to another unknown vertex
     pytest.param("k5", _k5_with(3, "y9 x15 y25"), [
         ("not-a-path line 4 [y9 x15 y25] is not a simple path in the graph",
@@ -312,11 +327,11 @@ def test_oracle_certifies_counterexample():
 def _has_factor_by_choice(g):
     # independent of the oracle's pruning: try every choice of 2 of the 4
     # edges at each X, and keep one that covers Y and the validator takes
-    at_x = [[e for e, (_, x) in enumerate(g.edges) if x == j]
+    at_x = [[e for e, x in enumerate(g._ex) if x == j]
             for j in range(g.x_count)]
     for pairs in product(*(combinations(a, 2) for a in at_x)):
         eids = [e for pair in pairs for e in pair]
-        if (len({g.edges[e][0] for e in eids}) == g.y_count
+        if (len({g._ey[e] for e in eids}) == g.y_count
                 and validate_pseudo_factor(g, eids).valid):
             return True
     return False
