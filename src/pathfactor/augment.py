@@ -39,30 +39,30 @@ def find_trail(factor: PseudoPathFactor, y0: int,
     """
     if policy is None:
         policy = LexicographicPolicy()
-    g, y_deg = factor.graph, factor.y_deg
-    if not (0 <= y0 < g.y_count and y_deg[y0] == 0):
+    g, deg = factor.graph, factor.deg
+    if not (0 <= y0 < g.y_count and deg[y0] == 0):
         raise ValueError(f"trail origin y{y0} must be an uncovered Y vertex")
     # on ids: spent holds the trail's edge ids in order, as an ordered set
-    ey, ex, inc, member, ny = g._ey, g._ex, g._inc, factor._member, g.y_count
+    ey, ex, inc, member = g._ey, g._ex, g._inc, factor._member
     tip = y0
     spent: dict[int, None] = {}
     seen_ys = {tip}
-    for _ in range(ny + 1):
+    for _ in range(g.y_count + 1):
         non_factor = list(filterfalse(member.__getitem__, inc[tip]))
         if not spent.keys().isdisjoint(non_factor):
             raise AlgorithmDefectError(
                 f"non-factor edge at trail tip y{tip} was already used; "
                 f"trail so far: {_walked(g, y0, spent)}")
-        # keyed by X index: of parallel edges to one X, any one will do
+        # keyed by X id: of parallel edges to one X, any one will do
         fresh = {ex[eid]: eid for eid in non_factor}
         if not fresh:
             raise AlgorithmDefectError(
                 f"no non-factor edge available at trail tip y{tip}")
-        x_idx = policy.pick(fresh)
-        spent[fresh[x_idx]] = None
+        x = policy.pick(fresh)
+        spent[fresh[x]] = None
 
-        f_eids = list(filter(member.__getitem__, inc[ny + x_idx]))
-        path = factor._path_of[ny + x_idx]
+        f_eids = list(filter(member.__getitem__, inc[x]))
+        path = factor._path_of[x]
         length = 0 if path is None else len(path) - 1
         if length == 2:
             # Crossing a 2-path through its middle.  The same middle can
@@ -72,7 +72,7 @@ def find_trail(factor: PseudoPathFactor, y0: int,
             choices = {ey[eid]: eid for eid in f_eids if eid not in spent}
             if not choices:
                 raise AlgorithmDefectError(
-                    f"no unused factor edge at 2-path middle x{x_idx}; "
+                    f"no unused factor edge at 2-path middle {g.name(x)}; "
                     f"trail so far: {_walked(g, y0, spent)}")
             tip = policy.pick(choices)
             if tip in seen_ys:
@@ -86,13 +86,13 @@ def find_trail(factor: PseudoPathFactor, y0: int,
         # so far all lie on 2-paths, so none here can be spent.
         if not spent.keys().isdisjoint(f_eids):
             raise AlgorithmDefectError(
-                f"factor edge on the long component at x{x_idx} was "
+                f"factor edge on the long component at {g.name(x)} was "
                 f"already used; trail so far: {_walked(g, y0, spent)}")
-        interior = {ey[eid]: eid for eid in f_eids if y_deg[ey[eid]] == 2}
+        interior = {ey[eid]: eid for eid in f_eids if deg[ey[eid]] == 2}
         if not interior:
             raise AlgorithmDefectError(
-                f"no interior Y vertex reachable at x{x_idx} on a component "
-                f"of length {length}")
+                f"no interior Y vertex reachable at {g.name(x)} on a "
+                f"component of length {length}")
         spent[interior[policy.pick(interior)]] = None
         return AugmentingTrail(g, tuple(spent))
     raise AlgorithmDefectError(
@@ -101,8 +101,8 @@ def find_trail(factor: PseudoPathFactor, y0: int,
 
 def _walked(g: Bigraph, y0: int, spent: Iterable[int]) -> str:
     """The vertices that a trail's edges pass through, from y<y0>."""
-    return " ".join([f"y{y0}"] + [f"y{g._ey[e]}" if t % 2 else f"x{g._ex[e]}"
-                                 for t, e in enumerate(spent)])
+    ends = [(g._ey if t % 2 else g._ex)[e] for t, e in enumerate(spent)]
+    return " ".join(map(g.name, [y0, *ends]))
 
 
 def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
@@ -123,7 +123,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     shorter piece of each path it splits.  checked=True also holds a
     fresh walk of F through every trail vertex against the path index.
     """
-    g, index, y_deg = factor.graph, factor._path_of, factor.y_deg
+    g, index, deg = factor.graph, factor._path_of, factor.deg
     if trail.graph is not g:  # edge ids name edges of one graph only
         raise ValueError(f"{trail} is on another graph than F")
     # vertex ids y0, x1, y1, ...; the edges alternate outside F
@@ -132,7 +132,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     drop, adopt = trail.edges[1::2], trail.edges[0::2]
     xs = ids[1::2]
     lengths = [len(index[x] or (x,)) - 1 for x in xs]  # of x's component
-    if y_deg[ids[0]] != 0:
+    if deg[ids[0]] != 0:
         raise ValueError(f"trail origin y{ids[0]} is already covered")
     if not all(factor._member[eid] for eid in drop):
         raise ValueError(f"{trail} has a factor edge outside F")
@@ -150,9 +150,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     if lengths[-1] < 4:
         raise ValueError(f"{trail} ends on a component of length "
                          f"{lengths[-1]}, want >= 4")
-    if y_deg[ids[-1]] != 2:
+    if deg[ids[-1]] != 2:
         raise ValueError(f"{trail} ends at y{ids[-1]} of factor degree "
-                         f"{y_deg[ids[-1]]}, want 2")
+                         f"{deg[ids[-1]]}, want 2")
 
     old_max = factor.max_path_length
     try:
@@ -168,7 +168,7 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     # vertices but y0 were covered before, so this checks that exactly
     # one more vertex, y0, is now covered and every changed path is even.
     for v in ids:
-        if v < ny and y_deg[v] == 0:
+        if v < ny and deg[v] == 0:
             raise AlgorithmDefectError(
                 f"rewiring along {trail} left y{v} uncovered")
         path = index[v] or (v,)

@@ -32,13 +32,13 @@ class FactorState:
 
     factor holds F: its edge set, F-degrees and path index.  The reject
     set U is derived, not stored: it is the edges at scanned Y vertices
-    that are not in F.  current is the index j of the current X vertex
-    x_j, None before the first step and after the last.  pending_x is
-    the ascending list of j with F-degree of x_j <= 1; F-degrees only
-    grow, so an entry is deleted when its vertex reaches degree 2 and
-    never returns.  Keeping it sorted lets case 1 pick from it by
-    position without rebuilding a pool.  step_i, one pass of the scan
-    loop, advances current and step_no.
+    that are not in F.  current is the vertex id of the current X
+    vertex, None before the first step and after the last.  pending_x is
+    the ascending list of the ids of X vertices of F-degree <= 1;
+    F-degrees only grow, so an entry is deleted when its vertex reaches
+    degree 2 and never returns.  Keeping it sorted lets case 1 pick from
+    it by position without rebuilding a pool.  step_i, one pass of the
+    scan loop, advances current and step_no.
     """
 
     graph: Bigraph
@@ -53,7 +53,7 @@ class FactorState:
     def initial(cls, g: Bigraph) -> "FactorState":
         return cls(graph=g, factor=PseudoPathFactor(g),
                    scanned=[False] * g.y_count, current=None, step_no=0,
-                   pending_x=list(range(g.x_count)))
+                   pending_x=list(range(g.y_count, len(g._inc))))
 
     def is_initial(self) -> bool:
         return (self.step_no == 0 and self.current is None
@@ -65,13 +65,13 @@ class FactorState:
         u_edges = " ".join(_edge_str(g, e) for e in range(g.edge_count)
                            if self.scanned[g._ey[e]] and not f._member[e])
         done = " ".join(f"y{i}" for i, s in enumerate(self.scanned) if s)
-        current = "None" if self.current is None else f"x{self.current}"
+        current = "None" if self.current is None else g.name(self.current)
         return (f"step={self.step_no} current={current} "
                 f"scanned=[{done}] F=[{f_edges}] U=[{u_edges}]")
 
 
 def _edge_str(g: Bigraph, eid: int) -> str:
-    return f"y{g._ey[eid]}x{g._ex[eid]}"
+    return g.name(g._ey[eid]) + g.name(g._ex[eid])
 
 
 def _defect(msg: str, state: FactorState) -> AlgorithmDefectError:
@@ -90,12 +90,12 @@ def _grow_f(state: FactorState, eid: int) -> None:
         raise _defect(f"F stopped being a family of paths: the path index "
                       f"holds a path of length {exc} that F lacks", state)
     x = state.graph._ex[eid]
-    if state.factor.x_deg[x] == 2:
+    if state.factor.deg[x] == 2:
         pending = state.pending_x
         at = bisect_left(pending, x)
         if at == len(pending) or pending[at] != x:
-            raise _defect(f"pending_x list out of sync: x{x} reached "
-                          f"F-degree 2 but is not pending", state)
+            raise _defect(f"pending_x list out of sync: {state.graph.name(x)}"
+                          f" reached F-degree 2 but is not pending", state)
         del pending[at]
 
 
@@ -105,23 +105,23 @@ def check_state_invariants(state: FactorState) -> None:
     Raises AlgorithmDefectError on the first breach.
     """
     g, f, scanned = state.graph, state.factor, state.scanned
-    problem = audit_ids(f, range(g.y_count + g.x_count))
+    problem = audit_ids(f, range(len(f.deg)))
     if problem:
         raise _defect(problem, state)
-    deg, held = [0] * (g.y_count + g.x_count), f.y_deg + f.x_deg
+    deg, xs = [0] * len(f.deg), range(g.y_count, len(f.deg))
     for eid in f.edge_ids():  # the F-degrees by vertex id, from F's edges
         deg[g._ey[eid]] += 1
-        deg[g.y_count + g._ex[eid]] += 1
-    if held != deg:
-        v = next(v for v, (h, d) in enumerate(zip(held, deg)) if h != d)
+        deg[g._ex[eid]] += 1
+    if f.deg != deg:
+        v = next(v for v, (h, d) in enumerate(zip(f.deg, deg)) if h != d)
         raise _defect(f"{g.name(v)} has F-degree {deg[v]} but its counter "
-                      f"reads {held[v]}", state)
+                      f"reads {f.deg[v]}", state)
     for i in range(g.y_count):
-        if not scanned[i] and f.y_deg[i]:
-            raise _defect(f"unscanned y{i} has F-degree {f.y_deg[i]}", state)
-    for j in range(g.x_count):
-        _check_rejected(state, j)
-    if state.pending_x != [j for j in range(g.x_count) if f.x_deg[j] <= 1]:
+        if not scanned[i] and f.deg[i]:
+            raise _defect(f"unscanned y{i} has F-degree {f.deg[i]}", state)
+    for x in xs:
+        _check_rejected(state, x)
+    if state.pending_x != [x for x in xs if f.deg[x] <= 1]:
         raise _defect("pending_x list out of sync with F-degrees", state)
     if sum(scanned) != state.step_no:
         raise _defect(f"{sum(scanned)} Y vertices scanned in "
@@ -134,32 +134,32 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
     # scanned y_i and its three X neighbours and moves the current X, so
     # only those are checked, in time proportional to their paths.
     g, f = state.graph, state.factor
-    if f.y_deg[y_idx] != f_added:
+    if f.deg[y_idx] != f_added:
         raise _defect(f"unscanned y{y_idx} had F-degree "
-                      f"{f.y_deg[y_idx] - f_added}", state)
+                      f"{f.deg[y_idx] - f_added}", state)
     xs = [g._ex[eid] for eid in g._inc[y_idx]]
     if state.current is not None:
         xs.append(state.current)
-    problem = audit_ids(f, [y_idx] + [g.y_count + j for j in xs])
+    problem = audit_ids(f, [y_idx, *xs])
     if problem:
         raise _defect(problem, state)
     pending = state.pending_x
-    for j in xs:
-        _check_rejected(state, j)
-        at = bisect_left(pending, j)
-        if (at < len(pending) and pending[at] == j) != (f.x_deg[j] <= 1):
-            raise _defect(f"pending_x list out of sync at x{j}", state)
+    for x in xs:
+        _check_rejected(state, x)
+        at = bisect_left(pending, x)
+        if (at < len(pending) and pending[at] == x) != (f.deg[x] <= 1):
+            raise _defect(f"pending_x list out of sync at {g.name(x)}", state)
     _check_growth(state)
 
 
-def _check_rejected(state: FactorState, j: int) -> None:
-    d = state.factor.x_deg[j]
+def _check_rejected(state: FactorState, x: int) -> None:
+    d = state.factor.deg[x]
     if d <= 1:  # a plain loop: before 3.12 a generator is a call a term
         g, scanned, rejected = state.graph, state.scanned, -d
-        for eid in g._inc[g.y_count + j]:
+        for eid in g._inc[x]:
             rejected += scanned[g._ey[eid]]
         if rejected > 2:
-            raise _defect(f"x{j} has F-degree {d} yet "
+            raise _defect(f"{g.name(x)} has F-degree {d} yet "
                           f"{rejected} rejected edges", state)
 
 
@@ -193,8 +193,8 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
     state.current = middle
     state.step_no = 1
     if trace:
-        trace(f"step 0 case 0 y{y0} F:[y{y0}x{last} y{y0}x{first}] "
-              f"U:[y{y0}x{middle}]")
+        e = [_edge_str(g, eid_of[x]) for x in (last, first, middle)]
+        trace(f"step 0 case 0 y{y0} F:[{e[0]} {e[1]}] U:[{e[2]}]")
     return state
 
 
@@ -216,19 +216,20 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
       3b: both 1           extend F toward whichever end keeps F acyclic,
                            reject the other, which becomes current.
     """
-    g, j, scanned = state.graph, state.current, state.scanned
-    ey, ex, inc, x_deg = g._ey, g._ex, g._inc, state.factor.x_deg
-    if j is None:
+    g, x, scanned = state.graph, state.current, state.scanned
+    ey, ex, inc, deg = g._ey, g._ex, g._inc, state.factor.deg
+    if x is None:
         raise _defect("current vertex None is not an X vertex", state)
-    if x_deg[j] > 1:
-        raise _defect(f"current vertex x{j} already has F-degree 2", state)
+    if deg[x] > 1:
+        raise _defect(f"current vertex {g.name(x)} already has F-degree 2",
+                      state)
     free = {}  # plain loops: before 3.12 a comprehension is a call
-    for eid in inc[g.y_count + j]:
+    for eid in inc[x]:
         if not scanned[ey[eid]]:
             free[ey[eid]] = eid
     if not free:
-        raise _defect(f"no uncommitted edge at x{j}; the scan guarantees "
-                      f"at least one", state)
+        raise _defect(f"no uncommitted edge at {g.name(x)}; the scan "
+                      f"guarantees at least one", state)
 
     y_idx = policy.pick(free)
     chosen_eid = free[y_idx]
@@ -236,32 +237,31 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     for eid in inc[y_idx]:
         if eid != chosen_eid:
             rest[ex[eid]] = eid
-    wa_idx, wb_idx = policy.order(rest)
-    da, db = x_deg[wa_idx], x_deg[wb_idx]
+    wa, wb = policy.order(rest)
+    da, db = deg[wa], deg[wb]
 
     # the case names w1 and w2: cases 1 and 2 reject both edges, 3a and 3b
     # extend F through w1 and reject w2
     if da == 2 and db == 2:
-        case, w1_idx, w2_idx = "1", wa_idx, wb_idx
+        case, w1, w2 = "1", wa, wb
     elif da == 2 or db == 2:
         case = "2"
-        w1_idx, w2_idx = (wa_idx, wb_idx) if da == 2 else (wb_idx, wa_idx)
+        w1, w2 = (wa, wb) if da == 2 else (wb, wa)
     elif da == 0 or db == 0:
         case = "3a"
-        w1_idx, w2_idx = (wa_idx, wb_idx) if da == 0 else (wb_idx, wa_idx)
+        w1, w2 = (wa, wb) if da == 0 else (wb, wa)
     else:
         case = "3b"
         # Both candidates sit on F-paths; exactly one may already share a
-        # component with x_j, which y_i joins through the chosen edge, and
+        # component with x, which y_i joins through the chosen edge, and
         # extending that way would close a cycle.
         index = state.factor._path_of
-        closes = index[g.y_count + j] is index[g.y_count + wa_idx]
-        w1_idx, w2_idx = (wb_idx, wa_idx) if closes else (wa_idx, wb_idx)
+        w1, w2 = (wb, wa) if index[x] is index[wa] else (wa, wb)
     f_added = 2 if case[0] == "3" else 1
-    for eid in (chosen_eid, rest[w1_idx])[:f_added]:
+    for eid in (chosen_eid, rest[w1])[:f_added]:
         _grow_f(state, eid)
     if case != "1":
-        state.current = w2_idx
+        state.current = w2
     else:
         pending = state.pending_x
         state.current = (pending[policy.pick_index(len(pending))]
@@ -270,8 +270,8 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
     scanned[y_idx] = True
     state.step_no += 1
     if trace:
-        f_new = [chosen_eid, rest[w1_idx]][:f_added]
-        u_new = [rest[w1_idx], rest[w2_idx]][f_added - 1:]
+        f_new = [chosen_eid, rest[w1]][:f_added]
+        u_new = [rest[w1], rest[w2]][f_added - 1:]
         trace(f"step {state.step_no - 1} case {case} y{y_idx} "
               f"F:[{' '.join(_edge_str(g, e) for e in f_new)}] "
               f"U:[{' '.join(_edge_str(g, e) for e in u_new)}]")
@@ -309,10 +309,11 @@ def build_pseudo_factor(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
         step_i(state, policy, trace=trace, checked=checked)
     # add_edge kept F a family of paths; with every X vertex interior,
     # each path ends in Y at both ends and so has even length.
-    for j in range(g.x_count):
-        if state.factor.x_deg[j] != 2:
-            raise _defect(f"scan stopped with deg_F(x{j}) = "
-                          f"{state.factor.x_deg[j]}", state)
+    deg = state.factor.deg
+    for x in range(g.y_count, len(deg)):
+        if deg[x] != 2:
+            raise _defect(f"scan stopped with deg_F({g.name(x)}) = {deg[x]}",
+                          state)
     if checked:
         from .verify import validate_pseudo_factor
         report = validate_pseudo_factor(g, state.factor.edge_ids())

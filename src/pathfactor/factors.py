@@ -21,24 +21,22 @@ class PseudoPathFactor:
     """A factor F of a graph with an incrementally maintained path index.
 
     F is kept as its edge set, a membership byte per edge occurrence (so
-    parallel edges are independent members) with the F-degree of every Y
-    and X vertex in y_deg and x_deg; a list from each integer vertex id
-    (y_i -> i, x_j -> |Y| + j) to the deque of ids of the path it lies on
-    (None while isolated); and a histogram of path lengths with no zero
-    counts, so its largest key is the longest path.  F changes only
-    through add_edge and remove_edge: the scan grows it edge by edge, and
-    rewiring removes a trail's factor edges and adds its non-factor ones.
-    Per-vertex component lookup is O(1); the maximum path length and the
-    edge count are read off the histogram.
+    parallel edges are independent members), with the F-degree of every
+    vertex in deg; a path index from each vertex to the deque of ids of
+    the path it lies on (None while isolated), both lists by integer
+    vertex id (y_i -> i, x_j -> |Y| + j); and a histogram of path lengths
+    with no zero counts, so its largest key is the longest path.  F
+    changes only through add_edge and remove_edge: the scan grows it edge
+    by edge, and rewiring removes a trail's factor edges and adds its
+    non-factor ones.  Per-vertex component lookup is O(1); the maximum
+    path length and the edge count are read off the histogram.
     """
 
     def __init__(self, graph: Bigraph):
         self.graph = graph
         self._member = bytearray(graph.edge_count)
-        self.y_deg = [0] * graph.y_count
-        self.x_deg = [0] * graph.x_count
-        self._path_of: list[deque[int] | None] = \
-            [None] * (graph.y_count + graph.x_count)
+        self.deg = [0] * (graph.y_count + graph.x_count)  # by vertex id
+        self._path_of: list[deque[int] | None] = [None] * len(self.deg)
         self._len_counts: dict[int, int] = {}  # length -> path count
 
     # -- path index maintenance -------------------------------------------
@@ -57,18 +55,19 @@ class PseudoPathFactor:
             raise ValueError(
                 f"edge id {eid} is not in range({len(self._member)})")
         g = self.graph
-        yi, xj = g._ey[eid], g._ex[eid]
-        y, x = yi, g.y_count + xj
+        y, x = g._ey[eid], g._ex[eid]
         index, counts = self._path_of, self._len_counts
         a, b = index[y], index[x]
+        # no Bigraph.name here: the factor oracle prunes on these refusals
         if a is b and a is not None:
-            raise ValueError(f"edge y{yi}-x{xj} would close a cycle")
+            raise ValueError(f"edge y{y}-x{x - g.y_count} would close a cycle")
         if (a is not None and a[0] != y != a[-1]
                 or b is not None and b[0] != x != b[-1]):
-            raise ValueError(f"edge y{yi}-x{xj} attaches to a path interior")
+            raise ValueError(
+                f"edge y{y}-x{x - g.y_count} attaches to a path interior")
         self._member[eid] = 1
-        self.y_deg[yi] += 1
-        self.x_deg[xj] += 1
+        self.deg[y] += 1
+        self.deg[x] += 1
         if a is None or b is None:  # a lone end x joins y's path, if any
             if a is None and b is not None:
                 a, y, x = b, x, y
@@ -109,9 +108,9 @@ class PseudoPathFactor:
         """Remove an edge from F, splitting its path in two.
 
         Raises ValueError, leaving F unchanged, if the id is not in
-        range(|E|) or the edge is not in F.  The shorter piece is moved to
-        a new path, so a split costs O(shorter piece); a piece of one
-        vertex leaves the index.
+        range(|E|) or the edge is not in F.  The edge is found by a scan
+        of its path and the shorter piece, the left one on a tie, is moved
+        to a new path; a piece of one vertex leaves the index.
         """
         if not 0 <= eid < len(self._member):
             raise ValueError(
@@ -120,24 +119,21 @@ class PseudoPathFactor:
             raise ValueError(f"edge occurrence {eid} is not in F")
         self._member[eid] = 0
         y, x = self.graph._ey[eid], self.graph._ex[eid]
-        self.y_deg[y] -= 1
-        self.x_deg[x] -= 1
-        ends = (y, self.graph.y_count + x)
+        self.deg[y] -= 1
+        self.deg[x] -= 1
         path, counts = self._path_of[y], self._len_counts
         n = len(path) - 1
         if counts[n] == 1:
             del counts[n]
         else:
             counts[n] -= 1
-        # walk in from both ends at once: the first endpoint met closes
-        # the shorter piece
-        for size, (head, tail) in enumerate(zip(path, reversed(path)), 1):
-            if head in ends:
-                piece = deque(path.popleft() for _ in range(size))
-                break
-            if tail in ends:
-                piece = deque(path.pop() for _ in range(size))
-                break
+        s = path.index(y)
+        if s < n and path[s + 1] == x:
+            s += 1  # so the edge joins positions s - 1 and s
+        if s <= n + 1 - s:
+            piece = deque(path.popleft() for _ in range(s))
+        else:
+            piece = deque(path.pop() for _ in range(n + 1 - s))
         for v in piece:
             self._path_of[v] = piece
         for p in (piece, path):
@@ -175,10 +171,10 @@ class PseudoPathFactor:
 
     def uncovered_ys(self) -> list[int]:
         """The indices of the Y vertices F misses, ascending."""
-        return [i for i, d in enumerate(self.y_deg) if d == 0]
+        return [i for i in range(self.graph.y_count) if self.deg[i] == 0]
 
     def __repr__(self) -> str:
-        covered = sum(1 for d in self.y_deg if d)
+        covered = sum(map(bool, self.deg[:self.graph.y_count]))
         return (f"PseudoPathFactor({self.path_count} paths, "
                 f"{covered}/{self.graph.y_count} Y covered, "
                 f"max length {self.max_path_length})")
@@ -210,15 +206,16 @@ class AugmentingTrail:
         for t, (a, b) in enumerate(zip(edges, edges[1:])):
             end = ey if t % 2 else ex  # even t meet at x_j, odd at y_j
             if end[a] != end[b]:
-                raise ValueError(f"trail edge y{ey[b]}x{ex[b]} does not meet "
-                                 f"the edge y{ey[a]}x{ex[a]} before it")
+                raise ValueError(
+                    f"trail edge y{ey[b]}{g.name(ex[b])} does not meet the "
+                    f"edge y{ey[a]}{g.name(ex[a])} before it")
 
     def _vertex_ids(self) -> list[int]:
         """The vertex ids of y0, x1, y1, ..., y_{i+1}, from the edges."""
         g = self.graph
         ids = [g._ey[self.edges[0]]]
         for t, eid in enumerate(self.edges):
-            ids.append(g._ey[eid] if t % 2 else g.y_count + g._ex[eid])
+            ids.append(g._ey[eid] if t % 2 else g._ex[eid])
         return ids
 
     @property

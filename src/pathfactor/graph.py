@@ -6,9 +6,11 @@ bipartite by construction.  In the (3,4)-biregular case each Y vertex has
 degree 3 and each X vertex degree 4, which forces |Y| = 4k, |X| = 3k and
 |E| = 12k for some positive integer k.
 
-Vertices are positional: the i-th Y vertex renders as ``y<i>`` and the
-j-th X vertex as ``x<j>``.  An edge is its place in canonical (y, x)
-order, so parallel edges are distinct; each end is held once, by edge id.
+Vertices are positional: past the parser, the i-th Y vertex is the
+integer id i and the j-th X vertex the id |Y| + j, so ids sort all of Y
+before all of X; only in text are they ``y<i>`` and ``x<j>``.  An edge is
+its place in canonical (y, x) order, so parallel edges are distinct; each
+end is held once, by edge id.
 
 The text format for graphs mirrors DIMACS: ``c`` comment lines, one
 ``p bbg <y_count> <x_count> <edge_count>`` header, then one
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice, repeat
-from operator import eq, mod
+from operator import eq, mod, sub
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import GraphFormatError, NotBiregularError
@@ -52,11 +54,12 @@ def _read_vertex(token: str, lineno: int) -> tuple[str, int]:
 class Bigraph:
     """Immutable bipartite multigraph with parts Y and X.
 
-    The flat lists _ey and _ex hold each edge's Y and X index by edge id,
-    its position in canonical (y, x) order, as ints of one pool that the
-    ids share.  ``edges`` derives the pairs on each read, so the solver
-    and the validators read _ey / _ex.  ``simple`` is true iff no (y, x)
-    pair repeats.  Instances never change and are safe to share.
+    The flat lists _ey and _ex hold each edge's Y and X vertex id by edge
+    id, its position in canonical (y, x) order, as ints of one pool that
+    the edge ids share.  ``edges`` derives the (y, x) index pairs on each
+    read, so the solver and the validators read _ey / _ex.  ``simple`` is
+    true iff no (y, x) pair repeats.  Instances never change and are safe
+    to share.
     """
 
     __slots__ = ("y_count", "x_count", "simple", "_inc", "_ey", "_ex")
@@ -80,31 +83,29 @@ class Bigraph:
         self.y_count, self.x_count = y_count, x_count
         self.simple = not any(map(eq, codes, islice(codes, 1, None)))
         # Edge ids and ends are ints of one pool, which keeps the solver's
-        # reads in one small block; top, the largest end, sizes it.
-        top = max(codes[-1] // x_count,
-                  max(map(mod, codes, repeat(x_count)))) if codes else -1
+        # reads in one small block; top, the largest end id, sizes it.
+        top = y_count + max(map(mod, codes, repeat(x_count))) if codes else -1
         pool = list(range(max(len(codes), top + 1)))
         self._ey = [pool[c // x_count] for c in codes]
-        self._ex = [pool[c % x_count] for c in codes]
+        self._ex = [pool[y_count + c % x_count] for c in codes]
         del codes  # freed first, so the incidence lists reuse its memory
         inc: list[list[int]] = [[] for _ in range(y_count + x_count)]
         for eid, y, x in zip(pool, self._ey, self._ex):
             inc[y].append(eid)
-            inc[y_count + x].append(eid)
+            inc[x].append(eid)
         self._inc = inc  # by vertex id; tuples would double the build time
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The (y, x) pairs by edge id, built afresh: O(|E|) per read."""
-        return tuple(zip(self._ey, self._ex))
+        """The (y, x) index pairs by edge id, built afresh on each read."""
+        return tuple(zip(self._ey, map(sub, self._ex, repeat(self.y_count))))
 
     @property
     def edge_count(self) -> int:
         return len(self._ey)
 
     def name(self, vid: int) -> str:
-        """The name of an integer vertex id: y_i has id i and x_j has id
-        |Y| + j, so ids sort all of Y before all of X, then by index."""
+        """The name of an integer vertex id, such as x0 for id |Y|."""
         ny = self.y_count
         return f"y{vid}" if vid < ny else f"x{vid - ny}"
 
@@ -209,8 +210,9 @@ def parse_graph(text: str) -> Bigraph:
 def serialize_graph(g: Bigraph) -> str:
     """Canonical text form: header then edges in sorted order, no comments.
     parse_graph(serialize_graph(g)) reproduces g byte for byte."""
+    names = _vertex_names(g)  # faster than formatting each end's index
     lines = [f"p bbg {g.y_count} {g.x_count} {g.edge_count}"]
-    lines.extend(f"e y{y} x{x}" for y, x in zip(g._ey, g._ex))
+    lines.extend(f"e {names[y]} {names[x]}" for y, x in zip(g._ey, g._ex))
     return "\n".join(lines) + "\n"
 
 

@@ -2,9 +2,10 @@
 
 Every nondeterministic choice in the solver is routed through a policy,
 so a (graph, policy) pair fixes the run byte for byte.  Candidates are
-always comparable (the solver hands over plain indices); RandomPolicy sorts
-them before consuming randomness, which keeps its streams independent of
-the caller's iteration order.
+always comparable: the solver hands over integer vertex ids, so an X
+vertex comes as |Y| + j.  RandomPolicy sorts them before consuming
+randomness, which keeps its streams independent of the caller's
+iteration order.
 """
 
 from __future__ import annotations

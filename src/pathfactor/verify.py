@@ -66,7 +66,7 @@ def walk_component(g: Bigraph, member: Sequence[int],
     def run(eid: int) -> tuple[list[int], int]:
         # the vertices past v along eid to one of degree d != 2, and d
         side, u = [], v
-        while (u := ny + ex[eid] if u < ny else ey[eid]) != v:
+        while (u := ex[eid] if u < ny else ey[eid]) != v:
             side.append(u)
             d = 0
             for e in inc[u]:
@@ -91,7 +91,7 @@ def walk_component(g: Bigraph, member: Sequence[int],
         for eid in inc[u]:
             if member[eid]:
                 edges += 1
-                w = ny + ex[eid] if u < ny else ey[eid]
+                w = ex[eid] if u < ny else ey[eid]
                 if w not in comp:
                     comp[w] = None
                     stack.append(w)
@@ -156,7 +156,7 @@ def validate_pseudo_factor(g: Bigraph,
         if 0 <= eid < m and not member[eid]:
             member[eid] = 1
             deg[ey[eid]] += 1
-            deg[ny + ex[eid]] += 1
+            deg[ex[eid]] += 1
         else:
             why = "repeated" if 0 <= eid < m else f"not in range({m})"
             violations.append(Violation(
@@ -183,10 +183,11 @@ def validate_pseudo_factor(g: Bigraph,
         subjects = tuple(map(g.name, sorted(comp)))
         violations.append(Violation(rule, subjects, msg.format(
             " ".join(subjects), edges, len(comp))))
-    for j, d in enumerate(deg[ny:]):
-        if d != 2:
+    for x in range(ny, len(deg)):
+        if deg[x] != 2:
+            v = g.name(x)
             violations.append(Violation(
-                "x-degree", (f"x{j}",), f"deg(x{j}) = {d}, want 2"))
+                "x-degree", (v,), f"deg({v}) = {deg[x]}, want 2"))
     return ValidationReport(tuple(violations))
 
 
@@ -221,15 +222,13 @@ def validate_path_factor(
     def line(idx: int, p: Sequence[int]) -> str:  # for a violation only
         return f"line {idx + 1} [{' '.join(map(name, p))}]"
 
-    # A step is an edge iff its ids' weights sum to a code of g: y_i weighs
-    # (|Y| + 2 + i) * |X| and x_j weighs j, so two Y ids sum above every
-    # code and two X ids below it.  Ids outside g are refused first.
-    weight = [*range((ny + 2) * nx, (2 * ny + 2) * nx, nx), *range(nx)]
+    # A step is an edge iff its ids' weights sum to a code of g: an X id
+    # weighs itself and y_i (|Y| + 2 + i) * |X| + |Y|, so two Y ids sum
+    # above every code and two X ids below it; ids outside g go first.
+    weight = [*range((ny + 2) * nx + ny, (2 * ny + 2) * nx + ny, nx),
+              *range(ny, n)]
     codes = {weight[y] + x for y, x in zip(g._ey, g._ex)}
-    covered = bytearray(n)  # only a line of g's vertices is a path
-    passed: list[int] = []  # the lines that are paths, in order
-    first: dict[int, int] = {}  # vertex -> first of passed[:filled] on it
-    filled = 0  # built only when a disjoint message needs it
+    owner = [-1] * n  # vertex -> the first path line on it
     for idx, p in enumerate(lines):
         ok = len(set(p)) == len(p) > 1 and 0 <= min(p) and max(p) < n
         if ok:
@@ -251,20 +250,15 @@ def validate_path_factor(
                 "odd-length", tuple(map(name, p)),
                 f"{line(idx, p)} has odd length {len(p) - 1}"))
         for u in p:
-            if not covered[u]:
-                covered[u] = 1
+            if owner[u] < 0:
+                owner[u] = idx
                 continue
-            for i in passed[filled:]:
-                for w in lines[i]:
-                    first.setdefault(w, i)
-            filled = len(passed)
             v = name(u)
             violations.append(Violation(
                 "disjoint", (v,),
-                f"{v} appears on lines {first[u] + 1} and {idx + 1}"))
-        passed.append(idx)
-    if 0 in covered:
-        missing = [name(u) for u in range(n) if not covered[u]]
+                f"{v} appears on lines {owner[u] + 1} and {idx + 1}"))
+    if -1 in owner:
+        missing = [name(u) for u in range(n) if owner[u] < 0]
         violations.append(Violation(
             "spanning", tuple(missing),
             f"uncovered: {' '.join(missing)}"))
@@ -290,18 +284,18 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
         raise OracleSizeError(
             f"exhaustive factor search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    ny, nx, inc, ey = g.y_count, g.x_count, g._inc, g._ey
-    per_x = [list(combinations(inc[ny + j], 2)) for j in range(nx)]
+    ey = g._ey
+    per_x = [list(combinations(eids, 2)) for eids in g._inc[g.y_count:]]
     factor = PseudoPathFactor(g)
-    y_deg = factor.y_deg
+    deg = factor.deg
 
-    def search(j: int) -> bool:
-        if j == nx:
-            return all(y_deg)
-        for a, b in per_x[j]:
-            # x_j is fresh, so only a full Y end refuses the first edge,
-            # and then the second can close only a cycle
-            if y_deg[ey[a]] == 2 or y_deg[ey[b]] == 2:
+    def search(depth: int) -> bool:
+        if depth == len(per_x):  # every X vertex has degree 2 here
+            return all(deg)
+        for a, b in per_x[depth]:
+            # the X vertex is fresh, so only a full Y end refuses the first
+            # edge, and then the second can close only a cycle
+            if deg[ey[a]] == 2 or deg[ey[b]] == 2:
                 continue
             factor.add_edge(a)
             try:
@@ -309,7 +303,7 @@ def brute_force_factor(g: Bigraph) -> Optional[PathFactor]:
             except ValueError:
                 factor.remove_edge(a)
                 continue
-            if search(j + 1):
+            if search(depth + 1):
                 return True
             factor.remove_edge(b)
             factor.remove_edge(a)
@@ -332,15 +326,15 @@ def brute_force_trails(factor: PseudoPathFactor,
     k > 2 and ValueError unless y<y0> is an uncovered Y vertex of the
     graph.
     """
-    g, member, y_deg = factor.graph, factor._member, factor.y_deg
+    g, member, deg = factor.graph, factor._member, factor.deg
     k = check_biregular(g)
     if k > ORACLE_MAX_K:
         raise OracleSizeError(
             f"exhaustive trail search is capped at k <= {ORACLE_MAX_K}, "
             f"got k = {k}")
-    if not (0 <= y0 < g.y_count and y_deg[y0] == 0):
+    if not (0 <= y0 < g.y_count and deg[y0] == 0):
         raise ValueError(f"trail origin y{y0} must be an uncovered Y vertex")
-    inc, ey, ex, index, ny = g._inc, g._ey, g._ex, factor._path_of, g.y_count
+    inc, ey, ex, index = g._inc, g._ey, g._ex, factor._path_of
     found: list[AugmentingTrail] = []
 
     def extend(tip: int, edges: tuple[int, ...],
@@ -348,14 +342,14 @@ def brute_force_trails(factor: PseudoPathFactor,
         for eid in inc[tip]:
             if member[eid] or eid in edges:
                 continue
-            x_next = ny + ex[eid]
+            x_next = ex[eid]
             long_comp = len(index[x_next] or ()) >= 5  # 4+ edges
             for feid in inc[x_next]:
                 if not member[feid] or feid in edges:
                     continue
                 y_next = ey[feid]
                 if long_comp:
-                    if y_deg[y_next] == 2:
+                    if deg[y_next] == 2:
                         found.append(AugmentingTrail(g, edges + (eid, feid)))
                 elif y_next not in seen_ys:
                     extend(y_next, edges + (eid, feid), seen_ys | {y_next})

@@ -15,7 +15,7 @@ from pathfactor import AugmentingTrail, Bigraph, PseudoPathFactor
 def edge_id(g, y, x):
     """The occurrence id of the edge joining y<y> and x<x>; ValueError
     unless exactly one occurrence joins them."""
-    ids = [eid for eid in g._inc[y] if g._ex[eid] == x]
+    ids = [eid for eid in g._inc[y] if g._ex[eid] == g.y_count + x]
     if len(ids) != 1:
         raise ValueError(f"edge y{y}x{x} has multiplicity {len(ids)}")
     return ids[0]
@@ -44,11 +44,10 @@ def flip_behind_index(factor, eid):
     """Put edge eid into F's edge set, or take it out, with both its
     degree counts, but leave the path index as it is: a corruption for
     the checks to find."""
-    y, x = factor.graph._ey[eid], factor.graph._ex[eid]
     step = -1 if factor._member[eid] else 1
     factor._member[eid] ^= 1
-    factor.y_deg[y] += step
-    factor.x_deg[x] += step
+    factor.deg[factor.graph._ey[eid]] += step
+    factor.deg[factor.graph._ex[eid]] += step
 
 
 def k2_stub_pairs(rng):

@@ -57,7 +57,7 @@ def test_rewire_swaps_exactly_the_trail_edges(k2_pseudo):
     rewire(factor, trail)
     # the trail alternates y x y ...: edges y_{j-1} x_j join F, x_j y_j leave
     ids = trail._vertex_ids()
-    ys, xs = ids[0::2], [v - g.y_count for v in ids[1::2]]
+    ys, xs = ids[0::2], ids[1::2]
     adopted = set(zip(ys, xs))
     dropped = set(zip(ys[1:], xs))
     assert pairs(factor) == (before_pairs - dropped) | adopted
@@ -332,7 +332,7 @@ def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
         if len(calls) == rounds:
             on_trail = set(trail._vertex_ids())
             eid = next(eid for eid, (y, x) in enumerate(g.edges)
-                       if factor._member[eid] and factor.y_deg[y] == 2
+                       if factor._member[eid] and factor.deg[y] == 2
                        and not {y, g.y_count + x} & on_trail)
             flip_behind_index(factor, eid)
 

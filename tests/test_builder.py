@@ -60,7 +60,7 @@ def _forced_3b_state():
     for y, x in [(0, 0), (0, 1), (2, 2)]:
         _grow_f(state, edge_id(g, y, x))
     state.scanned[0] = state.scanned[2] = True
-    state.current = 0  # x0
+    state.current = g.y_count  # x0
     state.step_no = 2
     check_state_invariants(state)
     return g, state
@@ -104,8 +104,8 @@ def test_case_3b_avoids_the_cycle():
     # x1 joins y1 to the component already holding y0 and x0, so the
     # factor must extend through x2 even though x1 sorts first
     assert lines == ["step 2 case 3b y1 F:[y1x0 y1x2] U:[y1x1]"]
-    assert state.current == 1  # x1
-    f_pairs = {(g._ey[eid], g._ex[eid]) for eid in state.factor.edge_ids()}
+    assert state.current == g.y_count + 1  # x1
+    f_pairs = {g.edges[eid] for eid in state.factor.edge_ids()}
     assert (1, 2) in f_pairs and (1, 1) not in f_pairs
 
 
@@ -114,7 +114,7 @@ def test_forced_3b_state_completes():
     policy = LexicographicPolicy()
     while state.current is not None:
         step_i(state, policy, checked=True)
-    assert all(d == 2 for d in state.factor.x_deg)
+    assert all(d == 2 for d in state.factor.deg[g.y_count:])
     assert validate_pseudo_factor(g, state.factor.edge_ids()).valid
 
 
@@ -180,7 +180,7 @@ def _reject_every_edge_at_x(g, state):
 
 
 def _desync_pending_x(g, state):
-    state.pending_x.remove(2)
+    state.pending_x.remove(g.y_count + 2)
 
 
 def _clear_scanned(g, state):
@@ -211,7 +211,7 @@ def _copy_index_entry(g, state):
 
 
 def _requeue_x(g, state):
-    state.pending_x.insert(0, 0)  # x0 pending twice
+    state.pending_x.insert(0, g.y_count)  # x0 pending twice
 
 
 def _count_an_extra_step(g, state):
@@ -219,7 +219,7 @@ def _count_an_extra_step(g, state):
 
 
 def _bump_y_counter(g, state):
-    state.factor.y_deg[0] += 1  # y0's counter alone: F keeps its edges
+    state.factor.deg[0] += 1  # y0's counter alone: F keeps its edges
 
 
 # (corruption, defect, dump of the state it is caught in): the defect

@@ -83,6 +83,20 @@ def test_solve_random_trace_is_pinned(tmp_path, capsys):
         "1eaf2e0f3a97df19b92b4e62c1a2010dfc7640c5e1c103bb47cad987be52f830")
 
 
+def test_solve_lex_trace_is_pinned(tmp_path, capsys):
+    # recorded while the scan still held X vertices by their index j, not
+    # their vertex id; checked mode must write the same bytes
+    f = tmp_path / "g.bbg"
+    f.write_text(serialize_graph(generate(GenConfig(200, 1))))
+    for extra in ((), ("--checked",)):
+        code, out, err = run(capsys, "solve", str(f), "--trace", *extra)
+        assert code == 0 and len(err.splitlines()) == 800
+        assert hashlib.sha256(err.encode()).hexdigest() == (
+            "b4132d0e26a5f47f8191e764b900277e844f59798d685ca74e5a89dabd49da57")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4c2248ea2d893e0acade73986e792dbb5a427bc917dc7a610b52c2b3237e0d6e")
+
+
 def test_solve_writes_file_and_verify_accepts_it(tmp_path, capsys):
     graph_file = tmp_path / "g.bbg"
     factor_file = tmp_path / "g.factor"

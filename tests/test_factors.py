@@ -151,7 +151,7 @@ def _assert_index_matches(factor):
     # a fresh walk of F from each path end is the reference
     g, member = factor.graph, factor._member
     walked = sorted({_oriented(walk_component(g, member, v)[0])
-                     for v, d in enumerate(factor.y_deg + factor.x_deg)
+                     for v, d in enumerate(factor.deg)
                      if d == 1})
     assert factor.ids == tuple(walked)
     assert audit_ids(factor, range(g.y_count + g.x_count)) is None
@@ -390,7 +390,7 @@ def test_rewire_accepts_every_oracle_trail_on_multigraphs():
                 factor = _pseudo_factor(g, f_eids)
                 rewire(factor, trail, checked=True)
                 assert validate_pseudo_factor(g, factor.edge_ids()).valid
-                assert factor.y_deg[y0] == 1
+                assert factor.deg[y0] == 1
                 trails += 1
                 parallel += any(multiplicity[ends[eid]] > 1
                                 for eid in trail.edges)

@@ -55,7 +55,7 @@ def test_parse_k34():
     assert len(g._inc[0]) == 3  # y0
     assert len(g._inc[g.y_count + 2]) == 4  # x2
     assert [(g._ey[eid], g._ex[eid]) for eid in g._inc[1]] == [
-        (1, 0), (1, 1), (1, 2)]
+        (1, 4), (1, 5), (1, 6)]  # x_j has vertex id 4 + j
 
 
 def _parsed_shuffled(g, seed):
@@ -82,12 +82,13 @@ def _built(y_count, x_count, pairs):
     lambda: _built(2, 3, []),
 ])
 def test_flat_edge_ends_match_edges(make):
-    # _ey / _ex are the canonically sorted input pairs, held once: edges
-    # is derived from them, so they are compared with the input instead
+    # _ey / _ex are the canonically sorted input pairs, held once as
+    # vertex ids: edges is derived from them, so they are compared with
+    # the input instead
     g, pairs = make()
     want = sorted(pairs)
     assert g._ey == [y for y, _ in want]
-    assert g._ex == [x for _, x in want]
+    assert g._ex == [g.y_count + x for _, x in want]
     assert g.edges == tuple(want)
 
 
@@ -209,20 +210,20 @@ def test_edge_subgraph_bookkeeping():
     eid = edge_id(g, 1, 2)
     factor.add_edge(eid)
     assert (factor.edge_count, factor.edge_ids()) == (1, [eid])
-    assert (factor.y_deg, factor.x_deg) == ([0, 1, 0, 0], [0, 0, 1])
+    assert factor.deg == [0, 1, 0, 0] + [0, 0, 1]
     with pytest.raises(ValueError, match="would close a cycle"):
         factor.add_edge(eid)
-    assert (factor.y_deg, factor.x_deg) == ([0, 1, 0, 0], [0, 0, 1])
+    assert factor.deg == [0, 1, 0, 0] + [0, 0, 1]
     factor.remove_edge(eid)
     assert (factor.edge_count, factor.edge_ids()) == (0, [])
-    assert (factor.y_deg, factor.x_deg) == ([0] * 4, [0] * 3)
+    assert factor.deg == [0] * 4 + [0] * 3
     with pytest.raises(ValueError, match="not in F"):
         factor.remove_edge(eid)
 
 
 def _edge_set_state(factor):
-    return (bytes(factor._member), list(factor.y_deg), list(factor.x_deg),
-            factor.ids, dict(factor._len_counts))
+    return (bytes(factor._member), list(factor.deg), factor.ids,
+            dict(factor._len_counts))
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,13 +244,13 @@ def test_subgraph_degree_sums_agree(seed, multi, data):
             (factor.add_edge if add else factor.remove_edge)(eid)
         except ValueError:
             assert _edge_set_state(factor) == before
-        y_deg, x_deg = [0] * g.y_count, [0] * g.x_count
+        deg = [0] * (g.y_count + g.x_count)
         for y, x in ((g._ey[e], g._ex[e]) for e in factor.edge_ids()):
-            y_deg[y] += 1
-            x_deg[x] += 1
-        assert (factor.y_deg, factor.x_deg) == (y_deg, x_deg)
-        assert (sum(y_deg) == sum(x_deg) == factor.edge_count
-                == len(factor.edge_ids()))
+            deg[y] += 1
+            deg[x] += 1
+        assert factor.deg == deg
+        assert (sum(deg[:g.y_count]) == sum(deg[g.y_count:])
+                == factor.edge_count == len(factor.edge_ids()))
         assert audit_ids(factor, range(g.y_count + g.x_count)) is None
 
 
@@ -304,7 +305,7 @@ def test_audit_names_a_branch_from_the_edges_it_walks():
     for y, x in [(0, 0), (0, 1), (2, 2)]:
         factor.add_edge(edge_id(g, y, x))
     factor._member[edge_id(g, 0, 2)] = 1
-    assert factor.y_deg[0] == 2
+    assert factor.deg[0] == 2
     assert audit_ids(factor, [0]) == "F has a branch-vertex at y0"
 
 
@@ -326,7 +327,7 @@ def _member_incident(g, member, v):
 
 
 def _other_end(g, eid, v):
-    return g.y_count + g._ex[eid] if v < g.y_count else g._ey[eid]
+    return g._ex[eid] if v < g.y_count else g._ey[eid]
 
 
 def _flood(g, member, v):

@@ -47,9 +47,9 @@ def _instances():
     ("Bigraph", {"edge_count", "edges", "name", "simple", "x_count",
                  "y_count"}),
     ("ValidationReport", {"render", "valid", "violations"}),
-    ("PseudoPathFactor", {"add_edge", "edge_count", "edge_ids", "graph", "ids",
-                          "max_path_length", "path_count", "remove_edge",
-                          "uncovered_ys", "x_deg", "y_deg"}),
+    ("PseudoPathFactor", {"add_edge", "deg", "edge_count", "edge_ids", "graph",
+                          "ids", "max_path_length", "path_count",
+                          "remove_edge", "uncovered_ys"}),
     ("AugmentingTrail", {"edge_count", "edges", "graph"}),
     ("GenConfig", {"k", "seed"}),
     ("PathFactor", {"from_pseudo", "graph", "ids", "lengths"}),

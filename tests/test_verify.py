@@ -327,7 +327,7 @@ def test_oracle_certifies_counterexample():
 def _has_factor_by_choice(g):
     # independent of the oracle's pruning: try every choice of 2 of the 4
     # edges at each X, and keep one that covers Y and the validator takes
-    at_x = [[e for e, x in enumerate(g._ex) if x == j]
+    at_x = [[e for e, x in enumerate(g._ex) if x == g.y_count + j]
             for j in range(g.x_count)]
     for pairs in product(*(combinations(a, 2) for a in at_x)):
         eids = [e for pair in pairs for e in pair]
