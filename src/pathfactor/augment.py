@@ -13,16 +13,14 @@ path factor.
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from .builder import build_pseudo_factor
+from .builder import TraceFn, build_pseudo_factor
 from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
 from .graph import Bigraph
 from .policy import LexicographicPolicy, TieBreakPolicy
 from .verify import audit_ids
-
-TraceFn = Callable[[str], None]
 
 
 def find_trail(factor: PseudoPathFactor, y0: int,
@@ -32,10 +30,11 @@ def find_trail(factor: PseudoPathFactor, y0: int,
     The trail alternates non-factor and factor edges.  Interior X stops
     lie on components of length exactly 2 and are crossed; the first X
     vertex found on a longer component ends the trail at one of that
-    component's interior Y vertices.  Guaranteed to succeed whenever the
-    factor misses a Y vertex; failure to make progress is reported as a
-    defect, not an error in the input.  The trail is not re-checked
-    here: rewire checks every trail condition before changing F.
+    component's interior Y vertices.  Guaranteed to succeed when F is a
+    pseudo path factor of a (3,4)-biregular graph that misses y<y0>; on
+    any other F the search can fail, which it reports as
+    AlgorithmDefectError.  The trail is not re-checked here: rewire
+    checks every trail condition before changing F.
     """
     if policy is None:
         policy = LexicographicPolicy()
@@ -48,13 +47,11 @@ def find_trail(factor: PseudoPathFactor, y0: int,
     spent: dict[int, None] = {}
     seen_ys = {tip}
     for _ in range(g.y_count + 1):
-        non_factor = list(filterfalse(member.__getitem__, inc[tip]))
-        if not spent.keys().isdisjoint(non_factor):
-            raise AlgorithmDefectError(
-                f"non-factor edge at trail tip y{tip} was already used; "
-                f"trail so far: {_walked(g, y0, spent)}")
-        # keyed by X id: of parallel edges to one X, any one will do
-        fresh = {ex[eid]: eid for eid in non_factor}
+        # keyed by X id: of parallel edges to one X, any one will do.  A
+        # spent non-factor edge leaves an earlier tip, and the revisit
+        # check below refuses a return to one, so none of these is spent.
+        fresh = {ex[eid]: eid
+                 for eid in filterfalse(member.__getitem__, inc[tip])}
         if not fresh:
             raise AlgorithmDefectError(
                 f"no non-factor edge available at trail tip y{tip}")
@@ -84,10 +81,6 @@ def find_trail(factor: PseudoPathFactor, y0: int,
             continue
         # Long component: stop at an interior Y vertex.  Factor edges used
         # so far all lie on 2-paths, so none here can be spent.
-        if not spent.keys().isdisjoint(f_eids):
-            raise AlgorithmDefectError(
-                f"factor edge on the long component at {g.name(x)} was "
-                f"already used; trail so far: {_walked(g, y0, spent)}")
         interior = {ey[eid]: eid for eid in f_eids if deg[ey[eid]] == 2}
         if not interior:
             raise AlgorithmDefectError(
@@ -222,7 +215,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
             raise AlgorithmDefectError(
                 f"rewire rejected find_trail's own trail: {exc}") from None
         if trace:
-            trace(f"augment y{y0} trail_len {trail.edge_count} "
+            trace(f"augment y{y0} trail_len {len(trail.edges)} "
                   f"max_path {factor.max_path_length}")
     if checked:  # the result is read off the index; F gets its own check
         from .verify import validate_pseudo_factor

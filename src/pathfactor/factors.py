@@ -218,10 +218,6 @@ class AugmentingTrail:
             ids.append(g._ey[eid] if t % 2 else g._ex[eid])
         return ids
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def __repr__(self) -> str:
         names = map(self.graph.name, self._vertex_ids())
         return "AugmentingTrail(" + " ".join(names) + ")"

@@ -93,10 +93,9 @@ def _repair_duplicates(edges: list[tuple[int, int]], rng: np.random.Generator
             counts[old] -= 1
             if counts[old] <= 1:
                 dupes.discard(old)
-        for new in (new_a, new_b):
-            counts[new] += 1
-            if counts[new] > 1:
-                dupes.add(new)
+        # both new pairs were absent and differ, so neither is a duplicate
+        counts[new_a] += 1
+        counts[new_b] += 1
         edges[i], edges[t] = new_a, new_b
     return edges if not dupes else None
 

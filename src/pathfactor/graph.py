@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice, repeat
-from operator import eq, mod, sub
+from operator import eq, mod
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import GraphFormatError, NotBiregularError
@@ -56,10 +56,8 @@ class Bigraph:
 
     The flat lists _ey and _ex hold each edge's Y and X vertex id by edge
     id, its position in canonical (y, x) order, as ints of one pool that
-    the edge ids share.  ``edges`` derives the (y, x) index pairs on each
-    read, so the solver and the validators read _ey / _ex.  ``simple`` is
-    true iff no (y, x) pair repeats.  Instances never change and are safe
-    to share.
+    the edge ids share.  ``simple`` is true iff no (y, x) pair repeats.
+    Instances never change and are safe to share.
     """
 
     __slots__ = ("y_count", "x_count", "simple", "_inc", "_ey", "_ex")
@@ -96,11 +94,6 @@ class Bigraph:
         self._inc = inc  # by vertex id; tuples would double the build time
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The (y, x) index pairs by edge id, built afresh on each read."""
-        return tuple(zip(self._ey, map(sub, self._ex, repeat(self.y_count))))
-
-    @property
     def edge_count(self) -> int:
         return len(self._ey)
 
@@ -116,7 +109,8 @@ class Bigraph:
                (other.y_count, other.x_count, other._ey, other._ex)
 
     def __hash__(self) -> int:
-        return hash((self.y_count, self.x_count, self.edges))
+        # O(1); graphs that compare equal share all three counts
+        return hash((self.y_count, self.x_count, self.edge_count))
 
     def __repr__(self) -> str:
         kind = "simple" if self.simple else "multi"

@@ -21,6 +21,11 @@ def edge_id(g, y, x):
     return ids[0]
 
 
+def edge_pairs(g):
+    """The (y, x) index pairs of g's edges, by edge id."""
+    return [(y, x - g.y_count) for y, x in zip(g._ey, g._ex)]
+
+
 def walk_pairs(walk):
     """The (y, x) index pairs along the walk y<i0> x<i1> y<i2> ..., given
     as its indices."""

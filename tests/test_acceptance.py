@@ -18,6 +18,7 @@ from pathfactor import (Bigraph, GenConfig, LexicographicPolicy,
                         validate_path_factor, validate_pseudo_factor)
 from pathfactor.cli import main
 from pathfactor.experiment import run_experiment
+from conftest import edge_pairs
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -124,7 +125,7 @@ def test_criterion_6_shape_checks():
     for k in (1, 2, 5, 10):
         for seed in (0, 7):
             assert check_biregular(generate(GenConfig(k=k, seed=seed))) == k
-    k34_edges = fixture("k34").edges
+    k34_edges = edge_pairs(fixture("k34"))
     malformed = [
         Bigraph(5, 3, [(0, 0)]),                      # |Y| not 4k
         Bigraph(4, 4, k34_edges),                     # |X| mismatch

@@ -7,13 +7,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathfactor import (AlgorithmDefectError, AugmentingTrail, GenConfig,
-                        NotSimpleError, PathFactor, PseudoPathFactor,
-                        RandomPolicy, brute_force_trails, build_pseudo_factor,
-                        find_trail, fixture, format_factor, generate,
-                        make_policy, parse_graph, rewire, serialize_graph,
-                        solve, validate_path_factor)
-from conftest import flip_behind_index, trail_of, ypath
+from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
+                        GenConfig, NotSimpleError, PathFactor,
+                        PseudoPathFactor, RandomPolicy, brute_force_trails,
+                        build_pseudo_factor, find_trail, fixture,
+                        format_factor, generate, make_policy, parse_graph,
+                        rewire, serialize_graph, solve, validate_path_factor)
+from conftest import edge_pairs, flip_behind_index, trail_of, ypath
 
 
 def test_k2_trail_is_golden(k2_pseudo):
@@ -21,7 +21,7 @@ def test_k2_trail_is_golden(k2_pseudo):
     assert factor.uncovered_ys() == [0]
     trail = find_trail(factor, 0)
     assert trail == trail_of(g, (0, 0, 2))
-    assert trail.edge_count == 2
+    assert len(trail.edges) == 2
 
 
 def test_k2_all_trails_enumerated(k2_pseudo):
@@ -68,7 +68,7 @@ def test_k3_trail_crosses_the_short_path(k3_pseudo):
     g, factor = k3_pseudo
     trail = find_trail(factor, 0)
     assert trail == trail_of(g, (0, 0, 1, 1, 4))
-    assert trail.edge_count == 4
+    assert len(trail.edges) == 4
     assert repr(trail) == "AugmentingTrail(y0 x0 y1 x1 y4)"
     rewire(factor, trail, checked=True)
     assert factor.ids == (
@@ -95,6 +95,33 @@ def test_trail_origin_out_of_range_is_rejected(search, index):
     with pytest.raises(ValueError, match=f"^trail origin y{index} must be "
                                          "an uncovered Y vertex$"):
         search(factor, index)
+
+
+# F = y0x1 y0x2 y1x0 y2x0 on k34: a 2-path y1 x0 y2, and x1, x2 at
+# F-degree 1, so F is no pseudo path factor
+_SHORT_F = (fixture("k34"), (1, 2, 3, 6), 3)
+
+
+@pytest.mark.parametrize("instance, policy, message", [
+    ((fixture("k34"), (), 0), "lex",
+     "no interior Y vertex reachable at x0 on a component of length 0"),
+    (_SHORT_F, "lex", "no unused factor edge at 2-path middle x1; trail so "
+                     "far: y3 x0 y1 x1 y0 x0 y2 x1"),
+    (_SHORT_F, "random:3",
+     "trail revisited y0; trail so far: y3 x2 y0 x0 y1 x1"),
+    ((Bigraph(2, 1, [(1, 0)]), (), 0), "lex",
+     "no non-factor edge available at trail tip y0"),
+])
+def test_find_trail_reports_a_stuck_search_as_a_defect(instance, policy,
+                                                        message):
+    # success is guaranteed only on a pseudo path factor of a
+    # (3,4)-biregular graph; on any other F each way to get stuck raises
+    g, eids, y0 = instance
+    factor = PseudoPathFactor(g)
+    for eid in eids:
+        factor.add_edge(eid)
+    with pytest.raises(AlgorithmDefectError, match=f"^{re.escape(message)}$"):
+        find_trail(factor, y0, make_policy(policy))
 
 
 def test_solve_reports_a_rejected_trail_as_a_defect(monkeypatch):
@@ -331,7 +358,7 @@ def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
         calls.append(1)
         if len(calls) == rounds:
             on_trail = set(trail._vertex_ids())
-            eid = next(eid for eid, (y, x) in enumerate(g.edges)
+            eid = next(eid for eid, (y, x) in enumerate(edge_pairs(g))
                        if factor._member[eid] and factor.deg[y] == 2
                        and not {y, g.y_count + x} & on_trail)
             flip_behind_index(factor, eid)

@@ -13,7 +13,7 @@ from pathfactor import (AlgorithmDefectError, Bigraph, GenConfig,
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
                                 step_i, step_zero)
 from pathfactor.policy import LexicographicPolicy
-from conftest import edge_id, flip_behind_index, ypath
+from conftest import edge_id, edge_pairs, flip_behind_index, ypath
 
 K34_TRACE = [
     "step 0 case 0 y0 F:[y0x2 y0x0] U:[y0x1]",
@@ -105,7 +105,8 @@ def test_case_3b_avoids_the_cycle():
     # factor must extend through x2 even though x1 sorts first
     assert lines == ["step 2 case 3b y1 F:[y1x0 y1x2] U:[y1x1]"]
     assert state.current == g.y_count + 1  # x1
-    f_pairs = {g.edges[eid] for eid in state.factor.edge_ids()}
+    pairs = edge_pairs(g)
+    f_pairs = {pairs[eid] for eid in state.factor.edge_ids()}
     assert (1, 2) in f_pairs and (1, 1) not in f_pairs
 
 
@@ -187,6 +188,11 @@ def _clear_scanned(g, state):
     state.scanned[2] = False
 
 
+def _share_index_entry(g, state):
+    # the isolated y1 gets y0's path as its index entry
+    state.factor._path_of[1] = state.factor._path_of[0]
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_add_f_at_unscanned_y, "unscanned y3 has F-degree 1"),
     (_add_f_at_scanned_y, "shrank"),
@@ -196,6 +202,8 @@ def _clear_scanned(g, state):
     (_reject_every_edge_at_x, "x0 has F-degree 1 yet 3 rejected edges"),
     (_desync_pending_x, "pending_x"),
     (_clear_scanned, "unscanned y2 has F-degree 1"),
+    (_share_index_entry,
+     r"^path index at y1 holds \[x1 y0 x0\] but F has \[y1\]\n"),
 ])
 def test_audit_catches_a_corrupted_state(corrupt, match):
     g, state = _forced_3b_state()

@@ -10,11 +10,11 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
                         GenConfig, PathFactor,
                         PseudoPathFactor, brute_force_trails,
                         build_pseudo_factor, find_trail, fixture, generate,
-                        make_policy, rewire, validate_pseudo_factor)
+                        make_policy, rewire, solve, validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 from pathfactor.verify import audit_ids, walk_component
-from conftest import (component_length, edge_id, k2_stub_pairing, trail_of,
-                      ypath)
+from conftest import (component_length, edge_id, edge_pairs, k2_stub_pairing,
+                      trail_of, ypath)
 
 _K34 = fixture("k34")  # complete: every (y, x) pair is an edge; |Y| = 4
 
@@ -346,10 +346,19 @@ def test_add_edge_copies_the_shorter_path():
     assert index.writes == 2 * (m - 1)
 
 
+def test_trails_and_factors_are_hashable(k2_pseudo):
+    # they hash through their graph, so an equal twin lands on one entry
+    g, _ = k2_pseudo
+    twin = Bigraph(g.y_count, g.x_count, edge_pairs(g))
+    assert len({trail_of(g, (0, 0, 2)), trail_of(twin, (0, 0, 2))}) == 1
+    result = solve(g)
+    assert len({result, PathFactor(twin, result.ids)}) == 1
+
+
 def test_rewire_rejects_a_trail_on_another_graph(k2_pseudo):
     # an equal graph is not enough: edge ids are only read in F's own
     g, factor = k2_pseudo
-    twin = Bigraph(g.y_count, g.x_count, g.edges)
+    twin = Bigraph(g.y_count, g.x_count, edge_pairs(g))
     assert twin == g
     _assert_rejected(factor, (0, 0, 2), "on another graph", twin)
     rewire(factor, trail_of(g, (0, 0, 2)))  # the same trail on g
@@ -383,7 +392,7 @@ def test_rewire_accepts_every_oracle_trail_on_multigraphs():
         f_eids = _random_pseudo_factor_eids(g, rng)
         if g.simple or f_eids is None:
             continue
-        ends = g.edges  # derived on each read, so read once
+        ends = edge_pairs(g)
         multiplicity = Counter(ends)
         for y0 in _pseudo_factor(g, f_eids).uncovered_ys():
             for trail in brute_force_trails(_pseudo_factor(g, f_eids), y0):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pathfactor import (Bigraph, GenConfig, GenerationError, check_biregular,
                         fixture, generate, serialize_graph)
+from conftest import edge_pairs
 
 generate_module = importlib.import_module("pathfactor.generate")
 
@@ -58,7 +59,7 @@ def test_fixtures():
     cx = fixture("counterexample")
     assert not cx.simple
     assert check_biregular(cx) == 1
-    assert cx.edges.count((1, 0)) == 3
+    assert edge_pairs(cx).count((1, 0)) == 3
     with pytest.raises(ValueError, match="unknown fixture"):
         fixture("nope")
 

@@ -44,13 +44,12 @@ def _instances():
 
 
 @pytest.mark.parametrize("name, public", [
-    ("Bigraph", {"edge_count", "edges", "name", "simple", "x_count",
-                 "y_count"}),
+    ("Bigraph", {"edge_count", "name", "simple", "x_count", "y_count"}),
     ("ValidationReport", {"render", "valid", "violations"}),
     ("PseudoPathFactor", {"add_edge", "deg", "edge_count", "edge_ids", "graph",
                           "ids", "max_path_length", "path_count",
                           "remove_edge", "uncovered_ys"}),
-    ("AugmentingTrail", {"edge_count", "edges", "graph"}),
+    ("AugmentingTrail", {"edges", "graph"}),
     ("GenConfig", {"k", "seed"}),
     ("PathFactor", {"from_pseudo", "graph", "ids", "lengths"}),
 ])
