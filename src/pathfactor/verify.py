@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotBiregularError, OracleSizeError
@@ -201,8 +200,9 @@ def validate_path_factor(
     "endpoint-degree" (both ends of each path in Y), "odd-length",
     "disjoint" (no vertex on two paths), "spanning" (every vertex on some
     path), "path-count" (exactly k paths).  Both forms, a PathFactor and
-    lines of canonical vertex names, are checked on vertex ids; a
-    PathFactor's ids are named only for a violation.
+    lines of canonical vertex names, are checked on vertex ids, each step
+    against the X ends of g._inc at its Y end; a PathFactor's ids are
+    named only for a violation.
     """
     violations: list[Violation] = []
     k: Optional[int] = None
@@ -210,7 +210,7 @@ def validate_path_factor(
         k = check_biregular(g)
     except NotBiregularError as exc:
         violations.append(Violation("graph-shape", (), str(exc)))
-    ny, nx, n = g.y_count, g.x_count, g.y_count + g.x_count
+    ny, n, inc, ex = g.y_count, g.y_count + g.x_count, g._inc, g._ex
     if isinstance(factor, PathFactor):
         lines, name = factor.ids, g.name
     else:  # a name not of g, such as y25 when |Y| = 20, gets an id >= n
@@ -222,18 +222,18 @@ def validate_path_factor(
     def line(idx: int, p: Sequence[int]) -> str:  # for a violation only
         return f"line {idx + 1} [{' '.join(map(name, p))}]"
 
-    # A step is an edge iff its ids' weights sum to a code of g: an X id
-    # weighs itself and y_i (|Y| + 2 + i) * |X| + |Y|, so two Y ids sum
-    # above every code and two X ids below it; ids outside g go first.
-    weight = [*range((ny + 2) * nx + ny, (2 * ny + 2) * nx + ny, nx),
-              *range(ny, n)]
-    codes = {weight[y] + x for y, x in zip(g._ey, g._ex)}
     owner = [-1] * n  # vertex -> the first path line on it
     for idx, p in enumerate(lines):
         ok = len(set(p)) == len(p) > 1 and 0 <= min(p) and max(p) < n
-        if ok:
-            wts = itemgetter(*p)(weight)
-            ok = codes.issuperset(map(add, wts, wts[1:]))
+        for a, b in zip(p, p[1:]) if ok else ():
+            if a > b:  # ids sort Y first, so a step's Y end is the lesser
+                a, b = b, a
+            for eid in inc[a]:  # two X ids or two Y ids meet no X end b
+                if ex[eid] == b:
+                    break
+            else:
+                ok = False
+                break
         if not ok:
             violations.append(Violation(
                 "not-a-path", tuple(map(name, p)),

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
                         GenConfig, NotSimpleError, PathFactor,
-                        PseudoPathFactor, RandomPolicy, brute_force_trails,
+                        PseudoPathFactor, RandomPolicy, ValidationReport,
+                        Violation, brute_force_trails,
                         build_pseudo_factor, find_trail, fixture,
                         format_factor, generate, make_policy, parse_graph,
                         rewire, serialize_graph, solve, validate_path_factor)
@@ -370,6 +371,22 @@ def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
                        match="rejected the augmented factor") as err:
         solve(g, checked=True)
     assert "FAIL x-degree" in str(err.value)
+
+
+def test_checked_solve_reports_a_rejected_factor_as_a_defect(monkeypatch):
+    # every earlier check passes; only the validator's verdict on the
+    # solved factor, read lazily from pathfactor.verify, can stop it
+    def rejecting(g, factor):
+        return ValidationReport((Violation("spanning", ("y0",),
+                                           "uncovered: y0"),))
+
+    monkeypatch.setattr("pathfactor.verify.validate_path_factor", rejecting)
+    g = generate(GenConfig(k=3, seed=0))
+    assert solve(g).ids
+    with pytest.raises(AlgorithmDefectError,
+                       match="^validator rejected the solved factor:\n"
+                             "FAIL spanning uncovered: y0\n$"):
+        solve(g, checked=True)
 
 
 @pytest.mark.parametrize("spec", ["lex", "random:3"])

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from pathfactor import (AlgorithmDefectError, Bigraph, GenConfig,
                         NotBiregularError, NotSimpleError, PathFactor,
-                        RandomPolicy, build_pseudo_factor, fixture, format_factor, generate,
+                        RandomPolicy, ValidationReport, Violation,
+                        build_pseudo_factor, fixture, format_factor, generate,
                         parse_factor, solve, validate_path_factor,
                         validate_pseudo_factor)
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
@@ -293,6 +294,22 @@ def test_checked_scan_catches_a_corrupted_state(corrupt, defect, dump):
         while state.current is not None:
             step_i(state, policy, checked=True)
     assert str(info.value) == f"{defect}\n  {dump}"
+
+
+def test_checked_build_reports_a_rejected_factor_as_a_defect(monkeypatch):
+    # the scan's own guards pass here; only the validator's verdict on the
+    # built F, read lazily from pathfactor.verify, can stop it
+    def rejecting(g, eids):
+        return ValidationReport((Violation("x-degree", ("x0",),
+                                           "deg(x0) = 1, want 2"),))
+
+    monkeypatch.setattr("pathfactor.verify.validate_pseudo_factor", rejecting)
+    g = fixture("k34")
+    assert build_pseudo_factor(g).edge_count == 2 * g.x_count
+    with pytest.raises(AlgorithmDefectError,
+                       match="^validator rejected the built factor:\n"
+                             "FAIL x-degree deg\\(x0\\) = 1, want 2\n"):
+        build_pseudo_factor(g, checked=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import pathfactor
-from pathfactor import GenConfig, fixture, generate, serialize_graph
+from pathfactor import (GenConfig, PathFactor, fixture, generate,
+                        serialize_graph)
 from pathfactor.cli import main
 
 K34 = serialize_graph(fixture("k34"))
@@ -199,6 +200,23 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "defect: RuntimeError('boom\\nsecond line')\n"
     assert "Traceback" not in err
+
+
+def test_solve_refuses_an_invalid_factor_from_solve(tmp_path, capsys,
+                                                    monkeypatch):
+    # the CLI re-validates what solve returns before writing it; a factor
+    # one path short is a defect of this package, not of the input
+    def short_solve(g, *args, **kwargs):
+        factor = pathfactor.solve(g)
+        return PathFactor(g, factor.ids[:-1])
+
+    monkeypatch.setattr("pathfactor.cli.solve", short_solve)
+    path = tmp_path / "g.bbg"
+    path.write_text(serialize_graph(generate(GenConfig(k=2, seed=0))))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("defect: solve produced an invalid factor:\n")
+    assert "FAIL path-count 1 paths, want k = 2\n" in err
 
 
 def test_verify_rejects_corrupt_factor(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -172,16 +173,15 @@ _K5_SPANNED = ("y0 y1 y2 y5 y6 y7 y8 y10 y11 y12 y13 y14 y15 y16 y17 y19 "
          "the graph", "y3 x0 y4 y25 y10"),
         ("spanning uncovered: y3 y4 y10 x0 x5", "y3 y4 y10 x0 x5")],
         id="y25-aliasing-x5"),
-    # a Y name in an X slot: under codes y * |X| + x, y5 there has
-    # x = 5 - |Y| = -15, so its steps would read as the edges y3 x0 and y9 x0
+    # a Y id in an X slot: y4 y5 and y5 y10 join two Y ids, so no X end
+    # in inc[y4] or inc[y5] matches, though x5 is adjacent to y4 and y10
     pytest.param("k5", _k5_with(1, "y3 x0 y4 y5 y10"), [
         ("not-a-path line 2 [y3 x0 y4 y5 y10] is not a simple path in the "
          "graph", "y3 x0 y4 y5 y10"),
         ("spanning uncovered: y3 y4 y10 x0 x5", "y3 y4 y10 x0 x5")],
         id="y-name-in-an-x-slot"),
-    # an X name in a Y slot next to a Y name in an X slot: x0 there has
-    # y = |Y| = 20 and y0 has x = -20, so the steps would read as the
-    # edges y5 x10 and y18 x10
+    # an X id in a Y slot next to a Y id in an X slot: y7 y0 joins two Y
+    # ids, and y0 x0, looked up from its Y end y0, is no edge of g either
     pytest.param("k5", _k5_with(3, "y7 y0 x0"), [
         ("not-a-path line 4 [y7 y0 x0] is not a simple path in the graph",
          "y7 y0 x0"),
@@ -254,6 +254,23 @@ def test_path_validator_pins_every_rule(graph, lines, expected):
     if all(v in ids for p in paths for v in p):  # the fault fits ids
         factor = PathFactor(g, tuple(tuple(map(ids.get, p)) for p in paths))
         assert validate_path_factor(g, factor) == report
+
+
+def test_path_validator_holds_no_copy_of_the_graph():
+    # each step is looked up in g's own incidence lists; a per-edge set or
+    # list built for the check would trace over 100 bytes an edge
+    g = generate(GenConfig(k=1000, seed=0))
+    factor = solve(g)
+    for form, bound in ((factor, 40),
+                        (parse_factor(format_factor(factor)), 120)):
+        tracemalloc.start()
+        try:
+            report = validate_path_factor(g, form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.valid
+        assert peak / g.edge_count < bound
 
 
 @pytest.mark.parametrize("line, names", [
