@@ -138,7 +138,7 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
         raise _defect(f"unscanned y{y_idx} had F-degree "
                       f"{f.deg[y_idx] - f_added}", state)
     xs = [g._ex[eid] for eid in g._inc[y_idx]]
-    if state.current is not None:
+    if state.current is not None and state.current not in xs:
         xs.append(state.current)
     problem = audit_ids(f, [y_idx, *xs])
     if problem:
@@ -154,7 +154,7 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
 
 def _check_rejected(state: FactorState, x: int) -> None:
     d = state.factor.deg[x]
-    if d <= 1:  # a plain loop: before 3.12 a generator is a call a term
+    if d <= 1:  # a plain loop: a generator resumes once per term
         g, scanned, rejected = state.graph, state.scanned, -d
         for eid in g._inc[x]:
             rejected += scanned[g._ey[eid]]

@@ -2,8 +2,9 @@
 
 The validators re-derive every structural claim from the raw edge ids or
 path list; they share no bookkeeping with the solver.  The checked-mode
-audit walks F's edge set the same way and holds the solver's path index
-against that walk.  The factor oracle enumerates all ways to keep
+audit confirms each path index entry it meets in one pass over F's edge
+set at the entry's vertices, and walks F afresh, the same way, only to
+name a fault.  The factor oracle enumerates all ways to keep
 exactly 2 of the 4 edges at every X vertex (6 per vertex, 6^(3k) total)
 on one PseudoPathFactor, pruning a choice as soon as add_edge refuses
 it, so it can certify both the existence and the non-existence of a
@@ -102,22 +103,54 @@ def _names(g: Bigraph, ids: Iterable[int]) -> str:
 
 
 def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
-    """Walk F afresh, once per component, through the given vertex ids.
+    """Check F's component through each of the given vertex ids, once per
+    component, against the path index.
 
-    Each component met must be a path, and every vertex on it must map to
-    one path index entry holding that path in either orientation (none
-    for an isolated vertex).  Returns the first fault found, or None: a
-    branch, then a cycle, then a wrong index entry, each named from F's
-    edges.
+    Each component must be a path, and every vertex on it must map to one
+    path index entry holding that path in either orientation (none for an
+    isolated vertex).  One pass over the entry confirms this from F's
+    membership bytes alone; only when it does not is F walked afresh, to
+    name the first fault: a branch, then a cycle, then a wrong index
+    entry, each named from F's edges.  Returns that fault, or None.
     """
     g, index, member = factor.graph, factor._path_of, factor._member
-    inc, seen = g._inc, set()
+    inc, ey, ex, ny, seen = g._inc, g._ey, g._ex, g.y_count, set()
     for v in ids:
         if v in seen:
             continue
+        held = index[v]
+        if held is None:
+            for eid in inc[v]:
+                if member[eid]:
+                    break
+            else:
+                continue  # isolated in F and in the index
+        elif v in held:
+            # Each vertex's F edges must go only to its neighbours on held,
+            # as many edges as it has neighbours there.  Then, from an end
+            # on, each neighbour pair shares exactly one F edge and no
+            # vertex recurs, so held is F's component through v, in order.
+            a, u = -1, held[0]  # -1: no neighbour on that side
+            try:
+                for b in (*held, -1)[1:]:
+                    if index[u] is not held:
+                        break
+                    far = ex if u < ny else ey
+                    d = 0  # a stray F edge counts 3, past any wanted count
+                    for eid in inc[u]:
+                        if member[eid]:
+                            w = far[eid]
+                            d += 1 if w == a or w == b else 3
+                    if d != (a >= 0) + (b >= 0):
+                        break
+                    a, u = u, b
+                else:
+                    seen.update(held)
+                    continue
+            except IndexError:  # held has an id past the graph's: walk
+                pass
         comp, edges = walk_component(g, member, v)
         seen.update(comp)
-        held = index[v]
         want = list(held or (v,))
         if edges >= len(comp) or want != comp and want[::-1] != comp:
             # The walk of a branch lists two neighbours of one vertex side
