@@ -5,7 +5,8 @@ permutation yields a biregular multigraph; duplicate pairs are then
 removed by double edge swaps that preserve both degree sequences.  If a
 pairing cannot be repaired within the swap budget, the whole attempt is
 retried under a seed derived from (seed, attempt), so results stay a pure
-function of (k, seed).
+function of (k, seed).  Each edge is held as the int code of graph.py,
+y * |X| + x, from the pairing to the finished Bigraph.
 
 All randomness comes from numpy's PCG64 via SeedSequence, which is
 stable across platforms and versions of this package.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import GenerationError
-from .graph import Bigraph
+from .graph import Bigraph, _build
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,54 +51,57 @@ def generate(config: GenConfig) -> Bigraph:
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, attempt)))
-        edges = _pair_stubs(config.k, rng)
-        repaired = _repair_duplicates(edges, rng)
+        codes = _pair_stubs(config.k, rng)
+        repaired = _repair_duplicates(codes, 3 * config.k, rng)
         if repaired is not None:
-            return Bigraph(4 * config.k, 3 * config.k, repaired)
+            return _build(Bigraph.__new__(Bigraph), 4 * config.k,
+                          3 * config.k, repaired)
     raise GenerationError(
         f"could not produce a simple instance for k={config.k} "
         f"seed={config.seed} within {MAX_ATTEMPTS} attempts")
 
 
-def _pair_stubs(k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    # Y stub t is y_{t//3}, X stub s is x_{s//4}, t meets X stub perm[t].
-    xs = (rng.permutation(12 * k) // 4).tolist()
-    return list(zip([i for i in range(4 * k) for _ in (0, 1, 2)], xs))
+def _pair_stubs(k: int, rng: np.random.Generator) -> list[int]:
+    """The codes y * 3k + x of a random stub pairing, by Y stub: stub t of
+    y_{t//3} meets X stub perm[t] of x_{perm[t]//4}, so y < 4k, x < 3k."""
+    import numpy as np
+    xs = rng.permutation(12 * k) // 4
+    return (np.arange(12 * k) // 3 * (3 * k) + xs).tolist()
 
 
-def _repair_duplicates(edges: list[tuple[int, int]], rng: np.random.Generator
-                       ) -> list[tuple[int, int]] | None:
-    """Remove duplicate pairs by double edge swaps; None if out of budget.
+def _repair_duplicates(codes: list[int], x_count: int,
+                       rng: np.random.Generator) -> list[int] | None:
+    """Remove duplicate codes by double edge swaps; None if out of budget.
 
-    Each round swaps one occurrence of the least duplicated pair with a
+    Each round swaps one occurrence of the least duplicated code with a
     random partner occurrence, provided the swap joins four distinct
     vertices and creates no new duplicate, so the duplicate count strictly
-    falls whenever a swap applies.
+    falls whenever a swap applies.  Codes sort as their (y, x) pairs do.
     """
-    counts = Counter(edges)
-    dupes = {pair for pair, c in counts.items() if c > 1}
+    counts = Counter(codes)
+    dupes = {c for c, n in counts.items() if n > 1}
     for _ in range(MAX_REPAIR_ROUNDS):
         if not dupes:
-            return edges
+            return codes
         target = min(dupes)
-        i = edges.index(target)
-        t = int(rng.integers(len(edges)))
-        yi, xi = edges[i]
-        yt, xt = edges[t]
+        i = codes.index(target)
+        t = int(rng.integers(len(codes)))
+        yi, xi = divmod(target, x_count)
+        yt, xt = divmod(codes[t], x_count)
         if yi == yt or xi == xt:
             continue
-        new_a, new_b = (yi, xt), (yt, xi)
+        new_a, new_b = yi * x_count + xt, yt * x_count + xi
         if counts[new_a] or counts[new_b]:
             continue
-        for old in ((yi, xi), (yt, xt)):
+        for old in (target, codes[t]):
             counts[old] -= 1
             if counts[old] <= 1:
                 dupes.discard(old)
-        # both new pairs were absent and differ, so neither is a duplicate
+        # both new codes were absent and differ, so neither is a duplicate
         counts[new_a] += 1
         counts[new_b] += 1
-        edges[i], edges[t] = new_a, new_b
-    return edges if not dupes else None
+        codes[i], codes[t] = new_a, new_b
+    return codes if not dupes else None
 
 
 def fixture(name: str) -> Bigraph:

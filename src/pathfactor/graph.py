@@ -66,7 +66,7 @@ class Bigraph:
                  edges: Iterable[tuple[int, int]]):
         if y_count < 1 or x_count < 1:
             raise ValueError("vertex counts must be positive")
-        codes, bad = [], []  # an edge as y * |X| + x sorts as (y, x) does
+        codes, bad = [], []
         for y, x in edges:
             if (type(y) is int and type(x) is int
                     and 0 <= y < y_count and 0 <= x < x_count):
@@ -77,21 +77,7 @@ class Bigraph:
             if not (0 <= y < y_count and 0 <= x < x_count):
                 raise ValueError(f"edge (y{y}, x{x}) out of range")
             raise TypeError(f"edge ({y!r}, {x!r}) has a non-int end")
-        codes.sort()
-        self.y_count, self.x_count = y_count, x_count
-        self.simple = not any(map(eq, codes, islice(codes, 1, None)))
-        # Edge ids and ends are ints of one pool, which keeps the solver's
-        # reads in one small block; top, the largest end id, sizes it.
-        top = y_count + max(map(mod, codes, repeat(x_count))) if codes else -1
-        pool = list(range(max(len(codes), top + 1)))
-        self._ey = [pool[c // x_count] for c in codes]
-        self._ex = [pool[y_count + c % x_count] for c in codes]
-        del codes  # freed first, so the incidence lists reuse its memory
-        inc: list[list[int]] = [[] for _ in range(y_count + x_count)]
-        for eid, y, x in zip(pool, self._ey, self._ex):
-            inc[y].append(eid)
-            inc[x].append(eid)
-        self._inc = inc  # by vertex id; tuples would double the build time
+        _build(self, y_count, x_count, codes)
 
     @property
     def edge_count(self) -> int:
@@ -116,6 +102,30 @@ class Bigraph:
         kind = "simple" if self.simple else "multi"
         return (f"Bigraph(|Y|={self.y_count}, |X|={self.x_count}, "
                 f"|E|={self.edge_count}, {kind})")
+
+
+def _build(g: Bigraph, y_count: int, x_count: int,
+           codes: list[int]) -> Bigraph:
+    """Fill g with the edges given as in-range codes y * |X| + x, which
+    sort as (y, x) does, and return it; empties codes once read.  Bigraph
+    checks its pairs first; parse_graph and generate pass their own codes
+    with Bigraph.__new__(Bigraph)."""
+    codes.sort()
+    g.y_count, g.x_count = y_count, x_count
+    g.simple = not any(map(eq, codes, islice(codes, 1, None)))
+    # Edge ids and ends are ints of one pool, which keeps the solver's
+    # reads in one small block; top, the largest end id, sizes it.
+    top = y_count + max(map(mod, codes, repeat(x_count))) if codes else -1
+    pool = list(range(max(len(codes), top + 1)))
+    g._ey = [pool[c // x_count] for c in codes]
+    g._ex = [pool[y_count + c % x_count] for c in codes]
+    codes.clear()  # freed first, so the incidence lists reuse its memory
+    inc: list[list[int]] = [[] for _ in range(y_count + x_count)]
+    for eid, y, x in zip(pool, g._ey, g._ex):
+        inc[y].append(eid)
+        inc[x].append(eid)
+    g._inc = inc  # by vertex id; tuples would double the build time
+    return g
 
 
 def check_biregular(g: Bigraph) -> int:
@@ -198,7 +208,7 @@ def parse_graph(text: str) -> Bigraph:
         raise GraphFormatError(
             f"edge count mismatch: header declares {edge_count}, "
             f"found {len(codes)}")
-    return Bigraph(y_count, x_count, map(divmod, codes, repeat(x_count)))
+    return _build(Bigraph.__new__(Bigraph), y_count, x_count, codes)
 
 
 def serialize_graph(g: Bigraph) -> str:

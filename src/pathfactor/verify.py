@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotBiregularError, OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, _vertex_names, check_biregular
+from .graph import Bigraph, check_biregular
 
 ORACLE_MAX_K = 2
 
@@ -246,11 +246,30 @@ def validate_path_factor(
     ny, n, inc, ex = g.y_count, g.y_count + g.x_count, g._inc, g._ex
     if isinstance(factor, PathFactor):
         lines, name = factor.ids, g.name
-    else:  # a name not of g, such as y25 when |Y| = 20, gets an id >= n
-        id_of = {u: i for i, u in enumerate(_vertex_names(g))}
-        lines = [tuple([id_of.setdefault(u, len(id_of)) for u in p])
-                 for p in factor]
-        name = list(id_of).__getitem__
+    else:
+        # y<i> / x<j> is read straight to its id; a name not of g, such
+        # as y25 when |Y| = 20 or y007, gets an id >= n in first-seen order
+        past: dict[str, int] = {}
+        width = len(str(max(ny, g.x_count)))  # no name of g has more digits
+        lines = []
+        for p in factor:
+            ids = []
+            for u in p:
+                digits = u[1:]
+                if (len(digits) <= width and digits.isdigit()
+                        and digits.isascii()
+                        and (digits[0] != "0" or digits == "0")):
+                    side = u[0]
+                    i = int(digits) + (ny if side == "x" else 0)
+                    if side == "y" and i < ny or side == "x" and i < n:
+                        ids.append(i)
+                        continue
+                ids.append(past.setdefault(u, n + len(past)))
+            lines.append(tuple(ids))
+        names = list(past)
+
+        def name(v: int) -> str:
+            return g.name(v) if v < n else names[v - n]
 
     def line(idx: int, p: Sequence[int]) -> str:  # for a violation only
         return f"line {idx + 1} [{' '.join(map(name, p))}]"

@@ -231,6 +231,22 @@ def _bump_y_counter(g, state):
     state.factor.deg[0] += 1  # y0's counter alone: F keeps its edges
 
 
+def _copy_index_entry_at_a_jump(g, state):
+    # In k34 every X is a neighbour of every Y, so case 1 never jumps past
+    # y_i's neighbours.  The state becomes a k = 3 scan one step before
+    # case 1 jumps to the pending x6, whose index entry then becomes an
+    # equal copy of its path y2 x6; no step reads that entry before x6's
+    # own audit after the jump.
+    other = FactorState.initial(generate(GenConfig(3, 0)))
+    policy = LexicographicPolicy()
+    step_zero(other, policy)
+    while other.step_no < 8:
+        step_i(other, policy)
+    vars(state).update(vars(other))
+    x6 = state.graph.y_count + 6
+    state.factor._path_of[x6] = deque(state.factor._path_of[x6])
+
+
 # (corruption, defect, dump of the state it is caught in): the defect
 # text names the guard that catches it first, and the dump's step when.
 # _copy_index_entry, _requeue_x and _count_an_extra_step are caught first
@@ -238,6 +254,8 @@ def _bump_y_counter(g, state):
 # the full audit's step count, which no other guard would catch;
 # disabling any of the three changes a text.  _bump_y_counter is caught
 # only by the full audit's comparison of the counters with F's edges.
+# _copy_index_entry_at_a_jump is caught by the local audit of the X that
+# case 1 jumps to, and without that audit only a step later.
 SCAN_DEFECTS = [
     (_add_f_at_unscanned_y, "unscanned y3 had F-degree 1",
      "step=4 current=None scanned=[y0 y1 y2 y3] "
@@ -278,6 +296,12 @@ SCAN_DEFECTS = [
     (_bump_y_counter, "y0 has F-degree 2 but its counter reads 3",
      "step=4 current=None scanned=[y0 y1 y2 y3] "
      "F=[y0x0 y0x1 y1x0 y1x2 y2x2 y3x1] U=[y0x2 y1x1 y2x0 y2x1 y3x0 y3x2]"),
+    (_copy_index_entry_at_a_jump,
+     "path index at y2 is not the one at x6 on its path",
+     "step=9 current=x6 scanned=[y0 y1 y2 y3 y4 y5 y6 y7 y8] F=[y0x1 "
+     "y0x8 y1x0 y1x5 y2x6 y3x2 y3x4 y4x2 y4x7 y5x4 y5x8 y6x5 y7x0 y7x3 "
+     "y8x1 y8x3] U=[y0x7 y1x6 y2x2 y2x5 y3x0 y4x3 y5x1 y6x2 y6x4 y7x8 "
+     "y8x4]"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pathfactor import (Bigraph, GenConfig, GenerationError, check_biregular,
                         fixture, generate, serialize_graph)
+from pathfactor.graph import _build
 from conftest import edge_pairs
 
 generate_module = importlib.import_module("pathfactor.generate")
@@ -97,9 +98,10 @@ def _pair_stubs_per_stub(k, rng):
 @given(k=st.integers(1, 50), seed=st.integers(0, 2**64 - 1))
 @example(k=1000, seed=0)  # ids above 256 are not interned by CPython
 def test_pair_stubs_matches_the_per_stub_form(k, seed):
-    pairs = generate_module._pair_stubs(k, np.random.default_rng(seed))
+    codes = generate_module._pair_stubs(k, np.random.default_rng(seed))
+    pairs = [divmod(c, 3 * k) for c in codes]  # codes are y * |X| + x
     assert pairs == _pair_stubs_per_stub(k, np.random.default_rng(seed))
-    # the graph keeps each end as an int of one pool, not the pairs' own
+    # the graph keeps each end as an int of one pool, not the codes' own
     # ints, so it holds one int object per vertex id, not one per stub
-    g = Bigraph(4 * k, 3 * k, pairs)
+    g = _build(Bigraph.__new__(Bigraph), 4 * k, 3 * k, codes)
     assert len({id(v) for v in g._ey + g._ex}) <= 7 * k

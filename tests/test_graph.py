@@ -201,6 +201,47 @@ def test_bigraph_guards_its_own_arguments(args, error, message):
     assert str(info.value) == message
 
 
+@st.composite
+def _counts_and_pairs(draw):
+    # counts past 256, where CPython interns no int, with few edges: the
+    # top vertex id is then often below |Y| + |X|
+    y_count, x_count = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+    pair = st.tuples(st.integers(0, y_count - 1),
+                     st.integers(0, x_count - 1))
+    pairs = draw(st.lists(pair, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=5)
+                   if pairs else st.just([]))
+    return y_count, x_count, draw(st.permutations(pairs + repeats))
+
+
+def _one_int_per_value(g):
+    objects = {}
+    for v in [*g._ey, *g._ex, *(eid for eids in g._inc for eid in eids)]:
+        if objects.setdefault(v, id(v)) != id(v):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_counts_and_pairs())
+@example(case=(4, 3, []))
+@example(case=(300, 300, [(299, 299), (0, 0), (299, 299)]))
+@example(case=(300, 300, [(0, 1), (0, 0)]))
+def test_the_code_build_matches_the_constructor(case):
+    # parse_graph and generate hand their codes y * |X| + x straight to
+    # the build behind Bigraph(...), which checks and encodes pairs first
+    y_count, x_count, pairs = case
+    g = Bigraph(y_count, x_count, pairs)
+    codes = [y * x_count + x for y, x in pairs]
+    h = graph_module._build(Bigraph.__new__(Bigraph), y_count, x_count,
+                            codes)
+    assert (h.y_count, h.x_count) == (y_count, x_count)
+    assert (h._ey, h._ex, h._inc, h.simple) == (g._ey, g._ex, g._inc,
+                                                g.simple)
+    assert h.simple == (len(set(pairs)) == len(pairs))
+    assert _one_int_per_value(g) and _one_int_per_value(h)
+
+
 def test_edge_subgraph_bookkeeping():
     # F's edge set, degrees and edge count move with add_edge and
     # remove_edge; an edge already in F is refused as a cycle

@@ -280,6 +280,21 @@ def test_path_validator_holds_no_copy_of_the_graph():
         assert peak / g.edge_count < bound
 
 
+def test_name_lines_are_read_without_a_name_table():
+    # each y<i> / x<j> is read straight to its id: about 34 B per edge at
+    # k = 1000, where a table of every vertex name of g traced 85 B
+    g = generate(GenConfig(k=1000, seed=0))
+    lines = parse_factor(format_factor(solve(g)))
+    tracemalloc.start()
+    try:
+        report = validate_path_factor(g, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak / g.edge_count < 50
+
+
 @pytest.mark.parametrize("line, names", [
     ((3, 55, 4), "y3 x35 y4"),  # 55 >= |V| = 35
     ((-1, 20, 4), "y-1 x0 y4"),
