@@ -2,13 +2,15 @@
 
 The scan visits Y vertices one at a time ("scanning"), committing all
 three edges of the scanned vertex: some into the growing factor F, the
-rest into a reject set U.  An edge is therefore committed exactly when
-its Y end is scanned, so U is not stored: it is the edges at scanned Y
-vertices that are not in F.  A current X vertex threads the scan.  It
-always has F-degree <= 1 and at most 2 rejected edges, so an edge at it
-leads to an unscanned Y vertex.  The scan ends exactly when every X
-vertex has F-degree 2, at which point F is a pseudo path factor.
-build_pseudo_factor runs the scan as a loop; step_i is one pass of it.
+rest into a reject set U.  Each step puts one or two edges at the vertex
+it scans into F and none elsewhere, so a Y vertex is scanned exactly
+when it has an F edge; neither that set nor U is stored, and U is the
+edges at scanned Y vertices that are not in F.  A current X vertex
+threads the scan.  It always has F-degree <= 1 and at most 2 rejected
+edges, so an edge at it leads to an unscanned Y vertex.  The scan ends
+exactly when every X vertex has F-degree 2, at which point F is a pseudo
+path factor.  build_pseudo_factor runs the scan as a loop; step_i is one
+pass of it.
 """
 
 from __future__ import annotations
@@ -30,20 +32,21 @@ TraceFn = Callable[[str], None]
 class FactorState:
     """Mutable scan state.
 
-    factor holds F: its edge set, F-degrees and path index.  The reject
-    set U is derived, not stored: it is the edges at scanned Y vertices
-    that are not in F.  current is the vertex id of the current X
-    vertex, None before the first step and after the last.  pending_x is
-    the ascending list of the ids of X vertices of F-degree <= 1;
-    F-degrees only grow, so an entry is deleted when its vertex reaches
-    degree 2 and never returns.  Keeping it sorted lets case 1 pick from
-    it by position without rebuilding a pool.  step_i, one pass of the
-    scan loop, advances current and step_no.
+    factor holds F: its edge set, F-degrees and path index.  A Y vertex
+    is scanned exactly when its F-degree is positive, since each step
+    adds F edges at the vertex it scans and nowhere else; the reject set
+    U is the edges at scanned Y vertices that are not in F.  current is
+    the vertex id of the current X vertex, None before the first step
+    and after the last.  pending_x is the ascending list of the ids of X
+    vertices of F-degree <= 1; F-degrees only grow, so an entry is
+    deleted when its vertex reaches degree 2 and never returns.  Keeping
+    it sorted lets case 1 pick from it by position without rebuilding a
+    pool.  step_i, one pass of the scan loop, advances current and
+    step_no.
     """
 
     graph: Bigraph
     factor: PseudoPathFactor
-    scanned: list[bool]
     current: Optional[int]
     step_no: int
     pending_x: list[int]
@@ -51,20 +54,15 @@ class FactorState:
 
     @classmethod
     def initial(cls, g: Bigraph) -> "FactorState":
-        return cls(graph=g, factor=PseudoPathFactor(g),
-                   scanned=[False] * g.y_count, current=None, step_no=0,
-                   pending_x=list(range(g.y_count, len(g._inc))))
-
-    def is_initial(self) -> bool:
-        return (self.step_no == 0 and self.current is None
-                and self.factor.edge_count == 0 and not any(self.scanned))
+        return cls(graph=g, factor=PseudoPathFactor(g), current=None,
+                   step_no=0, pending_x=list(range(g.y_count, len(g._inc))))
 
     def dump(self) -> str:
         g, f = self.graph, self.factor
         f_edges = " ".join(_edge_str(g, e) for e in f.edge_ids())
         u_edges = " ".join(_edge_str(g, e) for e in range(g.edge_count)
-                           if self.scanned[g._ey[e]] and not f._member[e])
-        done = " ".join(f"y{i}" for i, s in enumerate(self.scanned) if s)
+                           if f.deg[g._ey[e]] and not f._member[e])
+        done = " ".join(f"y{i}" for i in range(g.y_count) if f.deg[i])
         current = "None" if self.current is None else g.name(self.current)
         return (f"step={self.step_no} current={current} "
                 f"scanned=[{done}] F=[{f_edges}] U=[{u_edges}]")
@@ -104,7 +102,7 @@ def check_state_invariants(state: FactorState) -> None:
 
     Raises AlgorithmDefectError on the first breach.
     """
-    g, f, scanned = state.graph, state.factor, state.scanned
+    g, f = state.graph, state.factor
     problem = audit_ids(f, range(len(f.deg)))
     if problem:
         raise _defect(problem, state)
@@ -116,16 +114,14 @@ def check_state_invariants(state: FactorState) -> None:
         v = next(v for v, (h, d) in enumerate(zip(f.deg, deg)) if h != d)
         raise _defect(f"{g.name(v)} has F-degree {deg[v]} but its counter "
                       f"reads {f.deg[v]}", state)
-    for i in range(g.y_count):
-        if not scanned[i] and f.deg[i]:
-            raise _defect(f"unscanned y{i} has F-degree {f.deg[i]}", state)
     for x in xs:
         _check_rejected(state, x)
     if state.pending_x != [x for x in xs if f.deg[x] <= 1]:
         raise _defect("pending_x list out of sync with F-degrees", state)
-    if sum(scanned) != state.step_no:
-        raise _defect(f"{sum(scanned)} Y vertices scanned in "
-                      f"{state.step_no} steps", state)
+    scanned = g.y_count - f.deg[:g.y_count].count(0)
+    if scanned != state.step_no:
+        raise _defect(f"{scanned} Y vertices scanned in {state.step_no} "
+                      f"steps", state)
     _check_growth(state)
 
 
@@ -155,9 +151,9 @@ def _check_step(state: FactorState, y_idx: int, f_added: int) -> None:
 def _check_rejected(state: FactorState, x: int) -> None:
     d = state.factor.deg[x]
     if d <= 1:  # a plain loop: a generator resumes once per term
-        g, scanned, rejected = state.graph, state.scanned, -d
+        g, deg, rejected = state.graph, state.factor.deg, -d
         for eid in g._inc[x]:
-            rejected += scanned[g._ey[eid]]
+            rejected += deg[g._ey[eid]] > 0  # at a scanned Y
         if rejected > 2:
             raise _defect(f"{g.name(x)} has F-degree {d} yet "
                           f"{rejected} rejected edges", state)
@@ -181,7 +177,7 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
     With the policy's neighbor order (a, b, c): edges to c and a enter F,
     the edge to b enters U, and b becomes the current vertex.
     """
-    if not state.is_initial():
+    if state.step_no or state.current is not None or state.factor.edge_count:
         raise _defect("step_zero requires a fresh state", state)
     g = state.graph
     y0 = policy.pick(range(g.y_count))
@@ -189,7 +185,6 @@ def step_zero(state: FactorState, policy: TieBreakPolicy,
     first, middle, last = policy.order(eid_of)
     _grow_f(state, eid_of[last])
     _grow_f(state, eid_of[first])
-    state.scanned[y0] = True
     state.current = middle
     state.step_no = 1
     if trace:
@@ -216,7 +211,7 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
       3b: both 1           extend F toward whichever end keeps F acyclic,
                            reject the other, which becomes current.
     """
-    g, x, scanned = state.graph, state.current, state.scanned
+    g, x = state.graph, state.current
     ey, ex, inc, deg = g._ey, g._ex, g._inc, state.factor.deg
     if x is None:
         raise _defect("current vertex None is not an X vertex", state)
@@ -225,7 +220,7 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
                       state)
     free = {}  # plain loops: before 3.12 a comprehension is a call
     for eid in inc[x]:
-        if not scanned[ey[eid]]:
+        if not deg[ey[eid]]:  # an unscanned Y
             free[ey[eid]] = eid
     if not free:
         raise _defect(f"no uncommitted edge at {g.name(x)}; the scan "
@@ -267,7 +262,6 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
         state.current = (pending[policy.pick_index(len(pending))]
                          if pending else None)
 
-    scanned[y_idx] = True
     state.step_no += 1
     if trace:
         f_new = [chosen_eid, rest[w1]][:f_added]

@@ -162,46 +162,49 @@ def parse_graph(text: str) -> Bigraph:
     edge_count: Optional[int] = None  # from the header
     codes: list[int] = []  # each edge as y * |X| + x: one int, no tuple
     y_count = x_count = 0  # no edge is in range before the header
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        hit = _EDGE_LINE.fullmatch(raw)
-        if hit:
-            y, x = int(hit[1]), int(hit[2])
-            if y < y_count and x < x_count:
-                codes.append(y * x_count + x)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            hit = _EDGE_LINE.fullmatch(raw)
+            if hit:
+                y, x = int(hit[1]), int(hit[2])
+                if y < y_count and x < x_count:
+                    codes.append(y * x_count + x)
+                    continue
+            line = raw.strip()
+            if not line or line == "c" or line.startswith("c "):
                 continue
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if edge_count is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
-            if (len(fields) != 5 or fields[1] != "bbg"
-                    or not all(map(_is_count, fields[2:]))):
+            fields = line.split()
+            if fields[0] == "p":
+                if edge_count is not None:
+                    raise GraphFormatError(f"line {lineno}: duplicate header")
+                if (len(fields) != 5 or fields[1] != "bbg"
+                        or not all(map(_is_count, fields[2:]))):
+                    raise GraphFormatError(
+                        f"line {lineno}: malformed header {line!r}")
+                y_count, x_count, edge_count = map(int, fields[2:])
+                if y_count < 1 or x_count < 1:
+                    raise GraphFormatError(
+                        f"line {lineno}: header counts out of range")
+            elif fields[0] == "e":
+                if edge_count is None:
+                    raise GraphFormatError(
+                        f"line {lineno}: edge before 'p bbg' header")
+                if len(fields) != 3:
+                    raise GraphFormatError(
+                        f"line {lineno}: malformed edge line {line!r}")
+                (a, y), (b, x) = (_read_vertex(t, lineno) for t in fields[1:])
+                if a != "y" or b != "x":
+                    raise GraphFormatError(
+                        f"line {lineno}: edge must name a y then an x vertex")
+                if not (y < y_count and x < x_count):
+                    raise GraphFormatError(
+                        f"line {lineno}: endpoint out of range in {line!r}")
+                codes.append(y * x_count + x)
+            else:
                 raise GraphFormatError(
-                    f"line {lineno}: malformed header {line!r}")
-            y_count, x_count, edge_count = map(int, fields[2:])
-            if y_count < 1 or x_count < 1:
-                raise GraphFormatError(
-                    f"line {lineno}: header counts out of range")
-        elif fields[0] == "e":
-            if edge_count is None:
-                raise GraphFormatError(
-                    f"line {lineno}: edge before 'p bbg' header")
-            if len(fields) != 3:
-                raise GraphFormatError(
-                    f"line {lineno}: malformed edge line {line!r}")
-            (a, y), (b, x) = (_read_vertex(t, lineno) for t in fields[1:])
-            if a != "y" or b != "x":
-                raise GraphFormatError(
-                    f"line {lineno}: edge must name a y then an x vertex")
-            if not (y < y_count and x < x_count):
-                raise GraphFormatError(
-                    f"line {lineno}: endpoint out of range in {line!r}")
-            codes.append(y * x_count + x)
-        else:
-            raise GraphFormatError(
-                f"line {lineno}: unrecognized line {line!r}")
+                    f"line {lineno}: unrecognized line {line!r}")
+    except ValueError:  # int() refuses more digits than its set limit
+        raise GraphFormatError(f"line {lineno}: number too long") from None
     if edge_count is None:
         raise GraphFormatError("missing 'p bbg' header")
     if len(codes) != edge_count:
@@ -226,12 +229,15 @@ def parse_factor(text: str) -> list[tuple[str, ...]]:
     canonical, so y007 reads as y7.  Content is not validated here; feed
     the result to validate_path_factor."""
     paths: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        paths.append(tuple([f"{side}{i}" for side, i in
-                            (_read_vertex(t, lineno) for t in line.split())]))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line == "c" or line.startswith("c "):
+                continue
+            paths.append(tuple([f"{side}{i}" for side, i in (
+                _read_vertex(t, lineno) for t in line.split())]))
+    except ValueError:  # int() refuses more digits than its set limit
+        raise GraphFormatError(f"line {lineno}: number too long") from None
     return paths
 
 

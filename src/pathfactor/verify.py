@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotBiregularError, OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, check_biregular
+from .graph import Bigraph, _is_count, check_biregular
 
 ORACLE_MAX_K = 2
 
@@ -256,8 +256,7 @@ def validate_path_factor(
             ids = []
             for u in p:
                 digits = u[1:]
-                if (len(digits) <= width and digits.isdigit()
-                        and digits.isascii()
+                if (len(digits) <= width and _is_count(digits)
                         and (digits[0] != "0" or digits == "0")):
                     side = u[0]
                     i = int(digits) + (ny if side == "x" else 0)

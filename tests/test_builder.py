@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from pathfactor import (AlgorithmDefectError, Bigraph, GenConfig,
                         NotBiregularError, NotSimpleError, PathFactor,
-                        RandomPolicy, ValidationReport, Violation,
-                        build_pseudo_factor, fixture, format_factor, generate,
-                        parse_factor, solve, validate_path_factor,
-                        validate_pseudo_factor)
+                        PseudoPathFactor, RandomPolicy, ValidationReport,
+                        Violation, build_pseudo_factor, fixture,
+                        format_factor, generate, parse_factor, solve,
+                        validate_path_factor, validate_pseudo_factor)
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
                                 step_i, step_zero)
 from pathfactor.policy import LexicographicPolicy
@@ -60,7 +60,6 @@ def _forced_3b_state():
     state = FactorState.initial(g)
     for y, x in [(0, 0), (0, 1), (2, 2)]:
         _grow_f(state, edge_id(g, y, x))
-    state.scanned[0] = state.scanned[2] = True
     state.current = g.y_count  # x0
     state.step_no = 2
     check_state_invariants(state)
@@ -88,7 +87,8 @@ def _fill_current(g, state):
      "scanned=[y0 y2] F=[y0x0 y0x1 y2x2] U=[y0x2 y2x0 y2x1]"),
     (_fill_current,
      "current vertex x0 already has F-degree 2\n  step=2 current=x0 "
-     "scanned=[y0 y2] F=[y0x0 y0x1 y1x0 y2x2] U=[y0x2 y2x0 y2x1]"),
+     "scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y2x2] "
+     "U=[y0x2 y1x1 y1x2 y2x0 y2x1]"),
 ])
 def test_step_i_guards_its_current_vertex(corrupt, message):
     g, state = _forced_3b_state()
@@ -150,12 +150,13 @@ def test_grow_f_reports_a_stale_index_entry_as_a_defect():
     assert str(info.value) == (
         "F stopped being a family of paths: the path index holds a path "
         "of length 8 that F lacks\n  step=5 current=x4 "
-        "scanned=[y0 y4 y5 y7 y8] F=[y0x1 y0x8 y3x0 y3x4 y4x2 y4x7 y5x4 "
-        "y5x8 y7x0 y7x3 y8x1 y8x3] U=[y0x7 y4x3 y5x1 y7x8 y8x4]")
+        "scanned=[y0 y3 y4 y5 y7 y8] F=[y0x1 y0x8 y3x0 y3x4 y4x2 y4x7 "
+        "y5x4 y5x8 y7x0 y7x3 y8x1 y8x3] U=[y0x7 y3x2 y4x3 y5x1 y7x8 "
+        "y8x4]")
 
 
 def _add_f_at_unscanned_y(g, state):
-    _grow_f(state, edge_id(g, 3, 2))  # y3 x2 y2, with y3 unscanned
+    _grow_f(state, edge_id(g, 3, 2))  # y3 x2 y2: an F edge no step made
 
 
 def _add_f_at_scanned_y(g, state):
@@ -176,17 +177,14 @@ def _add_cycle(g, state):
 
 
 def _reject_every_edge_at_x(g, state):
-    # y1 and y3 scanned with no F edge: x0 then has F-degree 1 and its
-    # three other edges all rejected
-    state.scanned[1] = state.scanned[3] = True
+    # y1 and y3 scanned with their F edges away from x0: x0 then has
+    # F-degree 1 and its three other edges all rejected
+    _grow_f(state, edge_id(g, 1, 2))
+    _grow_f(state, edge_id(g, 3, 1))
 
 
 def _desync_pending_x(g, state):
     state.pending_x.remove(g.y_count + 2)
-
-
-def _clear_scanned(g, state):
-    state.scanned[2] = False
 
 
 def _share_index_entry(g, state):
@@ -195,14 +193,13 @@ def _share_index_entry(g, state):
 
 
 @pytest.mark.parametrize("corrupt, match", [
-    (_add_f_at_unscanned_y, "unscanned y3 has F-degree 1"),
+    (_add_f_at_unscanned_y, "3 Y vertices scanned in 2 steps"),
     (_add_f_at_scanned_y, "shrank"),
-    (_drop_f_edge, "shrank"),
+    (_drop_f_edge, "1 Y vertices scanned in 2 steps"),
     (_add_branch, "F has a branch"),
     (_add_cycle, "F has a cycle"),
     (_reject_every_edge_at_x, "x0 has F-degree 1 yet 3 rejected edges"),
     (_desync_pending_x, "pending_x"),
-    (_clear_scanned, "unscanned y2 has F-degree 1"),
     (_share_index_entry,
      r"^path index at y1 holds \[x1 y0 x0\] but F has \[y1\]\n"),
 ])
@@ -249,41 +246,41 @@ def _copy_index_entry_at_a_jump(g, state):
 
 # (corruption, defect, dump of the state it is caught in): the defect
 # text names the guard that catches it first, and the dump's step when.
-# _copy_index_entry, _requeue_x and _count_an_extra_step are caught first
-# by the local audit after a step, by that audit's pending check, and by
-# the full audit's step count, which no other guard would catch;
-# disabling any of the three changes a text.  _bump_y_counter is caught
-# only by the full audit's comparison of the counters with F's edges.
-# _copy_index_entry_at_a_jump is caught by the local audit of the X that
-# case 1 jumps to, and without that audit only a step later.
+# step_i's current-vertex guard catches _add_f_at_scanned_y and
+# _add_cycle, its free-edge guard _reject_every_edge_at_x, and _grow_f's
+# pending guard _desync_pending_x.  The local audit after a step catches
+# _add_f_at_unscanned_y by its reject count at x1, _add_branch and
+# _copy_index_entry by its path check and _requeue_x by its pending
+# check; its path check of the X that case 1 jumps to catches
+# _copy_index_entry_at_a_jump, which without that audit is caught only a
+# step later.  The full audit when the scan ends catches _drop_f_edge (y2
+# loses its only F edge and is scanned again) and _count_an_extra_step
+# by its step count, and _bump_y_counter, which nothing else catches, by
+# its comparison of the counters with F's edges.
 SCAN_DEFECTS = [
-    (_add_f_at_unscanned_y, "unscanned y3 had F-degree 1",
-     "step=4 current=None scanned=[y0 y1 y2 y3] "
-     "F=[y0x0 y0x1 y1x0 y2x2 y3x1 y3x2] U=[y0x2 y1x1 y1x2 y2x0 y2x1 y3x0]"),
+    (_add_f_at_unscanned_y, "x1 has F-degree 1 yet 3 rejected edges",
+     "step=3 current=x1 scanned=[y0 y1 y2 y3] F=[y0x0 y0x1 y1x0 y2x2 y3x2] "
+     "U=[y0x2 y1x1 y1x2 y2x0 y2x1 y3x0 y3x1]"),
     (_add_f_at_scanned_y, "current vertex x0 already has F-degree 2",
      "step=2 current=x0 scanned=[y0 y2] F=[y0x0 y0x1 y2x0 y2x2] "
      "U=[y0x2 y2x1]"),
-    (_drop_f_edge, "x2 has F-degree 1 yet 3 rejected edges",
-     "step=4 current=x2 scanned=[y0 y1 y2 y3] F=[y0x0 y0x1 y1x0 y1x2 y3x1] "
-     "U=[y0x2 y1x1 y2x0 y2x1 y2x2 y3x0 y3x2]"),
+    (_drop_f_edge, "4 Y vertices scanned in 5 steps",
+     "step=5 current=None scanned=[y0 y1 y2 y3] "
+     "F=[y0x0 y0x1 y1x0 y1x2 y2x1 y3x2] U=[y0x2 y1x1 y2x0 y2x2 y3x0 y3x1]"),
     (_add_branch, "F has a branch-vertex at y0",
      "step=3 current=x1 scanned=[y0 y1 y2] F=[y0x0 y0x1 y0x2 y1x0 y2x2] "
      "U=[y1x1 y1x2 y2x0 y2x1]"),
     (_add_cycle, "current vertex x0 already has F-degree 2",
-     "step=2 current=x0 scanned=[y0 y2] F=[y0x0 y0x1 y1x0 y1x1 y2x2] "
-     "U=[y0x2 y2x0 y2x1]"),
+     "step=2 current=x0 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x1 y2x2] "
+     "U=[y0x2 y1x2 y2x0 y2x1]"),
     (_reject_every_edge_at_x,
      "no uncommitted edge at x0; the scan guarantees at least one",
-     "step=2 current=x0 scanned=[y0 y1 y2 y3] F=[y0x0 y0x1 y2x2] "
-     "U=[y0x2 y1x0 y1x1 y1x2 y2x0 y2x1 y3x0 y3x1 y3x2]"),
+     "step=2 current=x0 scanned=[y0 y1 y2 y3] F=[y0x0 y0x1 y1x2 y2x2 y3x1] "
+     "U=[y0x2 y1x0 y1x1 y2x0 y2x1 y3x0 y3x2]"),
     (_desync_pending_x,
      "pending_x list out of sync: x2 reached F-degree 2 but is not pending",
-     "step=2 current=x0 scanned=[y0 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
-     "U=[y0x2 y2x0 y2x1]"),
-    (_clear_scanned,
-     "F stopped being a family of paths: edge y2-x1 would close a cycle",
-     "step=3 current=x1 scanned=[y0 y1] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
-     "U=[y0x2 y1x1]"),
+     "step=2 current=x0 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
+     "U=[y0x2 y1x1 y2x0 y2x1]"),
     (_copy_index_entry, "path index at y0 is not the one at y1 on its path",
      "step=3 current=x1 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
      "U=[y0x2 y1x1 y2x0 y2x1]"),
@@ -318,6 +315,49 @@ def test_checked_scan_catches_a_corrupted_state(corrupt, defect, dump):
         while state.current is not None:
             step_i(state, policy, checked=True)
     assert str(info.value) == f"{defect}\n  {dump}"
+
+
+def test_checked_step_catches_a_y_counter_that_ran_ahead(monkeypatch):
+    # A Y vertex with an F edge is never free, so no corrupted state
+    # reaches the local audit's check of the scanned Y's F-degree; a
+    # counter that counts the scanned Y's first F edge twice does
+    add_edge = PseudoPathFactor.add_edge
+
+    def add_edge_counting_y_twice(factor, eid):
+        y = factor.graph._ey[eid]
+        first = factor.deg[y] == 0
+        add_edge(factor, eid)
+        factor.deg[y] += first
+
+    g, state = _forced_3b_state()
+    monkeypatch.setattr(PseudoPathFactor, "add_edge",
+                        add_edge_counting_y_twice)
+    with pytest.raises(AlgorithmDefectError) as info:
+        step_i(state, LexicographicPolicy(), checked=True)
+    assert str(info.value) == (
+        "unscanned y1 had F-degree 1\n  step=3 current=x1 scanned=[y0 y1 "
+        "y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] U=[y0x2 y1x1 y2x0 y2x1]")
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 40), seed=st.integers(min_value=0),
+       pseed=st.none() | st.integers(0, 10**6))
+def test_the_scanned_ys_are_those_with_an_f_edge(k, seed, pseed):
+    # the scan stores no scanned set: after every step, the Y vertices
+    # with an F edge are exactly those the trace has named, one per step
+    g = generate(GenConfig(k=k, seed=seed))
+    policy = LexicographicPolicy() if pseed is None else RandomPolicy(pseed)
+    lines, named = [], set()
+    state = step_zero(FactorState.initial(g), policy, trace=lines.append)
+    while True:
+        named.add(int(lines[-1].split()[4][1:]))  # step <n> case <c> y<i>
+        deg = state.factor.deg
+        assert {i for i in range(g.y_count) if deg[i]} == named
+        assert len(named) == state.step_no
+        if state.current is None:
+            break
+        step_i(state, policy, trace=lines.append)
+    assert len(lines) == state.step_no
 
 
 def test_checked_build_reports_a_rejected_factor_as_a_defect(monkeypatch):

@@ -172,6 +172,26 @@ def test_solve_non_ascii_digit_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python's int() has no digit limit")
+@pytest.mark.parametrize("argv, graph, factor, lineno", [
+    (("solve", "{graph}"), f"p bbg 4 3 12\ne y{'1' * 5000} x0\n", "", 2),
+    (("solve", "{graph}"), f"p bbg {'9' * 5000} 3 12\n", "", 1),
+    (("verify", "{graph}", "--factor", "{factor}"), K34,
+     f"y0 x0 y1\ny{'1' * 5000}\n", 2),
+], ids=["endpoint", "header", "factor"])
+def test_a_number_past_the_int_digit_limit_exits_1(tmp_path, capsys, argv,
+                                                   graph, factor, lineno):
+    # int() refuses more than sys.get_int_max_str_digits() digits; such a
+    # file is bad input (exit 1), never a defect (exit 3)
+    paths = {"graph": tmp_path / "g.bbg", "factor": tmp_path / "f.factor"}
+    paths["graph"].write_text(graph)
+    paths["factor"].write_text(factor)
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: line {lineno}: number too long\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "{bad}"),
     ("verify", "{bad}", "--factor", "{good}"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,11 @@ def test_parse_comments_and_blanks():
     assert edge_pairs(g) == [(0, 0)]
 
 
+_LONG = "1" * 5000  # past int()'s default limit of 4,300 digits
+_INT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                reason="this Python's int() has no limit")
+
+
 @pytest.mark.parametrize("text,match", [
     ("e y0 x0\n", "before 'p bbg' header"),
     ("p bbg 4 3 12\np bbg 4 3 12\n", "duplicate header"),
@@ -149,6 +155,14 @@ def test_parse_comments_and_blanks():
     ("p bbg 4 3 2\ne y0 x0\n", "edge count mismatch"),
     ("hello\n", "unrecognized line"),
     ("c only a comment\n", "missing 'p bbg' header"),
+    # more digits than int() reads, in the edge line regex, the token
+    # reader and the header
+    *[pytest.param(text, f"^line {n}: number too long$", marks=_INT_LIMIT,
+                   id=f"long-{where}")
+      for where, text, n in [
+          ("edge-line", f"p bbg 4 3 1\ne y{_LONG} x0\n", 2),
+          ("vertex-token", f"p bbg 4 3 1\ne\xa0y0\xa0x{_LONG}\n", 2),
+          ("header", f"c\np bbg 4 {_LONG} 1\n", 2)]],
 ])
 def test_parse_errors(text, match):
     with pytest.raises(GraphFormatError, match=match):
@@ -598,3 +612,24 @@ def test_format_factor_renders_a_path_factor_canonically():
 def test_parse_factor_bad_token():
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_factor("y0 x0 y1\ny0 q7\n")
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(GraphFormatError,
+                           match="^line 3: number too long$"):
+            parse_factor(f"y0 x0 y1\n\ny{_LONG} x0 y1\n")
+
+
+@_INT_LIMIT
+def test_the_parsers_read_the_digit_limit_from_int():
+    # the parsers leave the limit to int(), so moving it moves them
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(GraphFormatError,
+                           match="^line 2: number too long$"):
+            parse_graph(f"p bbg 4 3 1\ne y{'1' * 641} x0\n")
+        sys.set_int_max_str_digits(0)  # no limit
+        with pytest.raises(GraphFormatError,
+                           match="^line 2: endpoint out of range"):
+            parse_graph(f"p bbg 4 3 1\ne y{_LONG} x0\n")
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -133,6 +133,13 @@ def _k34_paths():
     # names no factor file can hold name no vertex of any graph
     (lambda ps: [("z0", "y0")], {"not-a-path", "spanning"}),
     (lambda ps: [("y-1", "y0")], {"not-a-path", "spanning"}),
+    # in place of the end y3, a name that reads as no vertex of g: zero
+    # padded, digits int() reads but that are not ASCII or that it
+    # refuses, another case or side letter, a separator, 5,000 digits, or
+    # one past each side's range
+    *[(lambda ps, u=u: [ps[0][:-1] + (u,)], {"not-a-path", "spanning"})
+      for u in ("y007", "y003", "y\u0663", "y\u00b3", "Y3", "z3", "", "y",
+                "y1_0", "y" + "1" * 5000, "y4", "x3")],
 ])
 def test_path_validator_rule_ids(mutate, expected):
     g = fixture("k34")
