@@ -59,9 +59,7 @@ def find_trail(factor: PseudoPathFactor, y0: int,
         spent[fresh[x]] = None
 
         f_eids = list(filter(member.__getitem__, inc[x]))
-        path = factor._path_of[x]
-        length = 0 if path is None else len(path) - 1
-        if length == 2:
+        if factor._length(x, exact=False) == 2:
             # Crossing a 2-path through its middle.  The same middle can
             # be crossed twice (X vertices may repeat), so one factor edge
             # may be spent already; both spent would mean a third arrival,
@@ -85,7 +83,7 @@ def find_trail(factor: PseudoPathFactor, y0: int,
         if not interior:
             raise AlgorithmDefectError(
                 f"no interior Y vertex reachable at {g.name(x)} on a "
-                f"component of length {length}")
+                f"component of length {factor._length(x)}")
         spent[interior[policy.pick(interior)]] = None
         return AugmentingTrail(g, tuple(spent))
     raise AlgorithmDefectError(
@@ -114,9 +112,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     F changes only through PseudoPathFactor.remove_edge and add_edge, so
     a rewire takes time proportional to the trail length plus the
     shorter piece of each path it splits.  checked=True also holds a
-    fresh walk of F through every trail vertex against the path index.
+    fresh walk of F through every trail vertex against its path ends.
     """
-    g, index, deg = factor.graph, factor._path_of, factor.deg
+    g, deg = factor.graph, factor.deg
     if trail.graph is not g:  # edge ids name edges of one graph only
         raise ValueError(f"{trail} is on another graph than F")
     # vertex ids y0, x1, y1, ...; the edges alternate outside F
@@ -124,7 +122,6 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     ids, ny = trail._vertex_ids(), g.y_count
     drop, adopt = trail.edges[1::2], trail.edges[0::2]
     xs = ids[1::2]
-    lengths = [len(index[x] or (x,)) - 1 for x in xs]  # of x's component
     if deg[ids[0]] != 0:
         raise ValueError(f"trail origin y{ids[0]} is already covered")
     if not all(factor._member[eid] for eid in drop):
@@ -136,13 +133,13 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     ys = ids[0::2]
     if len(set(ys)) != len(ys):
         raise ValueError(f"{trail} repeats a Y vertex")
-    for x, n in zip(xs[:-1], lengths):
-        if n != 2:
+    for x in xs[:-1]:
+        if factor._length(x, exact=False) != 2:
             raise ValueError(f"{trail} crosses {g.name(x)} on a component "
-                             f"of length {n}, want 2")
-    if lengths[-1] < 4:
+                             f"of length {factor._length(x)}, want 2")
+    if factor._length(xs[-1], exact=False) < 4:
         raise ValueError(f"{trail} ends on a component of length "
-                         f"{lengths[-1]}, want >= 4")
+                         f"{factor._length(xs[-1])}, want >= 4")
     if deg[ids[-1]] != 2:
         raise ValueError(f"{trail} ends at y{ids[-1]} of factor degree "
                          f"{deg[ids[-1]]}, want 2")
@@ -157,18 +154,19 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
         raise AlgorithmDefectError(f"rewiring along {trail} broke the "
                                    f"path structure: {exc}") from None
 
-    # Every path that changed holds a trail vertex, and all trail Y
-    # vertices but y0 were covered before, so this checks that exactly
-    # one more vertex, y0, is now covered and every changed path is even.
+    # Only trail vertices changed F-degree, so each end of a changed path
+    # was an end before or is a trail vertex; all trail Y vertices but y0
+    # were covered before, so this checks that exactly one more vertex,
+    # y0, is now covered and no trail vertex ends a path off Y.
+    end = factor._end
     for v in ids:
         if v < ny and deg[v] == 0:
             raise AlgorithmDefectError(
                 f"rewiring along {trail} left y{v} uncovered")
-        path = index[v] or (v,)
-        if not (path[0] < ny and path[-1] < ny):
+        if deg[v] <= 1 and not (v < ny and end[v] < ny):
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
-                f"{' '.join(map(g.name, path))}")
+                f"{' '.join(map(g.name, factor._walk(v)[0]))}")
 
     if factor.max_path_length > old_max:
         raise AlgorithmDefectError(
@@ -217,7 +215,7 @@ def solve(g: Bigraph, policy: Optional[TieBreakPolicy] = None,
         if trace:
             trace(f"augment y{y0} trail_len {len(trail.edges)} "
                   f"max_path {factor.max_path_length}")
-    if checked:  # the result is read off the index; F gets its own check
+    if checked:  # the paths are read from the ends F records; F's own check
         from .verify import validate_pseudo_factor
         report = validate_pseudo_factor(g, factor.edge_ids())
         if not report.valid:

@@ -32,7 +32,7 @@ TraceFn = Callable[[str], None]
 class FactorState:
     """Mutable scan state.
 
-    factor holds F: its edge set, F-degrees and path index.  A Y vertex
+    factor holds F: its edge set, F-degrees and path ends.  A Y vertex
     is scanned exactly when its F-degree is positive, since each step
     adds F edges at the vertex it scans and nowhere else; the reject set
     U is the edges at scanned Y vertices that are not in F.  current is
@@ -77,16 +77,16 @@ def _defect(msg: str, state: FactorState) -> AlgorithmDefectError:
 
 
 def _grow_f(state: FactorState, eid: int) -> None:
-    # Adding to F must keep it a forest of paths; the path index rejects
-    # cycles and interior attachments outright, and an index entry that is
-    # not a live path misses the length histogram.
+    # Adding to F must keep it a forest of paths; add_edge rejects cycles
+    # and interior attachments outright, and a length recorded at a path
+    # end that is not that path's misses the length histogram.
     try:
         state.factor.add_edge(eid)
     except ValueError as exc:
         raise _defect(f"F stopped being a family of paths: {exc}", state)
     except KeyError as exc:
-        raise _defect(f"F stopped being a family of paths: the path index "
-                      f"holds a path of length {exc} that F lacks", state)
+        raise _defect(f"F stopped being a family of paths: a path end "
+                      f"records a path of length {exc} that F lacks", state)
     x = state.graph._ex[eid]
     if state.factor.deg[x] == 2:
         pending = state.pending_x
@@ -250,8 +250,7 @@ def step_i(state: FactorState, policy: TieBreakPolicy,
         # Both candidates sit on F-paths; exactly one may already share a
         # component with x, which y_i joins through the chosen edge, and
         # extending that way would close a cycle.
-        index = state.factor._path_of
-        w1, w2 = (wb, wa) if index[x] is index[wa] else (wa, wb)
+        w1, w2 = (wb, wa) if state.factor._end[wa] == x else (wa, wb)
     f_added = 2 if case[0] == "3" else 1
     for eid in (chosen_eid, rest[w1])[:f_added]:
         _grow_f(state, eid)

@@ -10,148 +10,176 @@ k vertex-disjoint paths on a (3,4)-biregular instance.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 
 from .graph import Bigraph
 
 
 class PseudoPathFactor:
-    """A factor F of a graph with an incrementally maintained path index.
+    """A factor F of a graph that keeps the ends of its paths.
 
     F is kept as its edge set, a membership byte per edge occurrence (so
     parallel edges are independent members), with the F-degree of every
-    vertex in deg; a path index from each vertex to the deque of ids of
-    the path it lies on (None while isolated), both lists by integer
-    vertex id (y_i -> i, x_j -> |Y| + j); and a histogram of path lengths
+    vertex in deg; at each path end, the far end in _end and the path's
+    edge count in _len, both lists by integer vertex id (y_i -> i, x_j ->
+    |Y| + j), where an isolated vertex is its own end at length 0 and an
+    interior vertex's entries are stale; and a histogram of path lengths
     with no zero counts, so its largest key is the longest path.  F
     changes only through add_edge and remove_edge: the scan grows it edge
     by edge, and rewiring removes a trail's factor edges and adds its
-    non-factor ones.  Per-vertex component lookup is O(1); the maximum
-    path length and the edge count are read off the histogram.
+    non-factor ones.  The maximum path length and the edge count are read
+    off the histogram.
     """
 
     def __init__(self, graph: Bigraph):
         self.graph = graph
         self._member = bytearray(graph.edge_count)
         self.deg = [0] * (graph.y_count + graph.x_count)  # by vertex id
-        self._path_of: list[deque[int] | None] = [None] * len(self.deg)
+        self._end = list(range(len(self.deg)))
+        self._len = [0] * len(self.deg)
         self._len_counts: dict[int, int] = {}  # length -> path count
 
-    # -- path index maintenance -------------------------------------------
+    # -- path end maintenance ---------------------------------------------
 
     def add_edge(self, eid: int) -> None:
-        """Add an edge to F, joining the paths that end at its endpoints.
+        """Add an edge to F, joining the paths that end at its endpoints,
+        in O(1).
 
         Raises ValueError, leaving F unchanged, if the id is not in
         range(|E|), or if the edge would close a cycle or attach to a path
-        interior; an edge already in F has both ends on one path, so it is
-        refused as a cycle.  A lone end is attached to the other end's
-        path in O(1); otherwise the shorter path is copied onto the
-        longer, so growing F edge by edge costs O(n log n).
+        interior.  An edge whose ends lie on one path, as those of an edge
+        already in F do, is refused as a cycle; when one end is interior,
+        telling that takes a walk of the path, on this refusal only.
         """
         if not 0 <= eid < len(self._member):
             raise ValueError(
                 f"edge id {eid} is not in range({len(self._member)})")
         g = self.graph
         y, x = g._ey[eid], g._ex[eid]
-        index, counts = self._path_of, self._len_counts
-        a, b = index[y], index[x]
+        deg, end, length, counts = (self.deg, self._end, self._len,
+                                    self._len_counts)
         # no Bigraph.name here: the factor oracle prunes on these refusals
-        if a is b and a is not None:
+        inner = deg[y] > 1 or deg[x] > 1
+        if x in self._walk(y)[0] if inner else end[y] == x:
             raise ValueError(f"edge y{y}-x{x - g.y_count} would close a cycle")
-        if (a is not None and a[0] != y != a[-1]
-                or b is not None and b[0] != x != b[-1]):
+        if inner:
             raise ValueError(
                 f"edge y{y}-x{x - g.y_count} attaches to a path interior")
-        self._member[eid] = 1
-        self.deg[y] += 1
-        self.deg[x] += 1
-        if a is None or b is None:  # a lone end x joins y's path, if any
-            if a is None and b is not None:
-                a, y, x = b, x, y
-            n = 0 if a is None else len(a) - 1
-            if a is None:
-                a = index[y] = deque((y,))
-            elif counts[n] == 1:
-                del counts[n]
-            else:
-                counts[n] -= 1
-            if a[-1] == y:
-                a.append(x)
-            else:
-                a.appendleft(x)
-            index[x] = a
-            counts[n + 1] = counts.get(n + 1, 0) + 1
-            return
-        if len(a) < len(b):
-            a, b, y, x = b, a, x, y  # a: the longer path
-        if b[0] != x:
-            b.reverse()
-        # one histogram update: both paths go, their union comes
-        for n in (len(a) - 1, len(b) - 1):
-            if counts[n] == 1:
-                del counts[n]
-            else:
-                counts[n] -= 1
-        if a[-1] == y:
-            a.extend(b)
-        else:
-            a.extendleft(b)
-        n = len(a) - 1
+        a, b, n = end[y], end[x], length[y] + length[x] + 1
+        for m in (length[y], length[x]):  # both paths go, their union comes
+            if m:
+                if counts[m] == 1:
+                    del counts[m]
+                else:
+                    counts[m] -= 1
         counts[n] = counts.get(n, 0) + 1
-        for v in b:
-            index[v] = a
+        self._member[eid] = 1
+        deg[y] += 1
+        deg[x] += 1
+        end[a], end[b], length[a], length[b] = b, a, n, n
 
     def remove_edge(self, eid: int) -> None:
         """Remove an edge from F, splitting its path in two.
 
         Raises ValueError, leaving F unchanged, if the id is not in
-        range(|E|) or the edge is not in F.  The edge is found by a scan
-        of its path and the shorter piece, the left one on a tie, is moved
-        to a new path; a piece of one vertex leaves the index.
+        range(|E|) or the edge is not in F.  Two walks leave the edge's
+        ends in lockstep, and the first to reach the end of its piece
+        gives both pieces' ends and lengths, so a split takes time
+        proportional to the shorter piece.
         """
         if not 0 <= eid < len(self._member):
             raise ValueError(
                 f"edge id {eid} is not in range({len(self._member)})")
-        if not self._member[eid]:
+        member = self._member
+        if not member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
-        self._member[eid] = 0
-        y, x = self.graph._ey[eid], self.graph._ex[eid]
-        self.deg[y] -= 1
-        self.deg[x] -= 1
-        path, counts = self._path_of[y], self._len_counts
-        n = len(path) - 1
+        g = self.graph
+        inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
+        y, x = ey[eid], ex[eid]
+        # walk a leaves y and walk b leaves x, a step each by turns, until
+        # one meets a vertex u with no further F edge, s steps out
+        a, b, came_a, came_b = y, x, eid, eid
+        for s in range(len(inc)):  # fewer steps than |V| unless on a cycle
+            for e in inc[a]:
+                if member[e] and e != came_a:
+                    break
+            else:
+                u, near, other = a, y, x
+                break
+            a, came_a = (ex[e] if a < ny else ey[e]), e
+            for e in inc[b]:
+                if member[e] and e != came_b:
+                    break
+            else:
+                u, near, other = b, x, y
+                break
+            b, came_b = (ex[e] if b < ny else ey[e]), e
+        else:
+            raise ValueError(f"edge occurrence {eid} is on a cycle of F")
+        # u ends F's path too, so it holds the path's far end and length
+        end, length, counts = self._end, self._len, self._len_counts
+        far, n = end[u], length[u]
         if counts[n] == 1:
             del counts[n]
         else:
             counts[n] -= 1
-        s = path.index(y)
-        if s < n and path[s + 1] == x:
-            s += 1  # so the edge joins positions s - 1 and s
-        if s <= n + 1 - s:
-            piece = deque(path.popleft() for _ in range(s))
-        else:
-            piece = deque(path.pop() for _ in range(n + 1 - s))
-        for v in piece:
-            self._path_of[v] = piece
-        for p in (piece, path):
-            if len(p) > 1:
-                counts[len(p) - 1] = counts.get(len(p) - 1, 0) + 1
-            else:
-                self._path_of[p[0]] = None
+        for m in (s, n - 1 - s):
+            if m:
+                counts[m] = counts.get(m, 0) + 1
+        member[eid] = 0
+        self.deg[y] -= 1
+        self.deg[x] -= 1
+        end[u], end[near], length[u], length[near] = near, u, s, s
+        end[far], end[other] = other, far
+        length[far] = length[other] = n - 1 - s
+
+    def _walk(self, v: int) -> tuple[list[int], int]:
+        """verify.walk_component on F: v's component afresh from the edge
+        set, for a refusal or an error text only."""
+        from .verify import walk_component  # verify imports this module
+        return walk_component(self.graph, self._member, v)
+
+    def _length(self, v: int, exact: bool = True) -> int:
+        """The edge count of v's path, 0 if v is isolated, read in O(1) at
+        v or at an F-neighbour of v that is a path end.  An interior
+        vertex with neither lies on a path of >= 4 edges, for which 4
+        stands unless exact, when the path is walked."""
+        deg = self.deg
+        if deg[v] <= 1:
+            return self._len[v]
+        g, member = self.graph, self._member
+        for eid in g._inc[v]:
+            if member[eid]:
+                u = g._ex[eid] if v < g.y_count else g._ey[eid]
+                if deg[u] <= 1:
+                    return self._len[u]
+        return self._walk(v)[1] if exact else 4
 
     # -- queries ------------------------------------------------------------
 
     @property
     def ids(self) -> tuple[tuple[int, ...], ...]:
-        """All component paths as vertex ids, canonically oriented and
-        sorted (ids sort all of Y before all of X)."""
-        oriented = (p if p[0] < p[-1] else reversed(p)
-                    for v, p in enumerate(self._path_of)
-                    if p is not None and p[0] == v)
-        return tuple(sorted([tuple(p) for p in oriented]))
+        """All component paths as vertex ids, each walked once from its
+        lower end for the length recorded there, and sorted (ids sort all
+        of Y before all of X)."""
+        g, member, end, length = self.graph, self._member, self._end, self._len
+        inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
+        paths = []
+        for v, d in enumerate(self.deg):
+            if d == 1 and v < end[v]:
+                path, u, eid = [v], v, -1
+                for _ in repeat(None, length[v]):
+                    for e in inc[u]:
+                        if member[e] and e != eid:
+                            break
+                    eid = e
+                    u = ex[e] if u < ny else ey[e]
+                    path.append(u)
+                paths.append(tuple(path))
+        paths.sort()
+        return tuple(paths)
 
     @property
     def max_path_length(self) -> int:

@@ -14,6 +14,7 @@ stable across platforms and versions of this package.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -45,8 +46,12 @@ def generate(config: GenConfig) -> Bigraph:
 
     Deterministic per config.  Raises GenerationError if every attempt
     exhausts its repair budget (not observed for any tested (k, seed), but
-    the bound keeps termination unconditional).
+    the bound keeps termination unconditional), or before sizing anything
+    if the 12k stubs of a side do not fit in a machine-size index.
     """
+    if 12 * config.k > sys.maxsize:
+        raise GenerationError(f"k={config.k} is too large: 12k stubs "
+                              f"exceed the largest index {sys.maxsize}")
     import numpy as np  # here, so that importing the package skips it
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(

@@ -2,13 +2,13 @@
 
 The validators re-derive every structural claim from the raw edge ids or
 path list; they share no bookkeeping with the solver.  The checked-mode
-audit confirms each path index entry it meets in one pass over F's edge
-set at the entry's vertices, and walks F afresh, the same way, only to
-name a fault.  The factor oracle enumerates all ways to keep
-exactly 2 of the 4 edges at every X vertex (6 per vertex, 6^(3k) total)
-on one PseudoPathFactor, pruning a choice as soon as add_edge refuses
-it, so it can certify both the existence and the non-existence of a
-path factor.  Both oracles are deliberately capped at k <= 2.
+audit walks each path it meets in F's edge set and compares its two
+ends with the far end and length that F records at each.  The factor
+oracle enumerates all ways to keep exactly 2 of the 4 edges at every X
+vertex (6 per vertex, 6^(3k) total) on one PseudoPathFactor, pruning a
+choice as soon as add_edge refuses it, so it can certify both the
+existence and the non-existence of a path factor.  Both oracles are
+deliberately capped at k <= 2.
 """
 
 from __future__ import annotations
@@ -104,71 +104,67 @@ def _names(g: Bigraph, ids: Iterable[int]) -> str:
 
 def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
     """Check F's component through each of the given vertex ids, once per
-    component, against the path index.
+    component, against the ends F records.
 
-    Each component must be a path, and every vertex on it must map to one
-    path index entry holding that path in either orientation (none for an
-    isolated vertex).  One pass over the entry confirms this from F's
-    membership bytes alone; only when it does not is F walked afresh, to
-    name the first fault: a branch, then a cycle, then a wrong index
-    entry, each named from F's edges.  Returns that fault, or None.
+    Each component must be a path, each of whose ends records the other
+    as its far end and the path's edge count as its length; an isolated
+    vertex records itself at length 0.  F is walked from its membership
+    bytes alone, out from the vertex both ways to the path's ends.
+    Returns the first fault, or None: a branch, then a cycle, each named
+    from a fresh walk of the whole component, then a wrong record.
     """
-    g, index, member = factor.graph, factor._path_of, factor._member
+    g, member, end, length = (factor.graph, factor._member, factor._end,
+                              factor._len)
     inc, ey, ex, ny, seen = g._inc, g._ey, g._ex, g.y_count, set()
     for v in ids:
         if v in seen:
             continue
-        held = index[v]
-        if held is None:
-            for eid in inc[v]:
-                if member[eid]:
+        first = []  # plain loops: see walk_component
+        for eid in inc[v]:
+            if member[eid]:
+                first.append(eid)
+        if len(first) > 2:
+            return _not_a_path(g, member, v)
+        ends, n = [v, v], 0
+        for side, eid in enumerate(first):
+            u = v
+            while True:  # to a vertex of F-degree other than 2, or v
+                u = ex[eid] if u < ny else ey[eid]
+                if u == v:
+                    return _not_a_path(g, member, v)
+                seen.add(u)
+                n += 1
+                d = 0
+                for e in inc[u]:
+                    if member[e]:
+                        d += 1
+                        if e != eid:
+                            nxt = e
+                if d != 2:
                     break
-            else:
-                continue  # isolated in F and in the index
-        elif v in held:
-            # Each vertex's F edges must go only to its neighbours on held,
-            # as many edges as it has neighbours there.  Then, from an end
-            # on, each neighbour pair shares exactly one F edge and no
-            # vertex recurs, so held is F's component through v, in order.
-            a, u = -1, held[0]  # -1: no neighbour on that side
-            try:
-                for b in (*held, -1)[1:]:
-                    if index[u] is not held:
-                        break
-                    far = ex if u < ny else ey
-                    d = 0  # a stray F edge counts 3, past any wanted count
-                    for eid in inc[u]:
-                        if member[eid]:
-                            w = far[eid]
-                            d += 1 if w == a or w == b else 3
-                    if d != (a >= 0) + (b >= 0):
-                        break
-                    a, u = u, b
-                else:
-                    seen.update(held)
-                    continue
-            except IndexError:  # held has an id past the graph's: walk
-                pass
-        comp, edges = walk_component(g, member, v)
-        seen.update(comp)
-        want = list(held or (v,))
-        if edges >= len(comp) or want != comp and want[::-1] != comp:
-            # The walk of a branch lists two neighbours of one vertex side
-            # by side, which no path index entry does, so every fault
-            # lands here, and only here are F-degrees counted.
-            branch = [u for u in comp
-                      if sum(map(member.__getitem__, inc[u])) >= 3]
-            if branch:
-                return f"F has a branch-vertex at {g.name(min(branch))}"
-            if edges >= len(comp):
-                return f"F has a cycle at {_names(g, sorted(comp))}"
-            return (f"path index at {g.name(v)} holds "
-                    f"[{_names(g, want)}] but F has [{_names(g, comp)}]")
-        for u in comp:
-            if index[u] is not held:
-                return (f"path index at {g.name(u)} is not the one at "
-                        f"{g.name(v)} on its path")
+                eid = nxt
+            if d > 2:
+                return _not_a_path(g, member, v)
+            ends[side] = u
+        for u, w in sorted([ends, ends[::-1]]):  # the lower end first
+            if end[u] != w or length[u] != n:
+                path = walk_component(g, member, u)[0]
+                if path[0] != u:
+                    path.reverse()
+                return (f"{g.name(u)} records the far end {g.name(end[u])} "
+                        f"at length {length[u]}, but F has "
+                        f"[{_names(g, path)}]")
     return None
+
+
+def _not_a_path(g: Bigraph, member: Sequence[int], v: int) -> str:
+    """The fault of vertex id v's component, known to be no path: a
+    branch-vertex, the least, if it has one, else its cycle."""
+    comp, edges = walk_component(g, member, v)
+    branch = [u for u in comp if sum(map(member.__getitem__, g._inc[u])) >= 3]
+    if branch:
+        return f"F has a branch-vertex at {g.name(min(branch))}"
+    return f"F has a cycle at {_names(g, sorted(comp))}"
 
 
 def validate_pseudo_factor(g: Bigraph,
@@ -385,7 +381,7 @@ def brute_force_trails(factor: PseudoPathFactor,
             f"got k = {k}")
     if not (0 <= y0 < g.y_count and deg[y0] == 0):
         raise ValueError(f"trail origin y{y0} must be an uncovered Y vertex")
-    inc, ey, ex, index = g._inc, g._ey, g._ex, factor._path_of
+    inc, ey, ex = g._inc, g._ey, g._ex
     found: list[AugmentingTrail] = []
 
     def extend(tip: int, edges: tuple[int, ...],
@@ -394,7 +390,7 @@ def brute_force_trails(factor: PseudoPathFactor,
             if member[eid] or eid in edges:
                 continue
             x_next = ex[eid]
-            long_comp = len(index[x_next] or ()) >= 5  # 4+ edges
+            long_comp = factor._length(x_next, exact=False) >= 4
             for feid in inc[x_next]:
                 if not member[feid] or feid in edges:
                     continue

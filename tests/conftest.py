@@ -41,14 +41,13 @@ def ypath(g, *indices):
 def component_length(factor, v):
     """The edge count of vertex id v's component in F; 0 when v is
     isolated."""
-    path = factor._path_of[v]
-    return 0 if path is None else len(path) - 1
+    return factor._length(v)
 
 
-def flip_behind_index(factor, eid):
+def flip_behind_ends(factor, eid):
     """Put edge eid into F's edge set, or take it out, with both its
-    degree counts, but leave the path index as it is: a corruption for
-    the checks to find."""
+    degree counts, but leave the path ends F records as they are: a
+    corruption for the checks to find."""
     step = -1 if factor._member[eid] else 1
     factor._member[eid] ^= 1
     factor.deg[factor.graph._ey[eid]] += step

@@ -14,7 +14,7 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
                         build_pseudo_factor, find_trail, fixture,
                         format_factor, generate, make_policy, parse_graph,
                         rewire, serialize_graph, solve, validate_path_factor)
-from conftest import edge_pairs, flip_behind_index, trail_of, ypath
+from conftest import edge_pairs, flip_behind_ends, trail_of, ypath
 
 
 def test_k2_trail_is_golden(k2_pseudo):
@@ -327,16 +327,17 @@ def test_solve_scans_for_uncovered_ys_a_bounded_number_of_times(
 
 def test_checked_rewire_catches_f_disagreeing_with_the_index(
         k2_pseudo, monkeypatch):
-    # remove_edge splits the path in the index but leaves the edge in F,
-    # so after the swap F branches at the trail's X vertex while the index
-    # still looks like a family of even paths
+    # remove_edge splits the path in its degrees and ends but leaves the
+    # edge's membership byte set, so after the swap F branches at the
+    # trail's X vertex while its degrees and ends still look like a
+    # family of even paths
     g, factor = k2_pseudo
     trail = find_trail(factor, 0)
     original = PseudoPathFactor.remove_edge
 
     def keeps_the_edge(self, eid):
         original(self, eid)
-        flip_behind_index(self, eid)
+        self._member[eid] = 1
 
     monkeypatch.setattr(PseudoPathFactor, "remove_edge", keeps_the_edge)
     with pytest.raises(AlgorithmDefectError,
@@ -346,9 +347,9 @@ def test_checked_rewire_catches_f_disagreeing_with_the_index(
 
 def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
     # after the last rewire, drop an F edge far from its trail from the
-    # edge set only: no rewire looks there again, and the paths read off
-    # the index stay a valid factor, so only the check of F after
-    # augmentation can see it
+    # edge set and the degrees only: no rewire looks there again, so only
+    # the check of F after augmentation can see it; a plain solve reads
+    # its paths from F's edges and ends, and returns a broken factor
     g = generate(GenConfig(k=20, seed=0))
     rounds = len(build_pseudo_factor(g).uncovered_ys())
     assert rounds > 1
@@ -362,10 +363,10 @@ def test_checked_solve_catches_a_corruption_away_from_the_trail(monkeypatch):
             eid = next(eid for eid, (y, x) in enumerate(edge_pairs(g))
                        if factor._member[eid] and factor.deg[y] == 2
                        and not {y, g.y_count + x} & on_trail)
-            flip_behind_index(factor, eid)
+            flip_behind_ends(factor, eid)
 
     monkeypatch.setattr("pathfactor.augment.rewire", corrupting_rewire)
-    assert validate_path_factor(g, solve(g)).valid
+    assert not validate_path_factor(g, solve(g)).valid
     calls.clear()
     with pytest.raises(AlgorithmDefectError,
                        match="rejected the augmented factor") as err:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +12,7 @@ from pathfactor import (AlgorithmDefectError, Bigraph, GenConfig,
 from pathfactor.builder import (FactorState, _grow_f, check_state_invariants,
                                 step_i, step_zero)
 from pathfactor.policy import LexicographicPolicy
-from conftest import edge_id, edge_pairs, flip_behind_index, ypath
+from conftest import edge_id, edge_pairs, flip_behind_ends, ypath
 
 K34_TRACE = [
     "step 0 case 0 y0 F:[y0x2 y0x0] U:[y0x1]",
@@ -133,26 +131,26 @@ def test_grow_f_reports_a_non_path_as_a_defect(pairs, match):
 
 
 def test_grow_f_reports_a_stale_index_entry_as_a_defect():
-    # x0's path index entry becomes an equal copy of its path; the live
-    # path grows past the copy, so the next edge at x0 finds the copy's
-    # length missing from the length histogram
+    # the current x4 ends a path of length 8 but records length 7, so the
+    # next step's first F edge, at x4, finds 7 missing from the length
+    # histogram before anything changes
     g = generate(GenConfig(3, 0))
     state = FactorState.initial(g)
     policy = LexicographicPolicy()
     step_zero(state, policy)
     while state.step_no < 5:
         step_i(state, policy)
-    x0 = g.y_count
-    state.factor._path_of[x0] = deque(state.factor._path_of[x0])
+    x4 = g.y_count + 4
+    assert (state.current, state.factor._len[x4]) == (x4, 8)
+    state.factor._len[x4] = 7
     with pytest.raises(AlgorithmDefectError) as info:
         while state.current is not None:
             step_i(state, policy, checked=True)
     assert str(info.value) == (
-        "F stopped being a family of paths: the path index holds a path "
-        "of length 8 that F lacks\n  step=5 current=x4 "
-        "scanned=[y0 y3 y4 y5 y7 y8] F=[y0x1 y0x8 y3x0 y3x4 y4x2 y4x7 "
-        "y5x4 y5x8 y7x0 y7x3 y8x1 y8x3] U=[y0x7 y3x2 y4x3 y5x1 y7x8 "
-        "y8x4]")
+        "F stopped being a family of paths: a path end records a path of "
+        "length 7 that F lacks\n  step=5 current=x4 "
+        "scanned=[y0 y4 y5 y7 y8] F=[y0x1 y0x8 y4x2 y4x7 y5x4 y5x8 y7x0 "
+        "y7x3 y8x1 y8x3] U=[y0x7 y4x3 y5x1 y7x8 y8x4]")
 
 
 def _add_f_at_unscanned_y(g, state):
@@ -168,12 +166,12 @@ def _drop_f_edge(g, state):
 
 
 def _add_branch(g, state):
-    flip_behind_index(state.factor, edge_id(g, 0, 2))  # y0 has F-degree 2
+    flip_behind_ends(state.factor, edge_id(g, 0, 2))  # y0 has F-degree 2
 
 
 def _add_cycle(g, state):
-    flip_behind_index(state.factor, edge_id(g, 1, 0))  # y1 closes x0 y0 x1
-    flip_behind_index(state.factor, edge_id(g, 1, 1))
+    flip_behind_ends(state.factor, edge_id(g, 1, 0))  # y1 closes x0 y0 x1
+    flip_behind_ends(state.factor, edge_id(g, 1, 1))
 
 
 def _reject_every_edge_at_x(g, state):
@@ -187,9 +185,9 @@ def _desync_pending_x(g, state):
     state.pending_x.remove(g.y_count + 2)
 
 
-def _share_index_entry(g, state):
-    # the isolated y1 gets y0's path as its index entry
-    state.factor._path_of[1] = state.factor._path_of[0]
+def _end_at_an_isolated_y(g, state):
+    # the isolated y1 records x1 as its far end
+    state.factor._end[1] = g.y_count + 1
 
 
 @pytest.mark.parametrize("corrupt, match", [
@@ -200,8 +198,8 @@ def _share_index_entry(g, state):
     (_add_cycle, "F has a cycle"),
     (_reject_every_edge_at_x, "x0 has F-degree 1 yet 3 rejected edges"),
     (_desync_pending_x, "pending_x"),
-    (_share_index_entry,
-     r"^path index at y1 holds \[x1 y0 x0\] but F has \[y1\]\n"),
+    (_end_at_an_isolated_y,
+     r"^y1 records the far end x1 at length 0, but F has \[y1\]\n"),
 ])
 def test_audit_catches_a_corrupted_state(corrupt, match):
     g, state = _forced_3b_state()
@@ -210,10 +208,10 @@ def test_audit_catches_a_corrupted_state(corrupt, match):
         check_state_invariants(state)
 
 
-def _copy_index_entry(g, state):
-    # y0's path index entry becomes an equal copy of its path, so y0 no
-    # longer shares the entry of the path it is on
-    state.factor._path_of[0] = deque(state.factor._path_of[0])
+def _stale_end_at_x0(g, state):
+    # x0 ends the path x0 y0 x1 but records y3 as its far end; the next
+    # step's first F edge, at x0, hands that end on to y2 instead of x1
+    state.factor._end[g.y_count] = 3
 
 
 def _requeue_x(g, state):
@@ -228,20 +226,19 @@ def _bump_y_counter(g, state):
     state.factor.deg[0] += 1  # y0's counter alone: F keeps its edges
 
 
-def _copy_index_entry_at_a_jump(g, state):
+def _stale_length_at_a_jump(g, state):
     # In k34 every X is a neighbour of every Y, so case 1 never jumps past
     # y_i's neighbours.  The state becomes a k = 3 scan one step before
-    # case 1 jumps to the pending x6, whose index entry then becomes an
-    # equal copy of its path y2 x6; no step reads that entry before x6's
-    # own audit after the jump.
+    # case 1 jumps to the pending x6, which ends the path y2 x6 but then
+    # records length 3; no step reads that length before x6's own audit
+    # after the jump.
     other = FactorState.initial(generate(GenConfig(3, 0)))
     policy = LexicographicPolicy()
     step_zero(other, policy)
     while other.step_no < 8:
         step_i(other, policy)
     vars(state).update(vars(other))
-    x6 = state.graph.y_count + 6
-    state.factor._path_of[x6] = deque(state.factor._path_of[x6])
+    state.factor._len[state.graph.y_count + 6] = 3
 
 
 # (corruption, defect, dump of the state it is caught in): the defect
@@ -250,9 +247,9 @@ def _copy_index_entry_at_a_jump(g, state):
 # _add_cycle, its free-edge guard _reject_every_edge_at_x, and _grow_f's
 # pending guard _desync_pending_x.  The local audit after a step catches
 # _add_f_at_unscanned_y by its reject count at x1, _add_branch and
-# _copy_index_entry by its path check and _requeue_x by its pending
+# _stale_end_at_x0 by its path check and _requeue_x by its pending
 # check; its path check of the X that case 1 jumps to catches
-# _copy_index_entry_at_a_jump, which without that audit is caught only a
+# _stale_length_at_a_jump, which without that audit is caught only a
 # step later.  The full audit when the scan ends catches _drop_f_edge (y2
 # loses its only F edge and is scanned again) and _count_an_extra_step
 # by its step count, and _bump_y_counter, which nothing else catches, by
@@ -281,7 +278,8 @@ SCAN_DEFECTS = [
      "pending_x list out of sync: x2 reached F-degree 2 but is not pending",
      "step=2 current=x0 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
      "U=[y0x2 y1x1 y2x0 y2x1]"),
-    (_copy_index_entry, "path index at y0 is not the one at y1 on its path",
+    (_stale_end_at_x0,
+     "y2 records the far end y3 at length 5, but F has [y2 x2 y1 x0 y0 x1]",
      "step=3 current=x1 scanned=[y0 y1 y2] F=[y0x0 y0x1 y1x0 y1x2 y2x2] "
      "U=[y0x2 y1x1 y2x0 y2x1]"),
     (_requeue_x, "pending_x list out of sync at x0",
@@ -293,8 +291,8 @@ SCAN_DEFECTS = [
     (_bump_y_counter, "y0 has F-degree 2 but its counter reads 3",
      "step=4 current=None scanned=[y0 y1 y2 y3] "
      "F=[y0x0 y0x1 y1x0 y1x2 y2x2 y3x1] U=[y0x2 y1x1 y2x0 y2x1 y3x0 y3x2]"),
-    (_copy_index_entry_at_a_jump,
-     "path index at y2 is not the one at x6 on its path",
+    (_stale_length_at_a_jump,
+     "x6 records the far end y2 at length 3, but F has [x6 y2]",
      "step=9 current=x6 scanned=[y0 y1 y2 y3 y4 y5 y6 y7 y8] F=[y0x1 "
      "y0x8 y1x0 y1x5 y2x6 y3x2 y3x4 y4x2 y4x7 y5x4 y5x8 y6x5 y7x0 y7x3 "
      "y8x1 y8x3] U=[y0x7 y1x6 y2x2 y2x5 y3x0 y4x3 y5x1 y6x2 y6x4 y7x8 "
@@ -320,14 +318,14 @@ def test_checked_scan_catches_a_corrupted_state(corrupt, defect, dump):
 def test_checked_step_catches_a_y_counter_that_ran_ahead(monkeypatch):
     # A Y vertex with an F edge is never free, so no corrupted state
     # reaches the local audit's check of the scanned Y's F-degree; a
-    # counter that counts the scanned Y's first F edge twice does
+    # counter that counts the scanned Y's second F edge twice does (its
+    # first, counted twice, would make add_edge refuse the second)
     add_edge = PseudoPathFactor.add_edge
 
     def add_edge_counting_y_twice(factor, eid):
         y = factor.graph._ey[eid]
-        first = factor.deg[y] == 0
         add_edge(factor, eid)
-        factor.deg[y] += first
+        factor.deg[y] += factor.deg[y] == 2
 
     g, state = _forced_3b_state()
     monkeypatch.setattr(PseudoPathFactor, "add_edge",

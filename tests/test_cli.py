@@ -39,6 +39,16 @@ def test_generate_to_file(tmp_path, capsys):
     assert target.read_text() == K34
 
 
+@pytest.mark.parametrize("k", ["99999999999999999999999999999",
+                               str(sys.maxsize // 12 + 1)])
+def test_generate_a_k_past_a_machine_index_exits_1(capsys, k):
+    # refused before numpy sizes any array, so no allocation is tried
+    code, out, err = run(capsys, "generate", "--k", k)
+    assert (code, out) == (1, "")
+    assert f"k={k} is too large: 12k stubs exceed" in err
+    assert "defect" not in err
+
+
 def test_generate_bad_k(capsys):
     assert run(capsys, "generate", "--k", "0")[0] == 2
     assert run(capsys, "generate", "--k", "two")[0] == 2

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
                         GenConfig, PathFactor,
@@ -34,26 +35,31 @@ def _oriented(p):
 def test_add_edge_tracks_ends():
     g, factor = _k34_factor((0, 0), (1, 0), (1, 1))
     assert factor.ids == (ypath(g, 0, 0, 1, 1),)
-    _assert_index_matches(factor)
+    _assert_ends_match(factor)
     assert component_length(factor, 1) == 3
     assert component_length(factor, 2) == 0
     assert (factor.path_count, factor.max_path_length) == (1, 3)
 
 
 @pytest.mark.parametrize("pairs, held", [
-    # y0 x0 y1 is held as [y0 x0 y1], and x0 y0 x1 as [x1 y0 x0]
-    (((0, 0), (1, 0), (0, 1)), "x1 y0 x0 y1"),  # a lone X at the head
-    (((0, 0), (1, 0), (1, 1)), "y0 x0 y1 x1"),  # ... and at the tail
-    (((0, 0), (0, 1), (1, 1)), "y1 x1 y0 x0"),  # a lone Y at the head
-    (((0, 0), (0, 1), (1, 0)), "x1 y0 x0 y1"),  # ... and at the tail
+    # held: the path from one end to the other; the last edge attaches a
+    # lone vertex to the end y0 x0 y1 or x0 y0 x1 grew to
+    (((0, 0), (1, 0), (0, 1)), "x1 y0 x0 y1"),  # a lone X at y0's end
+    (((0, 0), (1, 0), (1, 1)), "y0 x0 y1 x1"),  # ... and at y1's end
+    (((0, 0), (0, 1), (1, 1)), "y1 x1 y0 x0"),  # a lone Y at x1's end
+    (((0, 0), (0, 1), (1, 0)), "x1 y0 x0 y1"),  # ... and at x0's end
     (((2, 1),), "y2 x1"),                       # two lone vertices
 ])
 def test_add_edge_attaches_a_lone_end(pairs, held):
     g, factor = _k34_factor(*pairs)
-    path = factor._path_of[pairs[0][0]]  # y_i has vertex id i
-    assert " ".join(map(g.name, path)) == held
+    names = {g.name(v): v for v in range(g.y_count + g.x_count)}
+    a, *_, b = held.split()
+    assert (factor._end[names[a]], factor._end[names[b]]) == (names[b],
+                                                              names[a])
+    assert factor._len[names[a]] == factor._len[names[b]] == len(pairs)
     assert factor._len_counts == {len(pairs): 1}
-    _assert_index_matches(factor)
+    assert factor.ids == (_oriented([names[u] for u in held.split()]),)
+    _assert_ends_match(factor)
 
 
 def test_add_edge_rejects_cycle():
@@ -99,7 +105,7 @@ def test_remove_edge_splits_an_inner_edge(y, x, pieces):
     for piece in pieces:
         assert all(component_length(factor, v) == len(piece) - 1
                    for v in piece)
-    _assert_index_matches(factor)  # also: one index entry per piece
+    _assert_ends_match(factor)
 
 
 @pytest.mark.parametrize("y, x", [(0, 0), (3, 2)])
@@ -108,9 +114,13 @@ def test_remove_edge_splits_off_an_end(y, x):
     _remove(g, factor, y, x)
     assert (factor.path_count, factor.max_path_length) == (1, 5)
     assert component_length(factor, y) == 0
-    assert factor._path_of[y] is None  # unindexed
+    assert (factor._end[y], factor._len[y]) == (y, 0)  # its own end
+    far = 3 if y == 0 else 0  # the other end of the 6-path stays
+    assert (factor._end[g.y_count + x], factor._end[far]) == (far,
+                                                              g.y_count + x)
+    assert factor._len[far] == factor._len[g.y_count + x] == 5
     assert component_length(factor, g.y_count + x) == 5
-    _assert_index_matches(factor)
+    _assert_ends_match(factor)
 
 
 def test_remove_edge_empties_a_2_path():
@@ -122,8 +132,8 @@ def test_remove_edge_empties_a_2_path():
     assert (factor.path_count, factor.max_path_length) == (1, 2)
     for v in (0, 1, g.y_count):  # y0, y1, x0
         assert component_length(factor, v) == 0
-        assert factor._path_of[v] is None
-    _assert_index_matches(factor)
+        assert (factor._end[v], factor._len[v]) == (v, 0)
+    _assert_ends_match(factor)
 
 
 def test_remove_edge_rejects_an_edge_outside_f():
@@ -132,7 +142,7 @@ def test_remove_edge_rejects_an_edge_outside_f():
         _remove(g, factor, 0, 1)
     assert factor.edge_count == 6
     assert factor.ids == (ypath(g, 0, 0, 1, 1, 2, 2, 3),)
-    _assert_index_matches(factor)
+    _assert_ends_match(factor)
 
 
 @pytest.mark.parametrize("method", ["add_edge", "remove_edge"])
@@ -144,10 +154,10 @@ def test_edge_ids_outside_the_graph_are_rejected(method, eid):
         getattr(factor, method)(eid)
     assert factor.edge_count == 6
     assert factor.ids == (ypath(g, 0, 0, 1, 1, 2, 2, 3),)
-    _assert_index_matches(factor)
+    _assert_ends_match(factor)
 
 
-def _assert_index_matches(factor):
+def _assert_ends_match(factor):
     # a fresh walk of F from each path end is the reference
     g, member = factor.graph, factor._member
     walked = sorted({_oriented(walk_component(g, member, v)[0])
@@ -174,14 +184,14 @@ def test_index_matches_fresh_decomposition(k, policy_kind):
         policy = make_policy(spec)
         state = FactorState.initial(g)
         step_zero(state, policy)
-        _assert_index_matches(state.factor)
+        _assert_ends_match(state.factor)
         while state.current is not None:
             step_i(state, policy)
-            _assert_index_matches(state.factor)
+            _assert_ends_match(state.factor)
         factor = state.factor
         for y0 in factor.uncovered_ys():
             rewire(factor, find_trail(factor, y0, policy))
-            _assert_index_matches(factor)
+            _assert_ends_match(factor)
         assert not factor.uncovered_ys(), (k, seed, spec)
 
 
@@ -229,12 +239,12 @@ def test_rewire_rejects_a_trail_ending_on_a_2_path(k3_pseudo):
 
 
 def test_rewire_reports_a_broken_rewire_as_a_defect(k2_pseudo):
-    # F's index is out of step with its edge set: it places the uncovered
-    # y0 on the 12-path, so adding y0x0 is refused mid-rewire
+    # F's ends are out of step with its edge set: the uncovered y0 records
+    # x0 as its far end, so adding y0x0 is refused mid-rewire
     g, factor = k2_pseudo
-    factor._path_of[0] = factor._path_of[1]  # y_i has vertex id i
+    factor._end[0] = g.y_count  # y_i has vertex id i, x0 has |Y|
     with pytest.raises(AlgorithmDefectError,
-                       match="broke the path structure: .*interior"):
+                       match="broke the path structure: .*cycle"):
         rewire(factor, trail_of(g, (0, 0, 2)))
 
 
@@ -280,7 +290,7 @@ def test_rewire_every_short_trail(k2_pseudo):
                 rejected += 1
                 continue
             assert validate_pseudo_factor(g, factor.edge_ids()).valid
-            _assert_index_matches(factor)
+            _assert_ends_match(factor)
             accepted.append(trail)
     assert rejected == 2347
     legal = brute_force_trails(k2_pseudo[1], 0)
@@ -319,31 +329,42 @@ def test_from_pseudo_rejects_a_factor_that_misses_y():
 
 
 class _CountingList(list):
-    """A list that counts its item assignments."""
+    """A list that counts its item reads."""
 
-    writes = 0
+    reads = 0
 
-    def __setitem__(self, i, value):
-        self.writes += 1
-        super().__setitem__(i, value)
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
-def test_add_edge_copies_the_shorter_path():
-    # One path grows edge by edge, each edge joining its end to a fresh
-    # 2-vertex path y_{i+1} x_{i+1}.  Copying the shorter path onto the
-    # longer writes 2 index entries per edge; copying the longer onto the
-    # shorter would write the whole growing path each time, about m^2.
-    m = 400
-    g = Bigraph(m, m, [(i, i) for i in range(m)]
-                + [(i + 1, i) for i in range(m - 1)])
+_M = 400  # the path y0 x0 y1 x1 ... x_{M-1} y_M, of 2M edges
+
+
+@pytest.mark.parametrize("y, x, short", [
+    (1, 0, 1),            # x0y1: the piece y0 x0 is on x0's side
+    (1, 1, 2),            # y1x1: the piece y0 x0 y1 is on y1's side
+    (_M - 1, _M - 1, 1),  # the piece x_{M-1} y_M is on x_{M-1}'s side
+    (_M - 1, _M - 2, 2),  # the piece y_{M-1} x_{M-1} y_M on y_{M-1}'s
+])
+def test_remove_edge_visits_only_the_shorter_piece(y, x, short):
+    # remove_edge walks out from both ends of the edge in lockstep, so it
+    # reads the incidence lists of O(short) vertices, not O(M); a walk
+    # from the edge's Y end alone, or from its X end alone, reads M of
+    # them on two of these rows.  add_edge reads none.
+    g = Bigraph(_M + 1, _M, [(i, i) for i in range(_M)]
+                + [(i + 1, i) for i in range(_M)])
+    eid = edge_id(g, y, x)
+    g._inc = inc = _CountingList(g._inc)
     factor = PseudoPathFactor(g)
-    for i in range(m):
-        factor.add_edge(edge_id(g, i, i))
-    factor._path_of = index = _CountingList(factor._path_of)
-    for i in range(m - 1):
-        factor.add_edge(edge_id(g, i + 1, i))
-    assert factor.max_path_length == 2 * m - 1
-    assert index.writes == 2 * (m - 1)
+    for e in range(g.edge_count):
+        factor.add_edge(e)
+    assert (inc.reads, factor.max_path_length) == (0, 2 * _M)
+    factor.remove_edge(eid)
+    assert inc.reads <= 2 * short + 2
+    lengths = sorted(factor._len[v] for v in (0, _M))  # y0 and y_M
+    assert lengths == [short, 2 * _M - 1 - short]
+    _assert_ends_match(factor)
 
 
 def test_trails_and_factors_are_hashable(k2_pseudo):
@@ -423,3 +444,67 @@ def test_find_trail_takes_an_oracle_trail_on_multigraphs():
             tip_xs = [g._ex[eid] for eid in g._inc[y0]]
             parallel_tips += len(set(tip_xs)) < len(tip_xs)
     assert origins > 150 and parallel_tips > 40, (origins, parallel_tips)
+
+
+def _recount(factor):
+    # F's degrees, the records at every path end, the length histogram
+    # and the paths, recomputed from the membership bytes alone
+    g, member = factor.graph, factor._member
+    deg = [0] * len(factor.deg)
+    for eid in factor.edge_ids():
+        deg[g._ey[eid]] += 1
+        deg[g._ex[eid]] += 1
+    records, counts, paths = {}, Counter(), set()
+    for v in range(len(deg)):
+        path, edges = walk_component(g, member, v)
+        if path[0] == v <= path[-1]:  # once per path, from its lower end
+            records[v] = (path[-1], edges)
+            records[path[-1]] = (v, edges)
+            if edges:
+                counts[edges] += 1
+                paths.add(_oriented(path))
+    return deg, records, dict(counts), tuple(sorted(paths))
+
+
+def _state(factor):
+    return (bytes(factor._member), list(factor.deg), list(factor._end),
+            list(factor._len), dict(factor._len_counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), seed=st.integers(0, 10**6), multi=st.booleans(),
+       data=st.data())
+def test_ends_match_a_recount_after_every_call(k, seed, multi, data):
+    # any sequence of add_edge and remove_edge calls, ids in and out of
+    # range: a call is refused exactly when a recount says the id is out
+    # of range, the edge is outside F (remove) or would close a cycle or
+    # meet an interior vertex (add), and a refused call changes nothing
+    g = (k2_stub_pairing(random.Random(seed)) if multi
+         else generate(GenConfig(k=k, seed=seed)))
+    factor = PseudoPathFactor(g)
+    m = g.edge_count
+    calls = st.tuples(st.integers(-2, m + 1), st.booleans())
+    for eid, add in data.draw(st.lists(calls, max_size=80)):
+        deg, records, _, paths = _recount(factor)
+        if not 0 <= eid < m:
+            refuse = True
+        elif add:
+            y, x = g._ey[eid], g._ex[eid]
+            same_path = any(y in p and x in p for p in paths)
+            refuse = deg[y] == 2 or deg[x] == 2 or same_path
+        else:
+            refuse = not factor._member[eid]
+        before = _state(factor)
+        try:
+            (factor.add_edge if add else factor.remove_edge)(eid)
+        except ValueError:
+            assert refuse, (eid, add)
+            assert _state(factor) == before
+            continue
+        assert not refuse, (eid, add)
+        deg, records, counts, paths = _recount(factor)
+        assert factor.deg == deg
+        assert {v: (factor._end[v], factor._len[v])
+                for v in records} == records
+        assert factor._len_counts == counts
+        assert factor.ids == paths

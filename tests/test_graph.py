@@ -16,7 +16,7 @@ from pathfactor import (Bigraph, GenConfig, GraphFormatError,
                         parse_factor, parse_graph, serialize_graph)
 from pathfactor import graph as graph_module
 from pathfactor.verify import audit_ids, walk_component
-from conftest import (edge_id, edge_pairs, flip_behind_index,
+from conftest import (edge_id, edge_pairs, flip_behind_ends,
                       k2_stub_pairing, k2_stub_pairs, walk_pairs, ypath)
 
 K34_TEXT = """\
@@ -334,7 +334,7 @@ def test_components_detect_cycle(subgraph_of):
     factor = PseudoPathFactor(g)
     for y, x in cycle[:3]:
         factor.add_edge(edge_id(g, y, x))
-    flip_behind_index(factor, edge_id(g, *cycle[3]))
+    flip_behind_ends(factor, edge_id(g, *cycle[3]))
     assert audit_ids(factor, [3, 4]) == "F has a cycle at y0 y1 x0 x1"
 
 
@@ -348,7 +348,7 @@ def test_components_detect_branch(subgraph_of):
     factor = PseudoPathFactor(g)
     for y, x in star[:2]:
         factor.add_edge(edge_id(g, y, x))
-    flip_behind_index(factor, edge_id(g, *star[2]))
+    flip_behind_ends(factor, edge_id(g, *star[2]))
     assert audit_ids(factor, [5]) == "F has a branch-vertex at y0"
 
 

@@ -4,7 +4,7 @@ import hashlib
 import random
 import sys
 import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -20,7 +20,7 @@ from pathfactor import (Bigraph, GenConfig, OracleSizeError, PathFactor,
 from pathfactor import verify
 from pathfactor.builder import FactorState, step_i, step_zero
 from pathfactor.verify import _names, audit_ids, walk_component
-from conftest import edge_id, flip_behind_index, k2_stub_pairing
+from conftest import edge_id, flip_behind_ends, k2_stub_pairing
 
 
 def _rules(report):
@@ -498,79 +498,55 @@ def test_reports_render_fail_lines():
 
 
 def _walked_audit(factor, ids):
-    # audit_ids as a walk of F from every vertex not yet seen, as it was
-    # before it confirmed index entries in one pass: the reference that
-    # the fast audit must agree with, fault text included
-    g, index, member = factor.graph, factor._path_of, factor._member
+    # audit_ids from walk_component: a fresh walk of F's edges from every
+    # vertex not yet seen, then the records at both ends of each path,
+    # the lower end first; the reference the audit's own walk must agree
+    # with, fault text included
+    g, member, end, length = (factor.graph, factor._member, factor._end,
+                              factor._len)
     inc, seen = g._inc, set()
     for v in ids:
         if v in seen:
             continue
         comp, edges = walk_component(g, member, v)
         seen.update(comp)
-        held = index[v]
-        want = list(held or (v,))
-        if edges >= len(comp) or want != comp and want[::-1] != comp:
-            branch = [u for u in comp
-                      if sum(map(member.__getitem__, inc[u])) >= 3]
-            if branch:
-                return f"F has a branch-vertex at {g.name(min(branch))}"
-            if edges >= len(comp):
-                return f"F has a cycle at {_names(g, sorted(comp))}"
-            return (f"path index at {g.name(v)} holds "
-                    f"[{_names(g, want)}] but F has [{_names(g, comp)}]")
-        for u in comp:
-            if index[u] is not held:
-                return (f"path index at {g.name(u)} is not the one at "
-                        f"{g.name(v)} on its path")
+        branch = [u for u in comp
+                  if sum(map(member.__getitem__, inc[u])) >= 3]
+        if branch:
+            return f"F has a branch-vertex at {g.name(min(branch))}"
+        if edges >= len(comp):
+            return f"F has a cycle at {_names(g, sorted(comp))}"
+        if comp[-1] < comp[0]:
+            comp.reverse()
+        for path in (comp, comp[::-1]):
+            u, w = path[0], path[-1]
+            if end[u] != w or length[u] != edges:
+                return (f"{g.name(u)} records the far end {g.name(end[u])} "
+                        f"at length {length[u]}, but F has "
+                        f"[{_names(g, path)}]")
     return None
 
 
-_CORRUPTIONS = ("flip", "attach", "share", "copy", "reverse", "rotate",
-                "extend", "repeat", "empty", "one", "none")
+_CORRUPTIONS = ("flip", "end", "length", "swap", "none")
 
 
 def _corrupt(factor, kind, rng):
-    # one fault in F's membership bytes or its path index, at a random
-    # vertex; some kinds leave a valid state, such as an entry reversed
-    # in place, which the audit must then pass
-    g, index = factor.graph, factor._path_of
-    u = rng.randrange(len(index))
-    held = index[u]
-    if kind == "flip":  # an F edge in or out behind the index
-        flip_behind_index(factor, rng.randrange(g.edge_count))
-    elif kind == "attach":  # an edge and its far end onto an entry's end
-        at = rng.choice((0, -1))
-        eid = (rng.choice(g._inc[held[at]])
-               if held and held[at] < len(index) else None)
-        if eid is not None and not factor._member[eid]:
-            flip_behind_index(factor, eid)
-            w = g._ex[eid] if held[at] < g.y_count else g._ey[eid]
-            (held.appendleft if at == 0 else held.append)(w)
-    elif kind == "share":
-        index[u] = index[rng.randrange(len(index))]
-    elif kind == "copy":
-        index[u] = None if held is None else deque(held)
-    elif kind == "one":
-        index[u] = deque((u,))
-    elif kind == "none":
-        index[u] = None
-    elif held is None:
-        pass
-    elif kind == "reverse":
-        if rng.random() < 0.5:
-            held.reverse()
-        else:
-            index[u] = deque(reversed(held))
-    elif kind == "rotate":
-        held.rotate(rng.choice((1, -1)))
-    elif kind in ("extend", "repeat"):  # by any id, or one on held; ids
-        # from len(index) on are no vertex of the graph
-        w = rng.choice(range(len(index) + 2) if kind == "extend"
-                       else held or (u,))
-        (held.append if rng.random() < 0.5 else held.appendleft)(w)
-    else:  # "empty"
-        held.clear()
+    # one fault in F's membership bytes or in the ends and lengths it
+    # records, at a random vertex; a record at an interior vertex is
+    # stale by design, so a change there leaves a valid state, which the
+    # audit must then pass
+    g, end, length = factor.graph, factor._end, factor._len
+    u = rng.randrange(len(end))
+    if kind == "flip":  # an F edge in or out behind the ends
+        flip_behind_ends(factor, rng.randrange(g.edge_count))
+    elif kind == "end":  # by any id; ids from len(end) on are no vertex
+        end[u] = rng.randrange(len(end) + 2)
+    elif kind == "length":
+        length[u] = max(0, length[u] + rng.choice((-1, 1)))
+    elif kind == "swap":  # two vertices trade their records
+        w = rng.randrange(len(end))
+        end[u], end[w], length[u], length[w] = (end[w], end[u], length[w],
+                                                length[u])
 
 
 def _audit_state(k, seed, source, steps, corruptions):
@@ -611,8 +587,8 @@ def _audit_state(k, seed, source, steps, corruptions):
        corruptions=st.lists(st.sampled_from(_CORRUPTIONS), max_size=3))
 def test_audit_agrees_with_a_walk_of_every_component(k, seed, source, steps,
                                                      corruptions):
-    # the one-pass confirmation may pass a component only where the walk
-    # finds no fault, so the first fault and its text stay the walk's
+    # the audit's own walk and comparison of records must find the same
+    # first fault, with the same text, as a walk_component of each path
     factor, rng = _audit_state(k, seed, source, steps, corruptions)
     n = len(factor.deg)
     some = rng.sample(range(n), rng.randrange(n + 1))
@@ -623,10 +599,11 @@ def test_audit_agrees_with_a_walk_of_every_component(k, seed, source, steps,
 @pytest.mark.parametrize("spec", ["lex", "random:3"])
 def test_checked_solve_walks_f_only_in_the_pseudo_validator(monkeypatch,
                                                              spec):
-    # On a healthy run each audit confirms every index entry in one pass,
-    # so F is walked only by validate_pseudo_factor, after the scan and
-    # after augmentation: 310 walks under lex and 324 under random:3 on
-    # this instance.  Walking every audited component made 3,804 and 3,845.
+    # On a healthy run each audit walks its paths inline, and calls
+    # walk_component only to name a fault, so walk_component runs only in
+    # validate_pseudo_factor, after the scan and after augmentation: 310
+    # walks under lex and 324 under random:3 on this instance.  Calling
+    # it for every audited component made 3,804 and 3,845.
     walks = Counter()
     walk = verify.walk_component
 
