@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from .builder import TraceFn, build_pseudo_factor
 from .errors import AlgorithmDefectError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph
+from .graph import Bigraph, walk_component
 from .policy import LexicographicPolicy, TieBreakPolicy
 from .verify import audit_ids
 
@@ -164,9 +164,10 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
             raise AlgorithmDefectError(
                 f"rewiring along {trail} left y{v} uncovered")
         if deg[v] <= 1 and not (v < ny and end[v] < ny):
+            path = walk_component(g, factor._member, v)[0]
             raise AlgorithmDefectError(
                 f"rewiring produced a non-even component "
-                f"{' '.join(map(g.name, factor._walk(v)[0]))}")
+                f"{' '.join(map(g.name, path))}")
 
     if factor.max_path_length > old_max:
         raise AlgorithmDefectError(

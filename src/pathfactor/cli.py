@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default lex)")
     p_solve.add_argument("--checked", action="store_true", help=(
         "audit what each step and rewire touched, all state at phase "
-        "ends (a solve takes ~4.4x plain time, at k=100 and k=4000)"))
+        "ends (a solve takes ~4x plain time, at k=100 and k=4000)"))
     p_solve.add_argument("--trace", action="store_true",
                          help="stream per-step progress to stderr")
     p_solve.add_argument("--out", type=Path, default=None,

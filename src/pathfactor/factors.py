@@ -11,10 +11,9 @@ k vertex-disjoint paths on a (3,4)-biregular instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
 
-from .graph import Bigraph
+from .graph import Bigraph, _run, walk_component
 
 
 class PseudoPathFactor:
@@ -48,25 +47,24 @@ class PseudoPathFactor:
         in O(1).
 
         Raises ValueError, leaving F unchanged, if the id is not in
-        range(|E|), or if the edge would close a cycle or attach to a path
-        interior.  An edge whose ends lie on one path, as those of an edge
-        already in F do, is refused as a cycle; when one end is interior,
-        telling that takes a walk of the path, on this refusal only.
+        range(|E|), the edge is already in F, or it would attach to a
+        path interior or close a cycle, tested in that order.
         """
         if not 0 <= eid < len(self._member):
             raise ValueError(
                 f"edge id {eid} is not in range({len(self._member)})")
+        if self._member[eid]:
+            raise ValueError(f"edge occurrence {eid} is already in F")
         g = self.graph
         y, x = g._ey[eid], g._ex[eid]
         deg, end, length, counts = (self.deg, self._end, self._len,
                                     self._len_counts)
         # no Bigraph.name here: the factor oracle prunes on these refusals
-        inner = deg[y] > 1 or deg[x] > 1
-        if x in self._walk(y)[0] if inner else end[y] == x:
-            raise ValueError(f"edge y{y}-x{x - g.y_count} would close a cycle")
-        if inner:
+        if deg[y] > 1 or deg[x] > 1:
             raise ValueError(
                 f"edge y{y}-x{x - g.y_count} attaches to a path interior")
+        if end[y] == x:
+            raise ValueError(f"edge y{y}-x{x - g.y_count} would close a cycle")
         a, b, n = end[y], end[x], length[y] + length[x] + 1
         for m in (length[y], length[x]):  # both paths go, their union comes
             if m:
@@ -98,26 +96,21 @@ class PseudoPathFactor:
         g = self.graph
         inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
         y, x = ey[eid], ex[eid]
-        # walk a leaves y and walk b leaves x, a step each by turns, until
-        # one meets a vertex u with no further F edge, s steps out
-        a, b, came_a, came_b = y, x, eid, eid
-        for s in range(len(inc)):  # fewer steps than |V| unless on a cycle
-            for e in inc[a]:
-                if member[e] and e != came_a:
+        # walks leave y and x and take turns, a step each: the walk at u,
+        # which came by edge came_u, steps on while the one at w waits.
+        # The first to find no further F edge at u is s steps from near.
+        u, w, came_u, came_w = y, x, eid, eid
+        for t in range(2 * len(inc)):  # < 2|V| turns unless on a cycle
+            for e in inc[u]:
+                if member[e] and e != came_u:
                     break
             else:
-                u, near, other = a, y, x
                 break
-            a, came_a = (ex[e] if a < ny else ey[e]), e
-            for e in inc[b]:
-                if member[e] and e != came_b:
-                    break
-            else:
-                u, near, other = b, x, y
-                break
-            b, came_b = (ex[e] if b < ny else ey[e]), e
+            u, w = w, ex[e] if u < ny else ey[e]
+            came_u, came_w = came_w, e
         else:
             raise ValueError(f"edge occurrence {eid} is on a cycle of F")
+        s, (near, other) = t >> 1, ((x, y) if t & 1 else (y, x))
         # u ends F's path too, so it holds the path's far end and length
         end, length, counts = self._end, self._len, self._len_counts
         far, n = end[u], length[u]
@@ -135,17 +128,11 @@ class PseudoPathFactor:
         end[far], end[other] = other, far
         length[far] = length[other] = n - 1 - s
 
-    def _walk(self, v: int) -> tuple[list[int], int]:
-        """verify.walk_component on F: v's component afresh from the edge
-        set, for a refusal or an error text only."""
-        from .verify import walk_component  # verify imports this module
-        return walk_component(self.graph, self._member, v)
-
     def _length(self, v: int, exact: bool = True) -> int:
         """The edge count of v's path, 0 if v is isolated, read in O(1) at
         v or at an F-neighbour of v that is a path end.  An interior
         vertex with neither lies on a path of >= 4 edges, for which 4
-        stands unless exact, when the path is walked."""
+        stands unless exact, when walk_component counts them."""
         deg = self.deg
         if deg[v] <= 1:
             return self._len[v]
@@ -155,29 +142,22 @@ class PseudoPathFactor:
                 u = g._ex[eid] if v < g.y_count else g._ey[eid]
                 if deg[u] <= 1:
                     return self._len[u]
-        return self._walk(v)[1] if exact else 4
+        return walk_component(g, member, v)[1] if exact else 4
 
     # -- queries ------------------------------------------------------------
 
     @property
     def ids(self) -> tuple[tuple[int, ...], ...]:
         """All component paths as vertex ids, each walked once from its
-        lower end for the length recorded there, and sorted (ids sort all
-        of Y before all of X)."""
-        g, member, end, length = self.graph, self._member, self._end, self._len
-        inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
-        paths = []
+        lower end by graph._run, and sorted (ids sort Y before X)."""
+        g, member, end = self.graph, self._member, self._end
+        inc, paths = g._inc, []
         for v, d in enumerate(self.deg):
             if d == 1 and v < end[v]:
-                path, u, eid = [v], v, -1
-                for _ in repeat(None, length[v]):
-                    for e in inc[u]:
-                        if member[e] and e != eid:
-                            break
-                    eid = e
-                    u = ex[e] if u < ny else ey[e]
-                    path.append(u)
-                paths.append(tuple(path))
+                for eid in inc[v]:
+                    if member[eid]:
+                        break
+                paths.append((v, *_run(g, member, v, eid)[0]))
         paths.sort()
         return tuple(paths)
 

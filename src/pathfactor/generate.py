@@ -46,8 +46,9 @@ def generate(config: GenConfig) -> Bigraph:
 
     Deterministic per config.  Raises GenerationError if every attempt
     exhausts its repair budget (not observed for any tested (k, seed), but
-    the bound keeps termination unconditional), or before sizing anything
-    if the 12k stubs of a side do not fit in a machine-size index.
+    the bound keeps termination unconditional), or if the 12k stubs of a
+    side do not fit in a machine-size index, before sizing anything, or
+    in memory.
     """
     if 12 * config.k > sys.maxsize:
         raise GenerationError(f"k={config.k} is too large: 12k stubs "
@@ -68,10 +69,18 @@ def generate(config: GenConfig) -> Bigraph:
 
 def _pair_stubs(k: int, rng: np.random.Generator) -> list[int]:
     """The codes y * 3k + x of a random stub pairing, by Y stub: stub t of
-    y_{t//3} meets X stub perm[t] of x_{perm[t]//4}, so y < 4k, x < 3k."""
+    y_{t//3} meets X stub perm[t] of x_{perm[t]//4}, so y < 4k, x < 3k.
+    Raises GenerationError if numpy cannot size the stub arrays."""
     import numpy as np
-    xs = rng.permutation(12 * k) // 4
-    return (np.arange(12 * k) // 3 * (3 * k) + xs).tolist()
+    try:
+        xs = rng.permutation(12 * k) // 4
+        codes = (np.arange(12 * k) // 3 * (3 * k) + xs).tolist()
+    except (MemoryError, ValueError):  # ValueError: "array is too big"
+        codes = []
+    if len(codes) != 12 * k:  # numpy may size an n near sys.maxsize at 0
+        raise GenerationError(f"k={k} is too large: 12k stubs do not fit "
+                              f"in memory")
+    return codes
 
 
 def _repair_duplicates(codes: list[int], x_count: int,

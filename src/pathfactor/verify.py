@@ -2,8 +2,9 @@
 
 The validators re-derive every structural claim from the raw edge ids or
 path list; they share no bookkeeping with the solver.  The checked-mode
-audit walks each path it meets in F's edge set and compares its two
-ends with the far end and length that F records at each.  The factor
+audit walks each path it meets in F's edge set with graph.py's _run,
+the step loop that F's ids walk with too, and holds its two ends
+against the far end and length that F records at each.  The factor
 oracle enumerates all ways to keep exactly 2 of the 4 edges at every X
 vertex (6 per vertex, 6^(3k) total) on one PseudoPathFactor, pruning a
 choice as soon as add_edge refuses it, so it can certify both the
@@ -19,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotBiregularError, OracleSizeError
 from .factors import AugmentingTrail, PathFactor, PseudoPathFactor
-from .graph import Bigraph, _is_count, check_biregular
+from .graph import Bigraph, _is_count, _run, check_biregular, walk_component
 
 ORACLE_MAX_K = 2
 
@@ -48,56 +49,6 @@ class ValidationReport:
                        for v in self.violations)
 
 
-def walk_component(g: Bigraph, member: Sequence[int],
-                   v: int) -> tuple[list[int], int]:
-    """The component through vertex id v of the edges of g whose member
-    entry is 1: its vertex ids and its edge count, in time proportional
-    to the component.  The collection starts where a walk away from v
-    along its first edge first meets a vertex of degree other than 2, or
-    v again on a cycle, so a path comes out in order."""
-    inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
-    first = []  # plain loops: faster here than filter() and, before 3.12,
-    for eid in inc[v]:  # than a comprehension, which is a call
-        if member[eid]:
-            first.append(eid)
-    if not first:
-        return [v], 0
-
-    def run(eid: int) -> tuple[list[int], int]:
-        # the vertices past v along eid to one of degree d != 2, and d
-        side, u = [], v
-        while (u := ex[eid] if u < ny else ey[eid]) != v:
-            side.append(u)
-            d = 0
-            for e in inc[u]:
-                if member[e]:
-                    d += 1
-                    if e != eid:
-                        nxt = e
-            if d != 2:
-                return side, d
-            eid = nxt
-        return side, 0  # back at v: a cycle
-    # a path: the run out of v, or both runs if v is inside, end at degree 1
-    side, d = run(first[0]) if len(first) == 2 else ([], len(first) == 1)
-    if d == 1 and (more := run(first[-1]))[1] == 1:
-        return [*reversed(side), v, *more[0]], len(side) + len(more[0])
-    start = side[-1] if d and len(first) == 2 else v
-    comp = {start: None}  # a cycle or a branch: insertion-ordered set
-    stack = [start]
-    edges = 0
-    while stack:
-        u = stack.pop()
-        for eid in inc[u]:
-            if member[eid]:
-                edges += 1
-                w = ex[eid] if u < ny else ey[eid]
-                if w not in comp:
-                    comp[w] = None
-                    stack.append(w)
-    return list(comp), edges // 2
-
-
 def _names(g: Bigraph, ids: Iterable[int]) -> str:
     return " ".join(map(g.name, ids))
 
@@ -115,45 +66,27 @@ def audit_ids(factor: PseudoPathFactor, ids: Iterable[int]) -> Optional[str]:
     """
     g, member, end, length = (factor.graph, factor._member, factor._end,
                               factor._len)
-    inc, ey, ex, ny, seen = g._inc, g._ey, g._ex, g.y_count, set()
+    inc, seen = g._inc, set()
     for v in ids:
         if v in seen:
             continue
-        first = []  # plain loops: see walk_component
+        ends, n, side = [v, v], 0, 0
         for eid in inc[v]:
             if member[eid]:
-                first.append(eid)
-        if len(first) > 2:
-            return _not_a_path(g, member, v)
-        ends, n = [v, v], 0
-        for side, eid in enumerate(first):
-            u = v
-            while True:  # to a vertex of F-degree other than 2, or v
-                u = ex[eid] if u < ny else ey[eid]
-                if u == v:
+                if side == 2:  # a third F edge at v
                     return _not_a_path(g, member, v)
-                seen.add(u)
-                n += 1
-                d = 0
-                for e in inc[u]:
-                    if member[e]:
-                        d += 1
-                        if e != eid:
-                            nxt = e
-                if d != 2:
-                    break
-                eid = nxt
-            if d > 2:
-                return _not_a_path(g, member, v)
-            ends[side] = u
+                run, d = _run(g, member, v, eid)
+                if d != 1:  # back at v, or at a branch
+                    return _not_a_path(g, member, v)
+                seen.update(run)
+                n += len(run)
+                ends[side] = run[-1]
+                side += 1
         for u, w in sorted([ends, ends[::-1]]):  # the lower end first
-            if end[u] != w or length[u] != n:
-                path = walk_component(g, member, u)[0]
-                if path[0] != u:
-                    path.reverse()
+            if end[u] != w or length[u] != n:  # a walk from an end: in order
                 return (f"{g.name(u)} records the far end {g.name(end[u])} "
                         f"at length {length[u]}, but F has "
-                        f"[{_names(g, path)}]")
+                        f"[{_names(g, walk_component(g, member, u)[0])}]")
     return None
 
 

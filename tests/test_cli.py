@@ -49,6 +49,21 @@ def test_generate_a_k_past_a_machine_index_exits_1(capsys, k):
     assert "defect" not in err
 
 
+@pytest.mark.parametrize("k", [10**12, sys.maxsize // 96, sys.maxsize // 12])
+def test_generate_a_k_past_memory_exits_1(k):
+    # numpy cannot size the stub arrays: it runs out of memory, finds
+    # their byte count too big, or, near sys.maxsize, sizes them empty.
+    # The child caps its address space at 1 GB before it tries.
+    proc = _child("-c", "import resource, sys\n"
+                        "cap = 1 << 30\n"
+                        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                        "from pathfactor.cli import main\n"
+                        f"sys.exit(main(['generate', '--k', '{k}']))")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: k={k} is too large: 12k stubs do not "
+                           f"fit in memory\n")
+
+
 def test_generate_bad_k(capsys):
     assert run(capsys, "generate", "--k", "0")[0] == 2
     assert run(capsys, "generate", "--k", "two")[0] == 2

@@ -157,6 +157,24 @@ def test_edge_ids_outside_the_graph_are_rejected(method, eid):
     _assert_ends_match(factor)
 
 
+@pytest.mark.parametrize("pairs, eid, text", [
+    # each check is O(1) and they run in this order, so an edge in F, or
+    # one with an interior end on the same path, is not named a cycle
+    (_SIX_PATH, 12, "edge id 12 is not in range(12)"),
+    (_SIX_PATH, 4, "edge occurrence 4 is already in F"),  # y1 x1
+    (_SIX_PATH, 1, "edge y0-x1 attaches to a path interior"),
+    (_SIX_PATH, 5, "edge y1-x2 attaches to a path interior"),
+    (((0, 0), (1, 0), (1, 1)), 1, "edge y0-x1 would close a cycle"),
+])
+def test_add_edge_refusals_leave_f_unchanged(pairs, eid, text):
+    g, factor = _k34_factor(*pairs)
+    before = _state(factor)
+    with pytest.raises(ValueError) as refused:
+        factor.add_edge(eid)
+    assert str(refused.value) == text
+    assert _state(factor) == before
+
+
 def _assert_ends_match(factor):
     # a fresh walk of F from each path end is the reference
     g, member = factor.graph, factor._member
