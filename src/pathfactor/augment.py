@@ -110,9 +110,9 @@ def rewire(factor: PseudoPathFactor, trail: AugmentingTrail,
     Y vertex has factor degree 2.
 
     F changes only through PseudoPathFactor.remove_edge and add_edge, so
-    a rewire takes time proportional to the trail length plus the
-    shorter piece of each path it splits.  checked=True also holds a
-    fresh walk of F through every trail vertex against its path ends.
+    a rewire takes time proportional to the trail length plus the path
+    piece on the Y side of each edge it drops.  checked=True also holds
+    a fresh walk of F through every trail vertex against its path ends.
     """
     g, deg = factor.graph, factor.deg
     if trail.graph is not g:  # edge ids name edges of one graph only

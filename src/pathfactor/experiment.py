@@ -74,27 +74,30 @@ def _run_trial(args: tuple[int, int]) -> tuple[tuple[int, ...], float]:
     return factor.lengths(), elapsed
 
 
+def _results(k: int, trials: int, seed: int, workers: int):
+    """Each trial's _run_trial result, in trial order, as it arrives, for
+    run_experiment to fold in; none is kept."""
+    args = ((k, (seed + t) % 2**64) for t in range(trials))
+    if workers <= 1:
+        yield from map(_run_trial, args)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_trial, args,
+                                chunksize=max(1, trials // (4 * workers)))
+
+
 def run_experiment(k: int, trials: int, seed: int,
                    jobs: int = 1) -> ExperimentSummary:
     """Generate and solve `trials` instances, validating every factor."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    args = [(k, (seed + t) % 2**64) for t in range(trials)]
     # a fork-started pool launches all its workers at the first submit
     workers = min(jobs, trials, os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_run_trial(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, args,
-                                    chunksize=max(1, trials // (4 * workers))))
     hist: Counter[int] = Counter()
-    all_short = 0
-    total_time = 0.0
-    for lengths, elapsed in results:
+    all_short, total_time = 0, 0.0
+    for lengths, elapsed in _results(k, trials, seed, workers):
         hist.update(lengths)
-        if max(lengths) <= 8:
-            all_short += 1
+        all_short += max(lengths) <= 8
         total_time += elapsed
     return ExperimentSummary(
         k=k, trials=trials, seed=seed,

@@ -79,14 +79,12 @@ class PseudoPathFactor:
         end[a], end[b], length[a], length[b] = b, a, n, n
 
     def remove_edge(self, eid: int) -> None:
-        """Remove an edge from F, splitting its path in two.
-
-        Raises ValueError, leaving F unchanged, if the id is not in
-        range(|E|) or the edge is not in F.  Two walks leave the edge's
-        ends in lockstep, and the first to reach the end of its piece
-        gives both pieces' ends and lengths, so a split takes time
-        proportional to the shorter piece.
-        """
+        """Remove an edge from F, splitting its path in two, in time
+        proportional to the piece on the edge's Y side, which graph._run
+        walks; the far end and length recorded where it stops give the
+        other piece.  Raises ValueError, leaving F unchanged, if the id is
+        not in range(|E|), the edge is not in F, or the walk meets a cycle
+        or a branch of F."""
         if not 0 <= eid < len(self._member):
             raise ValueError(
                 f"edge id {eid} is not in range({len(self._member)})")
@@ -94,23 +92,13 @@ class PseudoPathFactor:
         if not member[eid]:
             raise ValueError(f"edge occurrence {eid} is not in F")
         g = self.graph
-        inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
-        y, x = ey[eid], ex[eid]
-        # walks leave y and x and take turns, a step each: the walk at u,
-        # which came by edge came_u, steps on while the one at w waits.
-        # The first to find no further F edge at u is s steps from near.
-        u, w, came_u, came_w = y, x, eid, eid
-        for t in range(2 * len(inc)):  # < 2|V| turns unless on a cycle
-            for e in inc[u]:
-                if member[e] and e != came_u:
-                    break
-            else:
-                break
-            u, w = w, ex[e] if u < ny else ey[e]
-            came_u, came_w = came_w, e
-        else:
-            raise ValueError(f"edge occurrence {eid} is on a cycle of F")
-        s, (near, other) = t >> 1, ((x, y) if t & 1 else (y, x))
+        y, x = g._ey[eid], g._ex[eid]
+        side, d = _run(g, member, x, eid)  # y, ..., u: s edges from y
+        if d != 1:  # back at x, or at a branch
+            raise ValueError(f"edge occurrence {eid} is on a cycle of F"
+                             if d == 0 else f"edge occurrence {eid} meets "
+                             f"a branch of F at {g.name(side[-1])}")
+        u, s = side[-1], len(side) - 1
         # u ends F's path too, so it holds the path's far end and length
         end, length, counts = self._end, self._len, self._len_counts
         far, n = end[u], length[u]
@@ -124,9 +112,9 @@ class PseudoPathFactor:
         member[eid] = 0
         self.deg[y] -= 1
         self.deg[x] -= 1
-        end[u], end[near], length[u], length[near] = near, u, s, s
-        end[far], end[other] = other, far
-        length[far] = length[other] = n - 1 - s
+        end[u], end[y], length[u], length[y] = y, u, s, s
+        end[far], end[x] = x, far
+        length[far] = length[x] = n - 1 - s
 
     def _length(self, v: int, exact: bool = True) -> int:
         """The edge count of v's path, 0 if v is isolated, read in O(1) at

@@ -295,8 +295,7 @@ def _run(g: Bigraph, member: Sequence[int], v: int,
          eid: int) -> tuple[list[int], int]:
     """The vertices past vertex id v along its member edge eid, up to the
     first of member degree d != 2, and d; d is 0 if the walk is back at
-    v, on a cycle.  Every walk of F steps here but remove_edge's, which
-    walks from both ends of an edge in turn."""
+    v, on a cycle.  Every walk of F steps here."""
     inc, ey, ex, ny = g._inc, g._ey, g._ex, g.y_count
     side, u = [], v
     while (u := ex[eid] if u < ny else ey[eid]) != v:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -445,6 +446,47 @@ def test_experiment_caps_the_pool(capsys, monkeypatch, trials, cpus, sizes):
     b = run(capsys, *argv)
     assert a[0] == b[0] == 0
     assert a[1] == b[1]
+
+
+def test_experiment_refuses_no_trials():
+    # the CLI's --trials reader refuses 0 first; the library call must too
+    with pytest.raises(ValueError, match=r"^trials must be positive, got 0$"):
+        pathfactor.run_experiment(2, 0, 0)
+
+
+def test_experiment_reports_an_invalid_factor_as_a_defect(capsys,
+                                                          monkeypatch):
+    # every trial's factor is re-validated before it is counted; a factor
+    # one path short is a defect of this package, not a statistic
+    def short_solve(g):
+        return PathFactor(g, pathfactor.solve(g).ids[:-1])
+
+    monkeypatch.setattr("pathfactor.experiment.solve", short_solve)
+    code, out, err = run(capsys, "experiment", "--k", "2", "--trials", "3",
+                         "--seed", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("defect: solve emitted an invalid factor for k=2 "
+                          "seed=4:\n")
+    assert "FAIL path-count 1 paths, want k = 2\n" in err
+
+
+def test_experiment_memory_does_not_grow_with_trials():
+    # each trial is folded into the summary as it arrives, so the traced
+    # peak is one trial's working set at any trial count.  Keeping every
+    # trial's result until the end traced about 240 B a trial at k = 2,
+    # so 3,000 more trials added some 720 KB to the peak.  The bound,
+    # 32 KiB, is over 5 times the whole peak (about 6 KB), and keeping
+    # just 11 B a trial would cross it.
+    pathfactor.run_experiment(2, 10, 0)  # imports and first-use caches
+    peaks = []
+    for trials in (1000, 4000):
+        tracemalloc.start()
+        try:
+            pathfactor.run_experiment(2, trials, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 32 * 1024, peaks
 
 
 def _child(*args):

@@ -14,8 +14,8 @@ from pathfactor import (AlgorithmDefectError, AugmentingTrail, Bigraph,
                         make_policy, rewire, solve, validate_pseudo_factor)
 from pathfactor.builder import FactorState, step_i, step_zero
 from pathfactor.verify import audit_ids, walk_component
-from conftest import (component_length, edge_id, edge_pairs, k2_stub_pairing,
-                      trail_of, ypath)
+from conftest import (component_length, edge_id, edge_pairs, flip_behind_ends,
+                      k2_stub_pairing, trail_of, ypath)
 
 _K34 = fixture("k34")  # complete: every (y, x) pair is an edge; |Y| = 4
 
@@ -171,6 +171,23 @@ def test_add_edge_refusals_leave_f_unchanged(pairs, eid, text):
     before = _state(factor)
     with pytest.raises(ValueError) as refused:
         factor.add_edge(eid)
+    assert str(refused.value) == text
+    assert _state(factor) == before
+
+
+@pytest.mark.parametrize("flip, text", [
+    # y1x1 closes y0 x0 y1 x1 y0, and the walk from x0 over y0x0 is back
+    ((1, 1), "edge occurrence 0 is on a cycle of F"),
+    # y0x2 gives y0 three F edges: the walk from x0 stops there at once
+    ((0, 2), "edge occurrence 0 meets a branch of F at y0"),
+])
+def test_remove_edge_refuses_a_corrupted_f_unchanged(flip, text):
+    # F is the path x1 y0 x0 y1, plus one edge put in behind its ends
+    g, factor = _k34_factor((0, 0), (0, 1), (1, 0))
+    flip_behind_ends(factor, edge_id(g, *flip))
+    before = _state(factor)
+    with pytest.raises(ValueError) as refused:
+        factor.remove_edge(edge_id(g, 0, 0))
     assert str(refused.value) == text
     assert _state(factor) == before
 
@@ -359,17 +376,17 @@ class _CountingList(list):
 _M = 400  # the path y0 x0 y1 x1 ... x_{M-1} y_M, of 2M edges
 
 
-@pytest.mark.parametrize("y, x, short", [
-    (1, 0, 1),            # x0y1: the piece y0 x0 is on x0's side
-    (1, 1, 2),            # y1x1: the piece y0 x0 y1 is on y1's side
-    (_M - 1, _M - 1, 1),  # the piece x_{M-1} y_M is on x_{M-1}'s side
-    (_M - 1, _M - 2, 2),  # the piece y_{M-1} x_{M-1} y_M on y_{M-1}'s
+@pytest.mark.parametrize("y, x, piece", [
+    (1, 0, 2 * _M - 2),            # x0y1: y1 x1 ... y_M, on y1's side
+    (1, 1, 2),                     # y1x1: y1 x0 y0
+    (_M - 1, _M - 1, 2 * _M - 2),  # y_{M-1} x_{M-2} ... y0
+    (_M - 1, _M - 2, 2),           # y_{M-1} x_{M-1} y_M
 ])
-def test_remove_edge_visits_only_the_shorter_piece(y, x, short):
-    # remove_edge walks out from both ends of the edge in lockstep, so it
-    # reads the incidence lists of O(short) vertices, not O(M); a walk
-    # from the edge's Y end alone, or from its X end alone, reads M of
-    # them on two of these rows.  add_edge reads none.
+def test_remove_edge_visits_only_the_y_side_piece(y, x, piece):
+    # remove_edge crosses the edge from its X end and walks the piece on
+    # its Y side to its end, reading the incidence list of each of that
+    # piece's vertices once and no other; the piece on the X side is read
+    # off the path ends F records.  add_edge reads none.
     g = Bigraph(_M + 1, _M, [(i, i) for i in range(_M)]
                 + [(i + 1, i) for i in range(_M)])
     eid = edge_id(g, y, x)
@@ -379,9 +396,9 @@ def test_remove_edge_visits_only_the_shorter_piece(y, x, short):
         factor.add_edge(e)
     assert (inc.reads, factor.max_path_length) == (0, 2 * _M)
     factor.remove_edge(eid)
-    assert inc.reads <= 2 * short + 2
+    assert inc.reads == piece + 1
     lengths = sorted(factor._len[v] for v in (0, _M))  # y0 and y_M
-    assert lengths == [short, 2 * _M - 1 - short]
+    assert lengths == sorted([piece, 2 * _M - 1 - piece])
     _assert_ends_match(factor)
 
 

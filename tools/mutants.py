@@ -6,15 +6,16 @@
 A raise-guard is an `if` statement whose body raises.  By default, for
 each one in the module, in turn, the probe makes the guard's test read
 `False` in a copy of the checkout and runs the focused tests on that copy
-(default: tests/test_<module>.py), stopping at the first failure.  If
-they all pass, it runs the whole Tier-1 suite.  A guard whose mutant
-passes Tier-1 survives: no test notices it is gone.  With --compare the
-mutants are the module's comparison operators instead, each flipped in
-turn to its negation: == and !=, < and >=, > and <=, is and is not, in
-and not in.  The probe prints one line per mutant and the counts.  Run it
-by hand from the root of a checkout: it runs the suite once for each
-mutant the focused tests miss.  The copy is made under a fresh temporary
-directory (it honours TMPDIR) and removed on exit.
+(default: tests/test_<module>.py, or Tier-1 for a module without that
+file), stopping at the first failure.  If they all pass, it runs the
+whole Tier-1 suite.  A guard whose mutant passes Tier-1 survives: no
+test notices it is gone.  With --compare the mutants are the module's
+comparison operators instead, each flipped in turn to its negation: ==
+and !=, < and >=, > and <=, is and is not, in and not in.  The probe
+prints one line per mutant and the counts.  Run it by hand from the root
+of a checkout: it runs the suite once for each mutant the focused tests
+miss.  The copy is made under a fresh temporary directory (it honours
+TMPDIR) and removed on exit.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def main() -> int:
                         help="flip comparison operators, not raise-guards")
     args = parser.parse_args()
     rel = args.module.resolve().relative_to(ROOT)
-    focus = args.focus or [f"tests/test_{rel.stem}.py"]
+    # pytest fails on a missing file, which would count as a kill
+    default = f"tests/test_{rel.stem}.py"
+    focus = args.focus or ([default] if (ROOT / default).exists() else TIER1)
     source = (ROOT / rel).read_bytes()
     found = comparisons(source) if args.compare else guards(source)
     kind = "comparisons" if args.compare else "guards"
